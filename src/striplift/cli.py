@@ -30,6 +30,7 @@ from .framework import (
     load_framework,
     parse_document,
     save_framework,
+    _coord_from_doc,
     _dump_json,
 )
 from .geomcore import regularity_report
@@ -88,9 +89,7 @@ def _parse_mu_spec(text: str) -> CoordFunction:
     doc = parse_document(text)
     if not isinstance(doc, dict):
         raise SchemaError("edge stress spec must be a number or a coordinate object")
-    poly = tuple(doc.get("poly", [0.0]))
-    trig = tuple((e["amp"], e["freq"], e["phase"]) for e in doc.get("trig", []))
-    return CoordFunction(poly, trig)
+    return _coord_from_doc(doc, "--mu-minus1")
 
 
 def cmd_validate(args) -> int:
@@ -103,9 +102,8 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     fw = _load_planar(args)
-    report = regularity_report(fw)
-    if not report.passed:
-        print(report.summary())
+    if fw.regularity_warning:  # set by the loader's regularity check
+        print(regularity_report(fw).summary())
         return EXIT_CHECK_FAILED
     lambda0 = [float(v) for v in args.lambda0.split(",")]
     mu = _parse_mu_spec(args.mu_minus1)

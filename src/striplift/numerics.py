@@ -153,19 +153,32 @@ def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def basis_guard(col1, col2):
+    """Determinant, degeneracy threshold and verdict of 2-vector pairs.
+
+    The vectors lie along the last axis; any leading axes are elementwise.
+    A pair is degenerate where |det| <= threshold = EPS_REG * |col1| * |col2|.
+    Returns (det, threshold, degenerate).
+    """
+    c1 = np.asarray(col1, dtype=float)
+    c2 = np.asarray(col2, dtype=float)
+    det = c1[..., 0] * c2[..., 1] - c1[..., 1] * c2[..., 0]
+    threshold = EPS_REG * np.hypot(c1[..., 0], c1[..., 1]) * np.hypot(c2[..., 0], c2[..., 1])
+    return det, threshold, np.abs(det) <= threshold
+
+
 def solve2x2(col1, col2, rhs, location=None):
     """Solve x1*col1 + x2*col2 = rhs by Cramer's rule.
 
     Raises DegenerateBasisError when |det(col1, col2)| falls below the
-    scale-free threshold EPS_REG * |col1| * |col2|.
+    scale-free threshold EPS_REG * |col1| * |col2| (see basis_guard).
     """
     c1 = np.asarray(col1, dtype=float)
     c2 = np.asarray(col2, dtype=float)
     r = np.asarray(rhs, dtype=float)
-    det = c1[0] * c2[1] - c1[1] * c2[0]
-    threshold = EPS_REG * float(np.hypot(*c1)) * float(np.hypot(*c2))
-    if abs(det) <= threshold:
-        raise DegenerateBasisError(det, threshold, location=location)
+    det, threshold, degenerate = basis_guard(c1, c2)
+    if degenerate:
+        raise DegenerateBasisError(det, float(threshold), location=location)
     x1 = (r[0] * c2[1] - r[1] * c2[0]) / det
     x2 = (c1[0] * r[1] - c1[1] * r[0]) / det
     return x1, x2

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, SchemaError
+from .errors import DegenerateBasisError, DivergenceError, SchemaError
 from .framework import CoordFunction, Framework, _dump_json, parse_document
 from .numerics import (
     NORM_FLOOR,
     Grid,
+    basis_guard,
     fd_derivative,
     integrate_samples,
     ode_march,
-    solve2x2,
 )
 
 
@@ -99,9 +99,11 @@ def load_stress(text: str) -> StressField:
         grid = Grid(float(doc["T"]), int(doc["N"]))
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc), field="T/N") from None
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise SchemaError(f"n must be a non-negative integer, got {n!r}", field="n")
     lam = np.asarray(doc["lambda"], dtype=float)
     mu = np.asarray(doc["mu"], dtype=float)
-    n = doc["n"]
     if lam.ndim != 2 or lam.shape[0] != n + 1:
         raise SchemaError(f"lambda must have {n + 1} rows", field="lambda")
     if mu.ndim != 2 or mu.shape[0] != n + 2:
@@ -241,16 +243,52 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
 
 
-def _as_scalar_fn(spec):
-    """Normalize a prescribed edge-stress input to a scalar function of t."""
+def _boundary_samples(spec, times: np.ndarray) -> np.ndarray:
+    """A prescribed edge-stress input sampled at the given times."""
     if isinstance(spec, CoordFunction):
-        return lambda t: float(spec.value(t))
+        return np.asarray(spec.value(times), dtype=float)
     if callable(spec):
-        return lambda t: float(spec(t))
+        return np.array([float(spec(t)) for t in times])
     if isinstance(spec, (int, float)):
-        value = float(spec)
-        return lambda t: value
+        return np.full(times.shape, float(spec))
     raise TypeError(f"cannot interpret edge stress specification {spec!r}")
+
+
+def _strip_table(fw: Framework, times: np.ndarray):
+    """What the balance at curves 0..n reads, at every time in `times`.
+
+    Returns the table, shape (len(times), n+1, 9), whose last axis holds
+    tangent, acceleration, forward edge and backward edge (x, y each) and the
+    Cramer determinant of (tangent, forward edge); then that determinant, its
+    threshold and its degeneracy verdict, each of shape (len(times), n+1).
+    """
+    derivs = np.array(
+        [[c.derivatives(times, order=2) for c in fw.curve(i).coords] for i in fw.curve_indices]
+    )  # (n+3, 2, 3, S): curve, coordinate, derivative order, time
+    p, d1, d2 = derivs.transpose(2, 3, 0, 1)  # each (S, n+3, 2)
+    edge = p[:, 1:] - p[:, :-1]  # edge[:, i + 1] = f_{i+1} - f_i
+    d1, d2 = d1[:, 1:-1], d2[:, 1:-1]
+    det, threshold, degenerate = basis_guard(d1, edge[:, 1:])
+    table = np.concatenate([d1, d2, edge[:, 1:], edge[:, :-1], det[..., None]], axis=-1)
+    return table, det, threshold, degenerate
+
+
+def _sweep(entries, lam, mu_prev):
+    """Sweep the balance over curves 0..n in increasing i.
+
+    entries holds one strip-table entry per curve, lam the curve stresses and
+    mu_prev the prescribed mu_{-1}.  Returns the growth rates of lam_0..lam_n
+    and the edge stresses mu_0..mu_n, as lists.  Works on scalars (one time)
+    and on arrays (many times at once) alike.
+    """
+    rates, mus = [], []
+    for (d1x, d1y, d2x, d2y, fx, fy, bx, by, det), lam_i in zip(entries, lam):
+        r0 = -lam_i * d2x + mu_prev * bx
+        r1 = -lam_i * d2y + mu_prev * by
+        rates.append((r0 * fy - r1 * fx) / det)
+        mu_prev = (d1x * r1 - d1y * r0) / det
+        mus.append(mu_prev)
+    return rates, mus
 
 
 def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) -> StressField:
@@ -261,9 +299,14 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     of t (a callable, a CoordFunction, or a constant).  At each time the
     curves are swept in increasing i: the balance at curve i determines the
     growth rate of lam_i and the edge stress mu_i, given mu_{i-1} from the
-    previous stage.  Sampling is classic RK4 on the grid; half-step data
-    comes from exact jets.  The output includes the induced boundary edge
-    stress at index n.
+    previous stage.  Sampling is classic RK4 on the grid.  Before the march,
+    the curve data the sweep reads (tangent, acceleration, both edges and
+    the Cramer determinant per curve) and mu_{-1} are tabulated once, from
+    the exact closed forms, at exactly the times the RK4 stages ask for
+    (t_j, t_j + h/2, t_j + h) and at the grid nodes; the edge stresses at the
+    nodes are then recovered in one pass over whole rows.  A degenerate
+    basis is reported when the march reaches it.  The output includes the
+    induced boundary edge stress at index n.
     """
     grid = grid or fw.grid
     lam0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -271,35 +314,44 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
         raise ValueError(f"lambda0 must supply {fw.n + 1} values, got shape {lam0.shape}")
     if not np.all(np.isfinite(lam0)):
         raise ValueError("lambda0 must be finite")
-    mu_fn = _as_scalar_fn(mu_minus1)
     guard = 1e12 * max(1.0, float(np.abs(lam0).max()))
 
-    def sweep(t, lam):
-        lam_dot = np.empty_like(lam)
-        mu = np.empty(fw.n + 1)
-        jets = [fw.jet(i, t) for i in range(-1, fw.n + 2)]
-        mu_prev = mu_fn(t)
-        for i in range(fw.n + 1):
-            cur = jets[i + 1]
-            edge_fwd = jets[i + 2].p - cur.p
-            edge_bwd = cur.p - jets[i].p
-            rhs = -lam[i] * cur.d2 + mu_prev * edge_bwd
-            lam_dot[i], mu[i] = solve2x2(
-                cur.d1, edge_fwd, rhs, location=(i, float(t))
+    # the stage times by the same float operations ode_march uses, then the
+    # grid nodes; each distinct time gets one table row
+    starts = grid.t[:-1]
+    row_of = {}
+    for t in np.concatenate([starts, starts + 0.5 * grid.h, starts + grid.h, grid.t]).tolist():
+        row_of.setdefault(t, len(row_of))
+    times = np.array(list(row_of))
+    mu_first = _boundary_samples(mu_minus1, times)
+    table, det, threshold, degenerate = _strip_table(fw, times)
+    degenerate_rows = set(np.flatnonzero(degenerate.any(axis=1)).tolist())
+
+    def row(t):
+        k = row_of[float(t)]
+        if k in degenerate_rows:
+            i = int(np.argmax(degenerate[k]))
+            raise DegenerateBasisError(
+                float(det[k, i]), float(threshold[k, i]), location=(i, float(t))
             )
-            mu_prev = mu[i]
-        return lam_dot, mu
+        return k
 
     def deriv(t, lam):
         if np.abs(lam).max() > guard:
             raise DivergenceError(
                 f"curve stress exceeded {guard:.3e} at t={float(t):.6g}"
             )
-        return sweep(t, lam)[0]
+        k = row(t)
+        try:
+            return _sweep(table[k].tolist(), lam.tolist(), float(mu_first[k]))[0]
+        except ZeroDivisionError:
+            # det == 0 passes the guard only when its threshold overflowed to
+            # NaN; give the non-finite rate numpy's division would, which
+            # ode_march then reports
+            return np.full(lam.shape, np.nan)
 
     lam_samples = ode_march(deriv, lam0, grid).T
-    mu_samples = np.empty((fw.n + 2, grid.N + 1))
-    for j, t in enumerate(grid.t):
-        mu_samples[0, j] = mu_fn(t)
-        _, mu_samples[1:, j] = sweep(t, lam_samples[:, j])
-    return StressField(grid, lam_samples, mu_samples)
+    nodes = [row(t) for t in grid.t]
+    mu_nodes = mu_first[nodes]
+    _, mus = _sweep(table[nodes].transpose(1, 2, 0), lam_samples, mu_nodes)
+    return StressField(grid, lam_samples, np.vstack([mu_nodes, *mus]))

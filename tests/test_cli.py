@@ -111,6 +111,13 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "FAIL" in out and "i=0" in out
 
+    def test_incomplete_mu_spec_exit_2_with_field(self, docs, capsys):
+        _, p = docs
+        spec = '{"trig": [{"amp": 1}]}'
+        code = main(["solve", "--input", str(p["circle1"]), "--lambda0", "1.0", "--mu-minus1", spec])
+        assert code == 2
+        assert "--mu-minus1.trig[0]" in capsys.readouterr().err
+
     def test_trig_mu_spec(self, docs, tmp_path):
         _, p = docs
         spec = '{"poly": [0.0], "trig": [{"amp": 0.1, "freq": 1.0, "phase": 0.0}]}'

@@ -6,6 +6,7 @@ import pytest
 from striplift.errors import DegenerateBasisError, EvaluationError, GridAlignmentError
 from striplift.numerics import (
     Grid,
+    basis_guard,
     cumulative_samples,
     fd_derivative,
     integrate,
@@ -127,6 +128,23 @@ class TestSolve2x2:
         with pytest.raises(DegenerateBasisError) as err:
             solve2x2((1.0, 1.0), (2.0, 2.0 + 1e-12), (1.0, 0.0))
         assert abs(err.value.det) <= err.value.threshold
+
+    def test_whole_array_guard_matches_scalar_guard(self):
+        rng = np.random.default_rng(8)
+        c1, c2 = rng.normal(size=(2, 40, 3, 2))
+        c2[::4] = c1[::4] * 2.5  # parallel pairs
+        c2[1::4, 0] = 0.0  # one zero column in some pairs
+        det, threshold, degenerate = basis_guard(c1, c2)
+        assert det.shape == threshold.shape == degenerate.shape == (40, 3)
+        assert degenerate[::4].all() and degenerate[1::4, 0].all()
+        for idx in np.ndindex(40, 3):
+            try:
+                solve2x2(c1[idx], c2[idx], (1.0, 0.0))
+            except DegenerateBasisError as err:
+                assert degenerate[idx]
+                assert (err.det, err.threshold) == (det[idx], threshold[idx])
+            else:
+                assert not degenerate[idx]
 
 
 class TestOdeMarch:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import striplift as sl
 from striplift.errors import (
     DegenerateBasisError,
     DivergenceError,
+    EvaluationError,
     GridAlignmentError,
     SchemaError,
 )
@@ -18,6 +20,47 @@ from conftest import mu_minus1_fn, mu_scaled
 def zero_stress(fw):
     g = fw.grid
     return sl.StressField(g, np.zeros((fw.n + 1, g.N + 1)), np.zeros((fw.n + 2, g.N + 1)))
+
+
+def reference_solve_stress(fw, lambda0, mu_fn, grid=None):
+    """The per-point march: exact jets and solve2x2 at every RK4 stage time.
+
+    mu_fn is a scalar function of t.  Returns (lam, mu) sample arrays.
+    """
+    grid = grid or fw.grid
+    lam0 = np.asarray(lambda0, dtype=float)
+    guard = 1e12 * max(1.0, float(np.abs(lam0).max()))
+
+    def sweep(t, lam):
+        lam_dot = np.empty_like(lam)
+        mu = np.empty(fw.n + 1)
+        jets = [fw.jet(i, t) for i in range(-1, fw.n + 2)]
+        mu_prev = mu_fn(t)
+        for i in range(fw.n + 1):
+            cur = jets[i + 1]
+            edge_fwd = jets[i + 2].p - cur.p
+            edge_bwd = cur.p - jets[i].p
+            rhs = -lam[i] * cur.d2 + mu_prev * edge_bwd
+            lam_dot[i], mu[i] = sl.solve2x2(cur.d1, edge_fwd, rhs, location=(i, float(t)))
+            mu_prev = mu[i]
+        return lam_dot, mu
+
+    def deriv(t, lam):
+        if np.abs(lam).max() > guard:
+            raise DivergenceError(f"curve stress exceeded {guard:.3e}")
+        return sweep(t, lam)[0]
+
+    lam_samples = sl.ode_march(deriv, lam0, grid).T
+    mu_samples = np.empty((fw.n + 2, grid.N + 1))
+    for j, t in enumerate(grid.t):
+        mu_samples[0, j] = mu_fn(t)
+        _, mu_samples[1:, j] = sweep(t, lam_samples[:, j])
+    return lam_samples, mu_samples
+
+
+def line(y):
+    """The curve t -> (t, y(t)) for a polynomial coefficient tuple y."""
+    return sl.AnalyticCurve((sl.CoordFunction((0.0, 1.0)), sl.CoordFunction(y)))
 
 
 class TestStressField:
@@ -50,6 +93,15 @@ class TestStressField:
     def test_document_row_validation(self):
         with pytest.raises(SchemaError):
             load_stress('{"T": 1.0, "n": 1, "N": 16, "lambda": [[0]], "mu": [[0]]}')
+
+    @pytest.mark.parametrize("n", ['"3"', "true", "1.0", "-1"])
+    def test_document_n_must_be_an_integer(self, n):
+        # rows fit n = 1, which true and 1.0 would pass for without the check
+        lam, mu = json.dumps(np.zeros((2, 17)).tolist()), json.dumps(np.zeros((3, 17)).tolist())
+        text = f'{{"T": 1.0, "n": {n}, "N": 16, "lambda": {lam}, "mu": {mu}}}'
+        with pytest.raises(SchemaError) as err:
+            load_stress(text)
+        assert err.value.field == "n"
 
 
 class TestForceVector:
@@ -270,18 +322,56 @@ class TestSolveStress:
         )
         assert err_fine * 8.0 < err
 
+    @pytest.mark.parametrize("kind", ["coord_function", "callable"])
+    def test_matches_per_point_reference(self, kind):
+        fw = sl.builtin("perturbed2d", n=2, seed=4)
+        cf = sl.CoordFunction((0.01, -0.003), ((0.02, 2.0, 0.7),))
+
+        def mu_fn(t):
+            return float(cf.value(t))
+
+        out = sl.solve_stress(fw, [1.0, 1.5, 2.0], cf if kind == "coord_function" else mu_fn)
+        lam, mu = reference_solve_stress(fw, [1.0, 1.5, 2.0], mu_fn)
+        # equal bit for bit unless the host's vector sin differs from its scalar sin
+        assert np.abs(out.lam - lam).max() <= 1e-13 * np.abs(lam).max()
+        assert np.abs(out.mu - mu).max() <= 1e-13 * np.abs(mu).max()
+
     def test_degenerate_framework_reports_location(self):
-        # second curve tangent to the edge direction at t ~ 0.6
-        curves = [
-            sl.AnalyticCurve((sl.CoordFunction((0.0, 1.0)), sl.CoordFunction((-1.0,)))),
-            sl.AnalyticCurve((sl.CoordFunction((0.0, 1.0)), sl.CoordFunction((0.0,)))),
-            sl.AnalyticCurve((sl.CoordFunction((0.0, 1.0)), sl.CoordFunction((0.0, 0.0, 1.0)))),
-        ]
-        fw = sl.Framework(2.0, 0, curves, sl.Grid(2.0, 32))
         # delta_0 = (0, t^2) is parallel to neither tangent, but at t=0 it vanishes
+        fw = sl.Framework(2.0, 0, [line((-1.0,)), line((0.0,)), line((0.0, 0.0, 1.0))], sl.Grid(2.0, 32))
         with pytest.raises(DegenerateBasisError) as err:
             sl.solve_stress(fw, [1.0], 0.0)
-        assert err.value.location is not None
+        assert err.value.location == (0, 0.0)
+
+    def test_degeneracy_raised_when_the_march_reaches_it(self):
+        # delta_0 = (0, (t-2)^2) vanishes only at the last node t = T = 2; the
+        # backward edge has a tangential part, so a huge mu_{-1} blows lam up
+        # at the first step, before the march gets there
+        curves = [
+            sl.AnalyticCurve((sl.CoordFunction((0.5, 1.0)), sl.CoordFunction((-1.0,)))),
+            line((0.0,)),
+            line((4.0, -4.0, 1.0)),
+        ]
+        fw = sl.Framework(2.0, 0, curves, sl.Grid(2.0, 32))
+        with pytest.raises(DegenerateBasisError) as err:
+            sl.solve_stress(fw, [1.0], 0.0)
+        assert err.value.location[0] == 0
+        assert err.value.location[1] == pytest.approx(2.0, abs=1e-14)
+        with pytest.raises(DivergenceError):
+            sl.solve_stress(fw, [1.0], 1e18)
+
+    def test_zero_det_with_overflowing_threshold_is_not_finite(self):
+        # a resting curve (zero tangent) next to one whose edge norm overflows:
+        # det is 0 and the threshold NaN, so the guard passes and the
+        # derivative must come out non-finite rather than divide by zero
+        curves = [
+            line((-1.0,)),
+            sl.AnalyticCurve((sl.CoordFunction((0.0,)), sl.CoordFunction((0.0,)))),
+            sl.AnalyticCurve((sl.CoordFunction((1.5e308,)), sl.CoordFunction((1.5e308,)))),
+        ]
+        fw = sl.Framework(1.0, 0, curves, sl.Grid(1.0, 16))
+        with pytest.raises(EvaluationError), np.errstate(all="ignore"):
+            sl.solve_stress(fw, [1.0], 0.5)
 
     def test_divergence_guard(self):
         # rotate the inner boundary circle so its edge vector gains a
