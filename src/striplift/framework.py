@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import EvaluationError, SchemaError
 from .numerics import DEFAULT_PANELS, Grid
 
 MAX_POLY_DEGREE = 8
@@ -72,12 +73,13 @@ class CoordFunction:
         t = np.asarray(t, dtype=float)
         out = []
         coeffs = np.array(self.poly)
-        for k in range(order + 1):
-            val = _polyval(coeffs, t) if coeffs.size else np.zeros_like(t)
-            for amp, freq, phase in self.trig:
-                val = val + amp * freq**k * np.sin(freq * t + phase + k * _HALF_PI)
-            out.append(val if val.ndim else float(val))
-            coeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else np.zeros(0)
+        with np.errstate(over="ignore"):  # a huge freq**k becomes inf, not an error
+            for k in range(order + 1):
+                val = _polyval(coeffs, t) if coeffs.size else np.zeros_like(t)
+                for amp, freq, phase in self.trig:
+                    val = val + amp * np.float64(freq) ** k * np.sin(freq * t + phase + k * _HALF_PI)
+                out.append(val if val.ndim else float(val))
+                coeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else np.zeros(0)
         return out
 
     def value(self, t):
@@ -126,6 +128,9 @@ class CurveJet:
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
+
+    def __iter__(self):
+        return iter((self.p, self.d1, self.d2, self.d3))
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ class _IndexedCurves:
         self.n = int(n)
         self._curves = curves
         self.grid = grid if grid is not None else Grid(self.T, DEFAULT_PANELS)
-        self._jet_cache = {}
+        self._tables = {}
 
     @property
     def curve_indices(self):
@@ -196,15 +201,45 @@ class _IndexedCurves:
         self._check_param(t)
         return self.curve(i).jet(t)
 
-    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
-        """Jets of curve i at all grid nodes, cached per (i, grid)."""
+    def tabulate(self, times, order: int = 3) -> np.ndarray:
+        """Values and first `order` derivatives of every curve at every time.
+
+        Shape (order+1, n+3, len(times), dim): derivative order, curve (row
+        i+1 holds curve i), time, coordinate.  Raises EvaluationError at the
+        first curve and time where an entry is not finite.
+        """
+        times = np.asarray(times, dtype=float)
+        table = np.empty((order + 1, self.n + 3, times.size, self._curves[0].dim))
+        for row, curve in enumerate(self._curves):
+            for c, coord in enumerate(curve.coords):
+                table[:, row, :, c] = coord.derivatives(times, order)
+        bad = ~np.isfinite(table).all(axis=(0, 3))
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise EvaluationError(f"jet of curve {row - 1} is not finite", t=float(times[j]))
+        return table
+
+    def grid_table(self, grid: Grid | None = None) -> CurveJet:
+        """Jets of every curve at the grid nodes, cached per grid.
+
+        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.
+        """
         grid = grid or self.grid
-        key = (i, grid.N, grid.T)
-        jets = self._jet_cache.get(key)
-        if jets is None:
-            jets = self.curve(i).jet(grid.t)
-            self._jet_cache[key] = jets
-        return jets
+        key = (grid.N, grid.T)
+        if key not in self._tables:
+            self._tables[key] = CurveJet(*self.tabulate(grid.t))
+        return self._tables[key]
+
+    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
+        """Jets of curve i at all grid nodes: row i+1 of grid_table."""
+        self.curve(i)
+        return CurveJet(*(field[i + 1] for field in self.grid_table(grid)))
+
+    def delta(self, i: int, t):
+        """Forward difference f_{i+1}(t) - f_i(t)."""
+        if i > self.n:
+            raise IndexError(f"delta needs curve {i + 1}, curves end at {self.n + 1}")
+        return self.jet(i + 1, t).p - self.jet(i, t).p
 
     def _check_param(self, t):
         t = np.asarray(t)
@@ -219,12 +254,6 @@ class Framework(_IndexedCurves):
         super().__init__(T, n, curves, grid)
         if any(c.dim != 2 for c in self._curves):
             raise ValueError("framework curves must be planar")
-
-    def delta(self, i: int, t):
-        """Forward difference f_{i+1}(t) - f_i(t)."""
-        if i > self.n:
-            raise IndexError(f"delta needs curve {i + 1}, framework ends at {self.n + 1}")
-        return self.jet(i + 1, t).p - self.jet(i, t).p
 
     def ruled_point(self, u: float, v: float) -> np.ndarray:
         """Point of the ruled interpolation at transverse coordinate u."""
@@ -242,11 +271,6 @@ class AnalyticSurface3D(_IndexedCurves):
         super().__init__(T, n, curves, grid)
         if any(c.dim != 3 for c in self._curves):
             raise ValueError("surface curves must have 3 coordinates")
-
-    def delta(self, i: int, t):
-        if i > self.n:
-            raise IndexError(f"delta needs curve {i + 1}, surface ends at {self.n + 1}")
-        return self.jet(i + 1, t).p - self.jet(i, t).p
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +309,30 @@ def _coord_from_doc(doc, where: str) -> CoordFunction:
         return CoordFunction(tuple(poly), tuple(rows))
     except ValueError as exc:
         raise SchemaError(str(exc), field=where) from None
+
+
+_NUMBER_RULES = {
+    "T": ("a positive finite number", lambda v: isinstance(v, (int, float)) and 0 < v <= sys.float_info.max),
+    "n": ("a non-negative integer", lambda v: isinstance(v, int) and v >= 0),
+    "N": ("an even integer >= 2", lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0),
+}
+
+
+def document_numbers(doc: dict, *keys):
+    """The grid and strip-count numbers `keys` ("T", "n", "N") of a document.
+
+    T must be a positive finite number, n a non-negative integer and N an
+    even integer >= 2; a bool is neither.  Raises SchemaError naming the
+    first field that fails.
+    """
+    values = []
+    for key in keys:
+        want, ok = _NUMBER_RULES[key]
+        value = doc.get(key)
+        if isinstance(value, bool) or not ok(value):
+            raise SchemaError(f"{key} must be {want}, got {value!r}", field=key)
+        values.append(value)
+    return values
 
 
 def _reject_constant(name):
@@ -361,12 +409,7 @@ def framework_from_doc(doc, grid_panels: int | None = None):
     dim = doc.get("dimension")
     if dim not in (2, 3):
         raise SchemaError(f"dimension must be 2 or 3, got {dim!r}", field="dimension")
-    T = doc.get("T")
-    if not isinstance(T, (int, float)) or T <= 0:
-        raise SchemaError(f"T must be a positive number, got {T!r}", field="T")
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise SchemaError(f"n must be a non-negative integer, got {n!r}", field="n")
+    T, n = document_numbers(doc, "T", "n")
     entries = doc.get("curves")
     if not isinstance(entries, list):
         raise SchemaError("curves must be a list", field="curves")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_REG, NORM_FLOOR
+from .numerics import EPS_REG, NORM_FLOOR, basis_guard
 
 
 def det2(a, b):
@@ -72,30 +72,27 @@ class RegularityReport:
 def regularity_report(fw, grid=None) -> RegularityReport:
     """Scan curves 0..n on the grid for the two independence determinants."""
     grid = grid or fw.grid
-    stats = {k: {"raw": np.inf, "arg": (None, None), "normed": np.inf} for k in ("forward", "backward")}
-    for i in range(0, fw.n + 1):
-        jets = fw.grid_jets(i, grid)
-        for kind, other in (("forward", i + 1), ("backward", i - 1)):
-            edge = fw.grid_jets(other, grid).p - jets.p
-            if kind == "backward":
-                edge = -edge  # edge_{i-1} = f_i - f_{i-1}
-            dets = np.abs(det2(jets.d1, edge))
-            scale = np.linalg.norm(jets.d1, axis=-1) * np.linalg.norm(edge, axis=-1)
-            normed = dets / np.maximum(scale, NORM_FLOOR)
-            j = int(np.argmin(dets))
-            s = stats[kind]
-            if dets[j] < s["raw"]:
-                s["raw"], s["arg"] = float(dets[j]), (i, float(grid.t[j]))
-            s["normed"] = min(s["normed"], float(normed.min()))
-    fwd, bwd = stats["forward"], stats["backward"]
+    table = fw.grid_table(grid)
+    edge = table.p[1:] - table.p[:-1]  # edge[i + 1] = f_{i+1} - f_i
+    tangent = table.d1[1:-1]
+    found = []
+    for other in (edge[1:], edge[:-1]):  # forward, then backward edges
+        det, threshold, degenerate = basis_guard(tangent, other)
+        dets = np.abs(det)
+        i, j = np.unravel_index(np.argmin(dets), dets.shape)
+        normed = dets / np.maximum(threshold / EPS_REG, NORM_FLOOR)
+        found.append(
+            (float(dets[i, j]), (int(i), float(grid.t[j])), float(normed.min()), degenerate.any())
+        )
+    (fwd, fwd_at, fwd_normed, fwd_bad), (bwd, bwd_at, bwd_normed, bwd_bad) = found
     return RegularityReport(
-        min_forward=fwd["raw"],
-        argmin_forward=fwd["arg"],
-        min_backward=bwd["raw"],
-        argmin_backward=bwd["arg"],
-        min_forward_normalized=fwd["normed"],
-        min_backward_normalized=bwd["normed"],
-        passed=bool(fwd["normed"] > EPS_REG and bwd["normed"] > EPS_REG),
+        min_forward=fwd,
+        argmin_forward=fwd_at,
+        min_backward=bwd,
+        argmin_backward=bwd_at,
+        min_forward_normalized=fwd_normed,
+        min_backward_normalized=bwd_normed,
+        passed=not (fwd_bad or bwd_bad),
     )
 
 

@@ -19,6 +19,7 @@ from .errors import NotSelfStressedError, SchemaError
 from .framework import (
     CurveJet,
     Framework,
+    document_numbers,
     framework_from_doc,
     framework_to_doc,
     save_framework,
@@ -182,25 +183,32 @@ class SampledLifting:
         self.z_d1 = fd_derivative(z, grid.h)
         self.z_d2 = fd_derivative(self.z_d1, grid.h)
         self.z_d3 = fd_derivative(self.z_d2, grid.h)
+        self._table = None
 
     @property
     def curve_indices(self):
         return range(0, self.n + 1)
 
-    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
-        """Spatial jets of lifted curve i at the grid nodes."""
+    def grid_table(self, grid: Grid | None = None) -> CurveJet:
+        """Spatial jets of lifted curves 0..n at the grid nodes.
+
+        Each field has shape (n+1, N+1, 3); row i holds curve i.  Built once.
+        """
         if grid is not None and (grid.N != self.grid.N or grid.T != self.grid.T):
             raise ValueError("sampled liftings only know their own grid")
+        if self._table is None:
+            flat = self.framework.grid_table(self.grid)
+            heights = (self.z, self.z_d1, self.z_d2, self.z_d3)
+            self._table = CurveJet(
+                *(np.concatenate([xy[1:-1], w[..., None]], axis=-1) for xy, w in zip(flat, heights))
+            )
+        return self._table
+
+    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
+        """Spatial jets of lifted curve i at the grid nodes: row i of grid_table."""
         if not 0 <= i <= self.n:
             raise IndexError(f"lifted curve index {i} outside 0..{self.n}")
-        flat = self.framework.grid_jets(i, self.grid)
-        stack = lambda xy, w: np.concatenate([xy, w[:, None]], axis=1)
-        return CurveJet(
-            p=stack(flat.p, self.z[i]),
-            d1=stack(flat.d1, self.z_d1[i]),
-            d2=stack(flat.d2, self.z_d2[i]),
-            d3=stack(flat.d3, self.z_d3[i]),
-        )
+        return CurveJet(*(field[i] for field in self.grid_table(grid)))
 
 
 def build_lifting(
@@ -233,23 +241,15 @@ def conjugacy_residual(surface, grid: Grid | None = None) -> float:
     ruling vector and the two curve tangents are put through the spatial
     determinant, divided by the product of their norms (floored).
     """
-    grid = grid or surface.grid
-    indices = list(surface.curve_indices)
-    if len(indices) < 2:
+    if len(surface.curve_indices) < 2:
         raise ValueError("conjugacy needs at least two curves")
-    worst = 0.0
-    for i in indices[:-1]:
-        a = surface.grid_jets(i, grid)
-        b = surface.grid_jets(i + 1, grid)
-        ruling = b.p - a.p
-        defect = np.abs(det3(ruling, a.d1, b.d1))
-        scale = (
-            np.linalg.norm(ruling, axis=-1)
-            * np.linalg.norm(a.d1, axis=-1)
-            * np.linalg.norm(b.d1, axis=-1)
-        )
-        worst = max(worst, float((defect / (scale + NORM_FLOOR)).max()))
-    return worst
+    table = surface.grid_table(grid or surface.grid)
+    ruling = table.p[1:] - table.p[:-1]
+    a1, b1 = table.d1[:-1], table.d1[1:]
+    defect = np.abs(det3(ruling, a1, b1))
+    norm = lambda v: np.linalg.norm(v, axis=-1)
+    scale = norm(ruling) * norm(a1) * norm(b1)
+    return float((defect / (scale + NORM_FLOOR)).max())
 
 
 def reversed_framework(fw: Framework) -> Framework:
@@ -313,21 +313,18 @@ def export_obj(surface, reproducible: bool = False) -> str:
     when reproducible is set.
     """
     grid = surface.grid
-    indices = list(surface.curve_indices)
+    rows = len(surface.curve_indices)
     lines = [
         "# lifted semi-discrete surface",
         f"# source: {_source_hash(surface)}",
-        f"# grid: curves={len(indices)} nodes={grid.N + 1} T={grid.T!r}",
+        f"# grid: curves={rows} nodes={grid.N + 1} T={grid.T!r}",
     ]
     if getattr(surface, "path_dependent", False):
         lines.append("# warning: path-dependent heights (stress failed the residual gate)")
     if not reproducible:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    for i in indices:
-        jets = surface.grid_jets(i, grid)
-        for p in jets.p:
-            lines.append("v " + " ".join(format(x, ".17g") for x in p))
-    rows = len(indices)
+    for p in surface.grid_table(grid).p.reshape(-1, 3):
+        lines.append("v " + " ".join(format(x, ".17g") for x in p))
     for r in range(rows - 1):
         for j in range(grid.N):
             a = r * (grid.N + 1) + j + 1
@@ -358,10 +355,11 @@ def load_lifting(text: str) -> SampledLifting:
     for key in ("T", "n", "N", "framework", "z"):
         if key not in doc:
             raise SchemaError(f"missing key {key!r}", field=key)
+    T, _, N = document_numbers(doc, "T", "n", "N")
     fw = framework_from_doc(doc["framework"])
     if not isinstance(fw, Framework):
         raise SchemaError("embedded framework must be planar", field="framework")
-    grid = Grid(float(doc["T"]), int(doc["N"]))
+    grid = Grid(float(T), N)
     z = np.asarray(doc["z"], dtype=float)
     try:
         return SampledLifting(fw, z, grid, path_dependent=bool(doc.get("path_dependent", False)))

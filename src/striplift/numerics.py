@@ -167,6 +167,25 @@ def basis_guard(col1, col2):
     return det, threshold, np.abs(det) <= threshold
 
 
+def require_basis(col1, col2, label, t):
+    """basis_guard that raises at the first degenerate pair; returns det.
+
+    The last leading axis runs over the parameter values t; `label` names
+    the pair, or is a nested list of names indexed by the other leading axes.
+    The first degenerate pair in C order raises DegenerateBasisError at
+    location (name, t).
+    """
+    det, threshold, degenerate = basis_guard(col1, col2)
+    if degenerate.any():
+        first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+        for k in first[:-1]:
+            label = label[k]
+        raise DegenerateBasisError(
+            float(det[first]), float(threshold[first]), location=(label, float(t[first[-1]]))
+        )
+    return det
+
+
 def solve2x2(col1, col2, rhs, location=None):
     """Solve x1*col1 + x2*col2 = rhs by Cramer's rule.
 

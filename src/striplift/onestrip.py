@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError
 from .framework import Framework, _dump_json
 from .geomcore import brackets_from_jets, det2
-from .numerics import EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative
+from .numerics import EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
 from .statics import StressField, residual_report
 
 DEFAULT_CRITERION_TOL = 1e-6
@@ -63,15 +62,6 @@ def _floored_scale(term_magnitudes, term_bounds):
     return np.maximum(scale, np.maximum(floor, NORM_FLOOR))
 
 
-def _guard_row(values, scale, label, grid):
-    bad = np.abs(values) <= EPS_REG * scale
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        raise DegenerateBasisError(
-            float(values[j]), float(EPS_REG * scale[j]), location=(label, float(grid.t[j]))
-        )
-
-
 def onestrip_stresses(fw: Framework, grid: Grid | None = None):
     """Closed-form strictly positive stress pair and the ruling stress.
 
@@ -85,19 +75,9 @@ def onestrip_stresses(fw: Framework, grid: Grid | None = None):
     bs, _, _ = _strip_data(fw, grid)
     jets0 = fw.grid_jets(0, grid)
     jets1 = fw.grid_jets(1, grid)
-    edge_norm = np.linalg.norm(jets1.p - jets0.p, axis=-1)
-    _guard_row(
-        bs.edge_prev_tan_prev,
-        edge_norm * np.linalg.norm(jets0.d1, axis=-1),
-        "det(edge_0, tan_0)",
-        grid,
-    )
-    _guard_row(
-        bs.edge_prev_tan,
-        edge_norm * np.linalg.norm(jets1.d1, axis=-1),
-        "det(edge_0, tan_1)",
-        grid,
-    )
+    edge = jets1.p - jets0.p
+    require_basis(edge, jets0.d1, "det(edge_0, tan_0)", grid.t)
+    require_basis(edge, jets1.d1, "det(edge_0, tan_1)", grid.t)
     lam0 = np.exp(-cumulative_samples(bs.edge_prev_acc_prev / bs.edge_prev_tan_prev, grid.h))
     lam1 = np.exp(-cumulative_samples(bs.edge_prev_acc / bs.edge_prev_tan, grid.h))
     mu0 = lam0 * bs.tan_prev_acc_prev / bs.edge_prev_tan_prev

@@ -8,51 +8,42 @@ admission test: the induced stress is only meaningful when it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateBasisError, NotConjugateError, StripLiftError
-from .framework import AnalyticCurve, AnalyticSurface3D, Framework
+from .errors import NotConjugateError, StripLiftError
+from .framework import AnalyticCurve, AnalyticSurface3D, CurveJet, Framework
 from .geomcore import det2, regularity_report
 from .lifting import SampledLifting
-from .numerics import EPS_REG, NORM_FLOOR, Grid
+from .numerics import NORM_FLOOR, Grid, require_basis
 from .statics import StressField
 
 DEFAULT_CONJUGACY_TOL = 1e-8
 
 
 class ProjectedSurface:
-    """A planar framework together with per-curve height data.
+    """A planar framework together with the surface that carries its heights.
 
-    Analytic input keeps exact height jets; sampled input (a lifting) reuses
-    the stencil-differentiated samples.  Height data may cover only part of
-    the curve range; `z_indices` lists the covered curve indices.
+    The checks below read the surface's own grid table, row k of which holds
+    curve z_indices[k]: exact jets of an analytic surface, or the
+    stencil-differentiated heights of a sampled lifting on its own grid.
+    Height data may cover only part of the curve range; `z_indices` lists
+    the covered curve indices.
     """
 
-    def __init__(self, framework: Framework, z_funcs=None, z_samples=None, z_range=None):
+    def __init__(self, framework: Framework, surface):
         self.framework = framework
-        self.grid = framework.grid
-        self._z_funcs = z_funcs
-        self._z = z_samples
-        if z_funcs is not None:
-            self.z_indices = list(framework.curve_indices)
-        else:
-            self.z_indices = list(z_range)
-        self.analytic = z_funcs is not None
+        self.surface = surface
+        self.analytic = isinstance(surface, AnalyticSurface3D)
+        self.grid = framework.grid if self.analytic else surface.grid
+        self.z_indices = list(surface.curve_indices)
 
     def z_rows(self, i: int, grid: Grid | None = None):
         """Height samples and their first two derivatives for curve i."""
-        grid = grid or self.grid
         if i not in self.z_indices:
             raise IndexError(f"no height data for curve {i}")
-        if self.analytic:
-            v, d1, d2, _ = self._z_funcs[i + 1].derivatives(grid.t, order=3)
-            return v, d1, d2
-        if grid.N != self.grid.N or grid.T != self.grid.T:
-            raise ValueError("sampled heights only know their own grid")
-        j = i - self.z_indices[0]
-        return self._z[0][j], self._z[1][j], self._z[2][j]
+        table = self.surface.grid_table(grid or self.grid)
+        k = i - self.z_indices[0]
+        return table.p[k, :, 2], table.d1[k, :, 2], table.d2[k, :, 2]
 
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
@@ -62,50 +53,41 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
         flat = [
             AnalyticCurve(surface.curve(i).coords[:2]) for i in surface.curve_indices
         ]
-        z_funcs = tuple(surface.curve(i).coords[2] for i in surface.curve_indices)
         fw = Framework(surface.T, surface.n, flat, grid)
-        report = regularity_report(fw, grid)
-        if not report.passed:
-            exc = StripLiftError(f"projection is not regular: {report.summary()}")
-            exc.report = report
-            raise exc
-        return ProjectedSurface(fw, z_funcs=z_funcs)
-    if isinstance(surface, SampledLifting):
-        fw = surface.framework
-        report = regularity_report(fw, surface.grid)
-        if not report.passed:
-            exc = StripLiftError(f"projection is not regular: {report.summary()}")
-            exc.report = report
-            raise exc
-        return ProjectedSurface(
-            fw,
-            z_samples=(surface.z, surface.z_d1, surface.z_d2),
-            z_range=surface.curve_indices,
-        )
-    raise TypeError(f"cannot project {type(surface).__name__}")
+        # the planar curves share their coordinate functions with the surface,
+        # so their grid table is the first two columns of the surface's
+        fw._tables[grid.N, grid.T] = CurveJet(*(f[..., :2] for f in surface.grid_table(grid)))
+    elif isinstance(surface, SampledLifting):
+        fw, grid = surface.framework, surface.grid
+    else:
+        raise TypeError(f"cannot project {type(surface).__name__}")
+    report = regularity_report(fw, grid)
+    if not report.passed:
+        exc = StripLiftError(f"projection is not regular: {report.summary()}")
+        exc.report = report
+        raise exc
+    return ProjectedSurface(fw, surface)
 
 
-def _strip_defect_rows(proj: ProjectedSurface, i: int, grid: Grid):
-    """Normalized developability defect of strip (i, i+1) at all nodes."""
-    fw = proj.framework
-    a = fw.grid_jets(i, grid)
-    b = fw.grid_jets(i + 1, grid)
-    edge = b.p - a.p
-    za, za1, _ = proj.z_rows(i, grid)
-    zb, zb1, _ = proj.z_rows(i + 1, grid)
+def _strip_defects(proj: ProjectedSurface, grid: Grid) -> np.ndarray:
+    """Normalized developability defects of the strips with height data.
+
+    Row k is strip z_indices[k] (between curves z_indices[k] and
+    z_indices[k+1]), one entry per grid node.
+    """
+    table = proj.surface.grid_table(grid)
+    p, d1 = table.p[..., :2], table.d1[..., :2]
+    z, z1 = table.p[..., 2], table.d1[..., 2]
+    edge = p[1:] - p[:-1]
+    a1, b1 = d1[:-1], d1[1:]
     terms = (
-        det2(a.d1, b.d1) * (zb - za),
-        -det2(edge, b.d1) * za1,
-        det2(edge, a.d1) * zb1,
+        det2(a1, b1) * (z[1:] - z[:-1]),
+        -det2(edge, b1) * z1[:-1],
+        det2(edge, a1) * z1[1:],
     )
     defect = terms[0] + terms[1] + terms[2]
     scale = np.max([np.abs(t) for t in terms], axis=0)
     return defect / np.maximum(scale, NORM_FLOOR)
-
-
-def available_strips(proj: ProjectedSurface):
-    """Strip indices whose two curves both carry height data."""
-    return [i for i in proj.z_indices[:-1] if i + 1 in proj.z_indices and i <= proj.framework.n]
 
 
 def developability_defect(proj: ProjectedSurface, i: int, t: float):
@@ -114,27 +96,52 @@ def developability_defect(proj: ProjectedSurface, i: int, t: float):
     Returns a pair (strip i, strip i-1); entries are NaN when the strip does
     not exist or lacks height data.
     """
-    grid = proj.grid
-    j = grid.node_index(t)
-    out = []
-    for strip in (i, i - 1):
-        if strip in available_strips(proj):
-            out.append(float(_strip_defect_rows(proj, strip, grid)[j]))
-        else:
-            out.append(float("nan"))
-    return tuple(out)
+    j = proj.grid.node_index(t)
+    defects = _strip_defects(proj, proj.grid)
+    rows = [s - proj.z_indices[0] for s in (i, i - 1)]
+    return tuple(float(defects[k, j]) if 0 <= k < len(defects) else float("nan") for k in rows)
 
 
 def developability_report(proj: ProjectedSurface, grid: Grid | None = None):
     """Worst normalized strip defect and its location over all data."""
     grid = grid or proj.grid
-    worst, where = 0.0, (None, None)
-    for i in available_strips(proj):
-        rows = np.abs(_strip_defect_rows(proj, i, grid))
-        j = int(np.argmax(rows))
-        if rows[j] > worst:
-            worst, where = float(rows[j]), (i, float(grid.t[j]))
-    return worst, where
+    rows = np.abs(_strip_defects(proj, grid))
+    if rows.size:
+        k, j = np.unravel_index(np.argmax(rows), rows.shape)
+        if rows[k, j] > 0.0:
+            return float(rows[k, j]), (proj.z_indices[k], float(grid.t[j]))
+    return 0.0, (None, None)
+
+
+def _height_stress(proj: ProjectedSurface, grid: Grid):
+    """Stress rows the heights induce wherever their formulas have the data.
+
+    Returns (lam, mu): lam rows for curves z_indices[1:-1] and mu rows for
+    z_indices[:-1].  The bases (edge_i, tan_i) and (edge_{i-1}, tan_i) are
+    checked curve by curve in that order; the first degenerate one raises
+    DegenerateBasisError.
+    """
+    lo = proj.z_indices[0]
+    table = proj.surface.grid_table(grid)
+    p, d1, d2 = table.p[..., :2], table.d1[..., :2], table.d2[..., :2]
+    z, z1, z2 = table.p[..., 2], table.d1[..., 2], table.d2[..., 2]
+    edge = p[1:] - p[:-1]  # edge[k] = edge_{lo+k}
+    tan, acc = d1[:-1], d2[:-1]
+    # the first curve has no (edge_{i-1}, tan_i) basis: repeat its first pair
+    edge_prev = np.concatenate([edge[:1], edge[:-1]])
+    labels = [
+        [f"det(edge_{i}, tan_{i})", f"det(edge_{i - 1}, tan_{i})"]
+        for i in range(lo, lo + len(edge))
+    ]
+    dets = require_basis(np.stack([edge, edge_prev], 1), tan[:, None], labels, grid.t)
+    b, c_bar = dets[:, 0], dets[1:, 1]
+    g = det2(edge, acc)
+    j = det2(tan, acc)
+    mu = (g * z1[:-1] - b * z2[:-1] - j * (z[1:] - z[:-1])) / b**2
+    a = det2(edge[:-1], edge[1:])
+    b, z_mid = b[1:], z[1:-1]
+    lam = a * z1[1:-1] / (b * c_bar) + (z_mid - z[:-2]) / c_bar - (z[2:] - z_mid) / b
+    return lam, mu
 
 
 def induced_stress(
@@ -159,52 +166,8 @@ def induced_stress(
     worst, where = developability_report(proj, grid)
     if worst > conjugacy_tol:
         raise NotConjugateError(worst, conjugacy_tol, location=where)
-    lam = np.empty((fw.n + 1, grid.N + 1))
-    mu = np.empty((fw.n + 2, grid.N + 1))
-    for i in range(-1, fw.n + 1):
-        mu[i + 1] = _mu_row(proj, i, grid)
-        if i >= 0:
-            lam[i] = _lam_row(proj, i, grid)
+    lam, mu = _height_stress(proj, grid)
     return StressField(grid, lam, mu)
-
-
-def _guard(dets: np.ndarray, a: np.ndarray, b: np.ndarray, label: str, grid: Grid):
-    scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-    bad = np.abs(dets) <= EPS_REG * scale
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        raise DegenerateBasisError(
-            float(dets[j]), float(EPS_REG * scale[j]), location=(label, float(grid.t[j]))
-        )
-
-
-def _lam_row(proj: ProjectedSurface, i: int, grid: Grid) -> np.ndarray:
-    fw = proj.framework
-    cur = fw.grid_jets(i, grid)
-    edge = fw.grid_jets(i + 1, grid).p - cur.p
-    edge_prev = cur.p - fw.grid_jets(i - 1, grid).p
-    b = det2(edge, cur.d1)
-    c_bar = det2(edge_prev, cur.d1)
-    _guard(b, edge, cur.d1, f"det(edge_{i}, tan_{i})", grid)
-    _guard(c_bar, edge_prev, cur.d1, f"det(edge_{i - 1}, tan_{i})", grid)
-    a = det2(edge_prev, edge)
-    z, z1, _ = proj.z_rows(i, grid)
-    z_prev = proj.z_rows(i - 1, grid)[0]
-    z_next = proj.z_rows(i + 1, grid)[0]
-    return a * z1 / (b * c_bar) + (z - z_prev) / c_bar - (z_next - z) / b
-
-
-def _mu_row(proj: ProjectedSurface, i: int, grid: Grid) -> np.ndarray:
-    fw = proj.framework
-    cur = fw.grid_jets(i, grid)
-    edge = fw.grid_jets(i + 1, grid).p - cur.p
-    b = det2(edge, cur.d1)
-    _guard(b, edge, cur.d1, f"det(edge_{i}, tan_{i})", grid)
-    g = det2(edge, cur.d2)
-    j = det2(cur.d1, cur.d2)
-    z, z1, z2 = proj.z_rows(i, grid)
-    z_next = proj.z_rows(i + 1, grid)[0]
-    return (g * z1 - b * z2 - j * (z_next - z)) / b**2
 
 
 def recovered_interior_stress(proj: ProjectedSurface, grid: Grid | None = None) -> dict:
@@ -213,14 +176,12 @@ def recovered_interior_stress(proj: ProjectedSurface, grid: Grid | None = None) 
     For height data on curves 0..n this returns lam rows for 1..n-1 and mu
     rows for 0..n-1 as a mapping, without any self-stress claim.
     """
-    grid = grid or proj.grid
-    lo, hi = proj.z_indices[0], proj.z_indices[-1]
-    out = {"lambda": {}, "mu": {}}
-    for i in range(max(lo + 1, 0), min(hi, proj.framework.n + 1)):
-        out["lambda"][i] = _lam_row(proj, i, grid)
-    for i in range(max(lo, -1), min(hi, proj.framework.n + 1)):
-        out["mu"][i] = _mu_row(proj, i, grid)
-    return out
+    lam, mu = _height_stress(proj, grid or proj.grid)
+    lo = proj.z_indices[0]
+    return {
+        "lambda": {lo + 1 + k: row for k, row in enumerate(lam)},
+        "mu": {lo + k: row for k, row in enumerate(mu)},
+    }
 
 
 def plane_fit_distance(points: np.ndarray) -> float:

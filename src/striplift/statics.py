@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DivergenceError, SchemaError
-from .framework import CoordFunction, Framework, _dump_json, parse_document
+from .framework import CoordFunction, Framework, _dump_json, document_numbers, parse_document
 from .numerics import (
     NORM_FLOOR,
     Grid,
@@ -95,13 +95,8 @@ def load_stress(text: str) -> StressField:
     for key in ("T", "n", "N", "lambda", "mu"):
         if key not in doc:
             raise SchemaError(f"missing key {key!r}", field=key)
-    try:
-        grid = Grid(float(doc["T"]), int(doc["N"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc), field="T/N") from None
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise SchemaError(f"n must be a non-negative integer, got {n!r}", field="n")
+    T, n, N = document_numbers(doc, "T", "n", "N")
+    grid = Grid(float(T), N)
     lam = np.asarray(doc["lambda"], dtype=float)
     mu = np.asarray(doc["mu"], dtype=float)
     if lam.ndim != 2 or lam.shape[0] != n + 1:
@@ -114,18 +109,32 @@ def load_stress(text: str) -> StressField:
         raise SchemaError(str(exc)) from None
 
 
-def _row_terms(fw: Framework, stress: StressField, i: int, grid: Grid):
-    """The four force terms of the balance at curve i, per grid node."""
-    cur = fw.grid_jets(i, grid)
-    edge_fwd = fw.grid_jets(i + 1, grid).p - cur.p
-    edge_bwd = cur.p - fw.grid_jets(i - 1, grid).p
-    lam = stress.lam_at(i)
-    lam_dot = fd_derivative(lam, grid.h)
-    t1 = lam_dot[:, None] * cur.d1
-    t2 = lam[:, None] * cur.d2
-    t3 = stress.mu_at(i)[:, None] * edge_fwd
-    t4 = stress.mu_at(i - 1)[:, None] * edge_bwd
-    return t1, t2, t3, t4
+def _balance_vectors(p, d1, d2):
+    """Tangent, acceleration, forward and backward edge of curves 0..n.
+
+    Takes positions and derivatives of all curves -1..n+1 (curve axis
+    first) and returns the four vectors the balance at curves 0..n reads,
+    each with one row per curve 0..n.
+    """
+    edge = p[1:] - p[:-1]  # edge[i + 1] = f_{i+1} - f_i
+    return d1[1:-1], d2[1:-1], edge[1:], edge[:-1]
+
+
+def _force_terms(fw: Framework, stress: StressField):
+    """The four force terms of the balance, each of shape (n+1, N+1, 2).
+
+    lam_dot_i * tan_i, lam_i * acc_i, mu_i * edge_i and mu_{i-1} * edge_{i-1}
+    at every curve 0..n and grid node; the balance is t1 + t2 + t3 - t4.
+    """
+    table = fw.grid_table(stress.grid)
+    tan, acc, fwd, bwd = _balance_vectors(table.p, table.d1, table.d2)
+    lam_dot = fd_derivative(stress.lam, stress.grid.h)
+    return (
+        lam_dot[..., None] * tan,
+        stress.lam[..., None] * acc,
+        stress.mu[1:, :, None] * fwd,
+        stress.mu[:-1, :, None] * bwd,
+    )
 
 
 def _check_compatible(fw: Framework, stress: StressField):
@@ -145,9 +154,11 @@ def force_vector(fw: Framework, stress: StressField, i: int, t: float) -> np.nda
 def equilibrium_residual(fw: Framework, stress: StressField, i: int, t: float) -> np.ndarray:
     """The force balance defect at curve i and grid node t."""
     _check_compatible(fw, stress)
+    if not 0 <= i <= fw.n:
+        raise IndexError(f"curve index {i} outside 0..{fw.n}")
     j = stress.grid.node_index(t)
-    t1, t2, t3, t4 = _row_terms(fw, stress, i, stress.grid)
-    return t1[j] + t2[j] + t3[j] - t4[j]
+    t1, t2, t3, t4 = _force_terms(fw, stress)
+    return t1[i, j] + t2[i, j] + t3[i, j] - t4[i, j]
 
 
 @dataclass(frozen=True)
@@ -175,16 +186,11 @@ class ResidualReport:
 def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
     _check_compatible(fw, stress)
     grid = stress.grid
-    res = np.empty((fw.n + 1, grid.N + 1, 2))
-    normed = np.empty((fw.n + 1, grid.N + 1))
-    for i in range(fw.n + 1):
-        t1, t2, t3, t4 = _row_terms(fw, stress, i, grid)
-        e = t1 + t2 + t3 - t4
-        scale = np.max(
-            [np.linalg.norm(term, axis=-1) for term in (t1, t2, t3, t4)], axis=0
-        )
-        res[i] = e
-        normed[i] = np.linalg.norm(e, axis=-1) / np.maximum(scale, NORM_FLOOR)
+    terms = _force_terms(fw, stress)
+    t1, t2, t3, t4 = terms
+    res = t1 + t2 + t3 - t4
+    scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
+    normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
     flat = int(np.argmax(normed))
     i_max, j_max = divmod(flat, grid.N + 1)
     return ResidualReport(
@@ -209,18 +215,12 @@ def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -
         raise ValueError(f"segment out of order: a={a} > b={b}")
     end = force_vector(fw, stress, i, grid.t[jb])
     start = force_vector(fw, stress, i, grid.t[ja])
-    ruling = _ruling_density(fw, stress, i, grid)
+    _, _, t3, t4 = _force_terms(fw, stress)
+    ruling = t3[i] - t4[i]
     integral = np.array(
         [integrate_samples(ruling[:, c], grid.h, ja, jb) for c in range(2)]
     )
     return end - start + integral
-
-
-def _ruling_density(fw: Framework, stress: StressField, i: int, grid: Grid) -> np.ndarray:
-    cur = fw.grid_jets(i, grid)
-    edge_fwd = fw.grid_jets(i + 1, grid).p - cur.p
-    edge_bwd = cur.p - fw.grid_jets(i - 1, grid).p
-    return stress.mu_at(i)[:, None] * edge_fwd - stress.mu_at(i - 1)[:, None] * edge_bwd
 
 
 def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b: float) -> float:
@@ -232,13 +232,11 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     """
     grid = stress.grid
     ja, jb = grid.node_index(a), grid.node_index(b)
-    cur = fw.grid_jets(i, grid)
-    tension = np.abs(stress.lam_at(i)) * np.linalg.norm(cur.d1, axis=-1)
-    edge_fwd = fw.grid_jets(i + 1, grid).p - cur.p
-    edge_bwd = cur.p - fw.grid_jets(i - 1, grid).p
-    ruling = np.abs(stress.mu_at(i)) * np.linalg.norm(edge_fwd, axis=-1) + np.abs(
-        stress.mu_at(i - 1)
-    ) * np.linalg.norm(edge_bwd, axis=-1)
+    table = fw.grid_table(grid)
+    tan, _, fwd, bwd = _balance_vectors(table.p, table.d1, table.d2)
+    norm = lambda v: np.linalg.norm(v[i], axis=-1)
+    tension = np.abs(stress.lam_at(i)) * norm(tan)
+    ruling = np.abs(stress.mu_at(i)) * norm(fwd) + np.abs(stress.mu_at(i - 1)) * norm(bwd)
     span = grid.t[jb] - grid.t[ja]
     return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
 
@@ -262,15 +260,10 @@ def _strip_table(fw: Framework, times: np.ndarray):
     Cramer determinant of (tangent, forward edge); then that determinant, its
     threshold and its degeneracy verdict, each of shape (len(times), n+1).
     """
-    derivs = np.array(
-        [[c.derivatives(times, order=2) for c in fw.curve(i).coords] for i in fw.curve_indices]
-    )  # (n+3, 2, 3, S): curve, coordinate, derivative order, time
-    p, d1, d2 = derivs.transpose(2, 3, 0, 1)  # each (S, n+3, 2)
-    edge = p[:, 1:] - p[:, :-1]  # edge[:, i + 1] = f_{i+1} - f_i
-    d1, d2 = d1[:, 1:-1], d2[:, 1:-1]
-    det, threshold, degenerate = basis_guard(d1, edge[:, 1:])
-    table = np.concatenate([d1, d2, edge[:, 1:], edge[:, :-1], det[..., None]], axis=-1)
-    return table, det, threshold, degenerate
+    tan, acc, fwd, bwd = _balance_vectors(*fw.tabulate(times, order=2))
+    det, threshold, degenerate = basis_guard(tan, fwd)
+    table = np.concatenate([tan, acc, fwd, bwd, det[..., None]], axis=-1)
+    return np.ascontiguousarray(table.transpose(1, 0, 2)), det.T, threshold.T, degenerate.T
 
 
 def _sweep(entries, lam, mu_prev):

@@ -35,7 +35,7 @@ def parallel_lines():
 def mu_minus1_fn(proj):
     """Closed-form boundary edge stress of an analytic projected surface."""
     fw = proj.framework
-    z_funcs = proj._z_funcs
+    z_funcs = [proj.surface.curve(i).coords[2] for i in (-1, 0)]
 
     def fn(t):
         cur = fw.jet(-1, t)

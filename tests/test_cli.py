@@ -24,6 +24,7 @@ def docs(tmp_path_factory):
         "truncated": root / "truncated.json",
         "onestrip": root / "onestrip.json",
         "circle1": root / "circle1.json",
+        "lifting": root / "lifting.json",
     }
     paths["surface"].write_text(sl.save_framework(surface))
     paths["framework"].write_text(sl.save_framework(proj.framework))
@@ -49,6 +50,7 @@ def docs(tmp_path_factory):
     cyl = sl.project(sl.builtin("cylinder-strip3d"))
     paths["onestrip"].write_text(sl.save_framework(cyl.framework))
     paths["circle1"].write_text(sl.save_framework(sl.builtin("circles2d", n=0)))
+    paths["lifting"].write_text(sl.save_lifting(sl.build_lifting(proj.framework, stress)))
     return root, paths
 
 
@@ -76,6 +78,53 @@ class TestValidate:
     def test_bad_grid_flag(self, docs):
         _, p = docs
         assert main(["validate", "--input", str(p["framework"]), "--grid", "7"]) == 2
+
+    def test_overflowing_frequency_exit_2(self, tmp_path, capsys):
+        # freq**2 overflows to inf: the jet table names the curve, no traceback
+        line = {"poly": [0.0, 1.0]}
+        wavy = {"poly": [0.0], "trig": [{"amp": 0.1, "freq": 1e300, "phase": 0.0}]}
+        doc = {
+            "dimension": 2,
+            "T": 1.0,
+            "n": 0,
+            "curves": [
+                {"index": -1, "x": line, "y": {"poly": [-1.0]}},
+                {"index": 0, "x": line, "y": wavy},
+                {"index": 1, "x": line, "y": {"poly": [1.0]}},
+            ],
+        }
+        path = tmp_path / "freq.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert "jet of curve 0 is not finite at t=0.0" in capsys.readouterr().err
+
+
+class TestDocumentNumbers:
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("stress", "N", 16.9),
+            ("stress", "T", True),
+            ("lifting", "N", [1]),
+            ("lifting", "N", None),
+            ("lifting", "T", "1.6"),
+            ("framework", "T", True),
+            ("framework", "n", True),
+        ],
+    )
+    def test_bad_number_exit_2_with_field(self, docs, tmp_path, capsys, kind, key, value):
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "stress": ["check", "--input", str(p["framework"]), "--stress", str(bad)],
+            "lifting": ["project", "--input", str(bad)],
+            "framework": ["validate", "--input", str(bad)],
+        }[kind]
+        assert main(argv) == 2
+        assert f"invalid input: {key}: {key} must be" in capsys.readouterr().err
 
 
 class TestSolve:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,23 @@ class TestRegularity:
         report = sl.regularity_report(fw)
         assert not report.passed
         assert report.min_forward == 0.0
+
+    def test_scale_free(self):
+        # det = 1e200 on both edges: no norm may square its way to inf
+        def lines(slope):
+            curves = [
+                sl.AnalyticCurve((sl.CoordFunction((0.0, slope)), sl.CoordFunction((float(i),))))
+                for i in (-1, 0, 1)
+            ]
+            return sl.Framework(1.0, 0, curves, sl.Grid(1.0, 16))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, unit = sl.regularity_report(lines(1e200)), sl.regularity_report(lines(1.0))
+        assert big.passed and unit.passed
+        assert big.min_forward == 1e200 and unit.min_forward == 1.0
+        assert big.min_forward_normalized == unit.min_forward_normalized == 1.0
+        assert big.min_backward_normalized == unit.min_backward_normalized == 1.0
 
     def test_translational_demo_passes(self, translational):
         _, proj, _ = translational

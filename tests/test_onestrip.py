@@ -46,7 +46,7 @@ class TestStresses:
             sl.onestrip_stresses(proj.framework)
 
     def test_degenerate_strip_rejected(self):
-        # tangent of curve 1 runs through the edge direction at an interior node
+        # det(edge_0, tan_1) = -t^2 - 3t: the tangent of curve 1 runs along the edge at t = 0
         curves = [
             AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((-1.0,)))),
             AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((0.0,)))),
@@ -54,8 +54,9 @@ class TestStresses:
             AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((2.0,)))),
         ]
         fw = sl.Framework(2.0, 1, curves, sl.Grid(2.0, 16))
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(DegenerateBasisError) as err:
             sl.onestrip_stresses(fw)
+        assert err.value.location == ("det(edge_0, tan_1)", 0.0)
 
 
 class TestCriterion:

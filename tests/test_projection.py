@@ -65,6 +65,19 @@ class TestProject:
         z, z1, _ = back.z_rows(2)
         assert np.array_equal(z, lifted.z[2])
 
+    def test_lifting_keeps_its_own_grid(self):
+        # a loaded lifting carries its stress grid; its framework the default one
+        fw = sl.builtin("circles2d", n=1)
+        stress = sl.solve_stress(fw, [1.0, 1.0], 0.0, sl.Grid(fw.T, 64))
+        lifted = sl.load_lifting(sl.save_lifting(sl.build_lifting(fw, stress)))
+        assert lifted.framework.grid.N != 64
+        back = sl.project(lifted)
+        assert back.grid == lifted.grid
+        worst, _ = sl.developability_report(back)
+        assert np.isfinite(worst)
+        rows = recovered_interior_stress(back)
+        assert rows["mu"][0].shape == (65,)
+
 
 class TestDevelopability:
     def test_flat_heights_zero_defect(self):
@@ -201,8 +214,9 @@ class TestInducedStress:
         ]
         surface = AnalyticSurface3D(1.5, 1, curves, sl.Grid(1.5, 16))
         assert sl.conjugacy_residual(surface) < 1e-15
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(DegenerateBasisError) as err:
             sl.induced_stress(sl.project(surface))
+        assert err.value.location == ("det(edge_-1, tan_-1)", 0.75)
 
 
 class TestPlanarBoundaries:
