@@ -24,7 +24,7 @@ stair = sl.IncreasingPath(
     fw.n, fw.T, (0.0, grid.t[40], grid.t[90], grid.t[170], fw.T)
 )
 print(f"height along a staircase path:   {sl.height(fw, stress, target, stair):+.9f}")
-print(f"closed form along the axis path: {sl.height_lpath(fw, stress, *target):+.9f}")
+print(f"lifted surface at that node:     {sl.build_lifting(fw, stress).z[fw.n, -1]:+.9f}")
 
 paths = sl.random_paths(fw.n, fw.T, grid, count=20, seed=7)
 spread = sl.path_independence_spread(fw, stress, target, paths)

@@ -32,10 +32,7 @@ from .framework import (
     shifted,
 )
 from .geomcore import (
-    BracketSet,
     RegularityReport,
-    bracket_set,
-    brackets_from_jets,
     det2,
     det3,
     gp_residual,
@@ -48,7 +45,6 @@ from .lifting import (
     conjugacy_residual,
     export_obj,
     height,
-    height_lpath,
     height_scale,
     load_lifting,
     lpath,

@@ -93,9 +93,8 @@ def _parse_mu_spec(text: str) -> CoordFunction:
 
 
 def cmd_validate(args) -> int:
-    obj = load_framework(_read(args.input), grid_panels=args.grid)
-    fw = obj if isinstance(obj, Framework) else project(obj).framework
-    report = regularity_report(fw)
+    # regularity reads only the x and y columns, so a surface is judged by its projection
+    report = regularity_report(load_framework(_read(args.input), grid_panels=args.grid))
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -146,14 +145,10 @@ def cmd_lift(args) -> int:
     surface = build_lifting(fw, stress, tol=args.tol, force=args.force)
     if surface.path_dependent:
         print("warning: stress failed the residual gate; output is path-dependent")
-    fmt = args.format or "obj"
-    out = Path(args.output)
-    if fmt == "obj":
-        _write(out, export_obj(surface, reproducible=args.reproducible))
-    elif fmt == "json":
-        _write(out, save_lifting(surface))
+    if args.format == "obj":
+        _write(Path(args.output), export_obj(surface, reproducible=args.reproducible))
     else:
-        raise SchemaError(f"lift cannot write format {fmt!r}")
+        _write(Path(args.output), save_lifting(surface))
     print(f"conjugacy residual {conjugacy_residual(surface):.6e}")
     return EXIT_OK
 
@@ -196,13 +191,8 @@ def cmd_onestrip(args) -> int:
     if report.equilibrium_max is not None:
         print(f"assembled stress equilibrium residual max {report.equilibrium_max:.6e}")
     if args.output:
-        fmt = args.format or "json"
-        if fmt == "json":
-            _write(Path(args.output), report.to_json())
-        elif fmt == "csv":
-            _write(Path(args.output), report.to_csv())
-        else:
-            raise SchemaError(f"onestrip cannot write format {fmt!r}")
+        text = report.to_json() if args.format == "json" else report.to_csv()
+        _write(Path(args.output), text)
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
 
@@ -270,66 +260,69 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=True):
-        if input_required:
-            p.add_argument("--input", required=True, help="input document path")
-        p.add_argument("--grid", type=int, default=None, metavar="N",
-                       help="override the grid panel count (even, >= 16)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="X",
-                       help="tolerance override (default 1e-6)")
-        p.add_argument("--output", default=None, metavar="PATH", help="output path")
-        p.add_argument("--format", default=None, choices=("json", "obj", "csv"))
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--force", action="store_true",
-                       help="lift even when the residual gate fails")
-        p.add_argument("--reproducible", action="store_true",
-                       help="omit timestamps for byte-identical outputs")
+    flags = {
+        "input": dict(required=True, metavar="PATH", help="input document path"),
+        "stress": dict(required=True, metavar="PATH", help="stress document path"),
+        "grid": dict(type=int, default=None, metavar="N",
+                     help="override the grid panel count (even, >= 16)"),
+        "tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
+                    help="tolerance override (default 1e-6)"),
+        "output": dict(default=None, metavar="PATH", help="output path"),
+        "format": dict(help="output file format"),
+        "seed": dict(type=int, default=0, metavar="S"),
+        "force": dict(action="store_true", help="lift even when the residual gate fails"),
+        "reproducible": dict(action="store_true",
+                             help="omit timestamps for byte-identical outputs"),
+    }
 
-    p = sub.add_parser("validate", help="schema and regularity check")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
+    def command(name, fn, help, names, **overrides):
+        """Subparser `name` with the flags `names`; overrides update a flag's settings."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **{**flags[flag], **overrides.get(flag, {})})
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("solve", help="march a stress from initial data")
-    common(p)
+    command("validate", cmd_validate, "schema and regularity check", ("input", "grid"))
+
+    p = command("solve", cmd_solve, "march a stress from initial data", ("input", "grid", "output"))
     p.add_argument("--lambda0", required=True,
                    help="comma-separated curve stresses at t=0, one per curve 0..n")
     p.add_argument("--mu-minus1", default="0", dest="mu_minus1",
                    help="prescribed first boundary edge stress: a number or a "
                         'coordinate object like {"poly": [0, 1], "trig": []}')
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check", help="equilibrium residual and path-independence spread")
-    common(p)
-    p.add_argument("--stress", required=True, help="stress document path")
-    p.set_defaults(fn=cmd_check)
+    command("check", cmd_check, "equilibrium residual and path-independence spread",
+            ("input", "stress", "grid", "tol", "seed", "output"))
 
-    p = sub.add_parser("lift", help="build the lifted surface of a self-stress")
-    common(p)
-    p.add_argument("--stress", required=True, help="stress document path")
-    p.set_defaults(fn=cmd_lift)
+    command("lift", cmd_lift, "build the lifted surface of a self-stress",
+            ("input", "stress", "grid", "tol", "force", "format", "reproducible", "output"),
+            format=dict(choices=("obj", "json"), default="obj"), output=dict(required=True))
 
-    p = sub.add_parser("project", help="project a spatial surface and induce its stress")
-    common(p)
-    p.set_defaults(fn=cmd_project)
+    command("project", cmd_project, "project a spatial surface and induce its stress",
+            ("input", "grid", "tol", "output"))
 
-    p = sub.add_parser("onestrip", help="one-strip liftability analysis (n=1)")
-    common(p)
-    p.set_defaults(fn=cmd_onestrip)
+    command("onestrip", cmd_onestrip, "one-strip liftability analysis (n=1)",
+            ("input", "grid", "tol", "format", "output"),
+            format=dict(choices=("json", "csv"), default="json"))
 
-    p = sub.add_parser("demo", help="write a built-in scenario bundle")
+    p = command("demo", cmd_demo, "write a built-in scenario bundle",
+                ("tol", "seed", "reproducible", "output"))
     p.add_argument("name", help="translational3d | cylinder-strip3d | circles2d | perturbed2d")
-    common(p, input_required=False)
-    p.set_defaults(fn=cmd_demo)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.grid is not None and (args.grid < 16 or args.grid % 2):
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
+        return exc.code
+    grid = getattr(args, "grid", None)
+    if grid is not None and (grid < 16 or grid % 2):
         print("error: --grid must be even and >= 16", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.tol <= 0:
+    if getattr(args, "tol", DEFAULT_TOL) <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

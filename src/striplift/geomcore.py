@@ -94,68 +94,3 @@ def regularity_report(fw, grid=None) -> RegularityReport:
         min_backward_normalized=bwd_normed,
         passed=not (fwd_bad or bwd_bad),
     )
-
-
-@dataclass(frozen=True)
-class BracketSet:
-    """The sixteen local determinants at one (curve, parameter) location.
-
-    Field names spell out the two arguments of each 2x2 determinant:
-    `edge` is the forward difference to the next curve, `edge_prev` the one
-    arriving from the previous curve; `tan`/`acc` are the first/second
-    derivatives of the current curve, with `_prev`/`_next` marking the
-    neighboring curves.  So e.g. edge_prev_tan = det2(edge_prev, tan).
-    """
-
-    edge_prev_edge: float       # det2(edge_prev, edge)
-    edge_tan: float             # det2(edge, tan)
-    edge_prev_tan_prev: float   # det2(edge_prev, tan_prev)
-    edge_tan_next: float        # det2(edge, tan_next)
-    edge_prev_tan: float        # det2(edge_prev, tan)
-    edge_tan_prev: float        # det2(edge, tan_prev)
-    edge_prev_tan_next: float   # det2(edge_prev, tan_next)
-    edge_acc: float             # det2(edge, acc)
-    edge_prev_acc_prev: float   # det2(edge_prev, acc_prev)
-    edge_prev_acc: float        # det2(edge_prev, acc)
-    tan_tan_next: float         # det2(tan, tan_next)
-    tan_prev_tan: float         # det2(tan_prev, tan)
-    tan_acc: float              # det2(tan, acc)
-    tan_prev_acc_prev: float    # det2(tan_prev, acc_prev)
-    tan_prev_acc: float         # det2(tan_prev, acc)
-    acc_prev_tan: float         # det2(acc_prev, tan)
-
-
-def bracket_set(fw, i: int, t) -> BracketSet:
-    """All sixteen determinants among the local derivative data at (i, t).
-
-    Needs curves i-1, i and i+1; computed fresh from exact jets.  Accepts a
-    scalar t (scalar fields) or an array (array-valued fields).
-    """
-    if not 0 <= i <= fw.n:
-        raise IndexError(f"bracket set needs curves {i - 1}..{i + 1}, got i={i}")
-    prev, cur, nxt = fw.jet(i - 1, t), fw.jet(i, t), fw.jet(i + 1, t)
-    return brackets_from_jets(prev, cur, nxt)
-
-
-def brackets_from_jets(prev, cur, nxt) -> BracketSet:
-    """BracketSet from explicit jets of curves i-1, i, i+1."""
-    edge = nxt.p - cur.p
-    edge_prev = cur.p - prev.p
-    return BracketSet(
-        edge_prev_edge=det2(edge_prev, edge),
-        edge_tan=det2(edge, cur.d1),
-        edge_prev_tan_prev=det2(edge_prev, prev.d1),
-        edge_tan_next=det2(edge, nxt.d1),
-        edge_prev_tan=det2(edge_prev, cur.d1),
-        edge_tan_prev=det2(edge, prev.d1),
-        edge_prev_tan_next=det2(edge_prev, nxt.d1),
-        edge_acc=det2(edge, cur.d2),
-        edge_prev_acc_prev=det2(edge_prev, prev.d2),
-        edge_prev_acc=det2(edge_prev, cur.d2),
-        tan_tan_next=det2(cur.d1, nxt.d1),
-        tan_prev_tan=det2(prev.d1, cur.d1),
-        tan_acc=det2(cur.d1, cur.d2),
-        tan_prev_acc_prev=det2(prev.d1, prev.d2),
-        tan_prev_acc=det2(prev.d1, cur.d2),
-        acc_prev_tan=det2(prev.d2, cur.d1),
-    )

@@ -105,25 +105,6 @@ def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float
     return float(total)
 
 
-def height_lpath(fw: Framework, stress: StressField, k: int, t: float) -> float:
-    """Height at (k, t) along the axis path, written out in closed form."""
-    if not 0 <= k <= fw.n:
-        raise IndexError(f"target curve {k} outside 0..{fw.n}")
-    grid = stress.grid
-    jt = grid.node_index(t)
-    target = fw.jet(k, grid.t[jt]).p
-    total = 0.0
-    for i in range(k):
-        jet = fw.jet(i, 0.0)
-        total += stress.lam_at(i)[0] * det2(jet.d1, target - jet.p)
-    if jt > 0:
-        prev = fw.grid_jets(k - 1, grid)
-        edge = fw.grid_jets(k, grid).p - prev.p
-        integrand = stress.mu_at(k - 1) * det2(edge, target[None, :] - prev.p)
-        total -= integrate_samples(integrand, grid.h, 0, jt)
-    return float(total)
-
-
 def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> float:
     """Largest pairwise height difference among paths to the same point."""
     if len(paths) < 2:
@@ -132,34 +113,41 @@ def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> fl
     return float(max(values) - min(values))
 
 
-def _height_profile(fw: Framework, stress: StressField, k: int, grid: Grid) -> np.ndarray:
-    """Axis-path heights of curve k at every grid node (one cumulative sweep).
+def _jump_sums(weights, base, tangent, target) -> np.ndarray:
+    """Running sums of the jump terms weights[i] * det2(tangent[i], target - base[i]).
 
-    Splitting the integrand's target-dependent determinant by bilinearity
-    turns the per-node integrals into two cumulative quadratures, so the whole
-    profile matches height_lpath node for node at O(N) cost.
+    base and tangent hold one point per jump i; target is (curves, N+1, 2).
+    Entry m is the sum over jumps i < m, added in order from zero, so it has
+    shape (len(weights)+1, curves, N+1).
     """
-    target = fw.grid_jets(k, grid).p
-    z = np.zeros(grid.N + 1)
-    for i in range(k):
-        jet = fw.jet(i, 0.0)
-        z += stress.lam_at(i)[0] * det2(jet.d1, target - jet.p)
-    prev = fw.grid_jets(k - 1, grid)
-    edge = target - prev.p
-    mu = stress.mu_at(k - 1)
-    px = cumulative_samples(mu * edge[:, 0], grid.h)
-    py = cumulative_samples(mu * edge[:, 1], grid.h)
-    q = cumulative_samples(mu * det2(edge, prev.p), grid.h)
-    z -= px * target[:, 1] - py * target[:, 0] - q
-    return z
+    terms = weights[:, None, None] * det2(tangent[:, None, None], target - base[:, None, None])
+    return np.cumsum(np.concatenate([np.zeros((1,) + target.shape[:-1]), terms]), axis=0)
+
+
+def _height_profiles(fw: Framework, stress: StressField, grid: Grid) -> np.ndarray:
+    """Axis-path heights of curves 0..n at every grid node, shape (n+1, N+1).
+
+    The axis path to (k, t) jumps over curves 0..k-1 at parameter 0, then runs
+    along curve k.  Splitting the integrand's target-dependent determinant by
+    bilinearity turns the per-node integrals into three cumulative
+    quadratures, so every profile matches `height` along `lpath` node for
+    node without a quadrature per node.
+    """
+    table = fw.grid_table(grid)
+    prev, target = table.p[:-2], table.p[1:-1]  # curves k-1 and k, k = 0..n
+    edge = target - prev
+    mu = stress.mu[:-1]  # mu_{k-1}
+    px, py, q = cumulative_samples(
+        np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
+    )
+    k = np.arange(fw.n + 1)
+    z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)[k, k]
+    return z - (px * target[..., 1] - py * target[..., 0] - q)
 
 
 def height_scale(fw: Framework, stress: StressField, grid: Grid | None = None) -> float:
     """max |height| over all curves and nodes, floored away from zero."""
-    grid = grid or stress.grid
-    peak = max(
-        float(np.abs(_height_profile(fw, stress, k, grid)).max()) for k in range(fw.n + 1)
-    )
+    peak = float(np.abs(_height_profiles(fw, stress, grid or stress.grid)).max())
     return max(peak, NORM_FLOOR)
 
 
@@ -229,27 +217,30 @@ def build_lifting(
         if not force:
             raise NotSelfStressedError(report, tol)
         path_dependent = True
-    grid = stress.grid
-    z = np.stack([_height_profile(fw, stress, k, grid) for k in range(fw.n + 1)])
-    return SampledLifting(fw, z, grid, path_dependent=path_dependent)
+    z = _height_profiles(fw, stress, stress.grid)
+    return SampledLifting(fw, z, stress.grid, path_dependent=path_dependent)
 
 
-def conjugacy_residual(surface, grid: Grid | None = None) -> float:
-    """Worst normalized developability defect over all strips and nodes.
+def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
+    """Signed normalized developability defect of every strip at every node.
 
-    Works on analytic surfaces and on sampled liftings: for each strip the
-    ruling vector and the two curve tangents are put through the spatial
-    determinant, divided by the product of their norms (floored).
+    Works on analytic surfaces and on sampled liftings.  Row k is the strip
+    between rows k and k+1 of the surface's grid table: the spatial
+    determinant of its ruling vector and the two curve tangents, divided by
+    the product of their norms (floored).
     """
-    if len(surface.curve_indices) < 2:
-        raise ValueError("conjugacy needs at least two curves")
     table = surface.grid_table(grid or surface.grid)
     ruling = table.p[1:] - table.p[:-1]
     a1, b1 = table.d1[:-1], table.d1[1:]
-    defect = np.abs(det3(ruling, a1, b1))
     norm = lambda v: np.linalg.norm(v, axis=-1)
-    scale = norm(ruling) * norm(a1) * norm(b1)
-    return float((defect / (scale + NORM_FLOOR)).max())
+    return det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+
+
+def conjugacy_residual(surface, grid: Grid | None = None) -> float:
+    """Worst normalized developability defect over all strips and nodes."""
+    if len(surface.curve_indices) < 2:
+        raise ValueError("conjugacy needs at least two curves")
+    return float(np.abs(strip_defects(surface, grid)).max())
 
 
 def reversed_framework(fw: Framework) -> Framework:
@@ -275,22 +266,13 @@ def reversal_affine_defect(
     report = residual_report(fw, stress)
     if report.max_normalized >= tol:
         raise NotSelfStressedError(report, tol)
-    rev_fw = reversed_framework(fw)
-    rev_stress = reversed_stress(stress)
     grid = stress.grid
-    base = np.array([fw.jet(i, 0.0).p for i in range(fw.n + 1)])
-    tangents = np.array([fw.jet(i, 0.0).d1 for i in range(fw.n + 1)])
-    weights = stress.lam[:, 0]
-    worst = 0.0
-    for k in range(fw.n + 1):
-        z_fwd = _height_profile(fw, stress, k, grid)
-        z_rev = _height_profile(rev_fw, rev_stress, fw.n - k, grid)
-        pos = fw.grid_jets(k, grid).p
-        affine = np.zeros(grid.N + 1)
-        for i in range(fw.n + 1):
-            affine += weights[i] * det2(tangents[i], pos - base[i])
-        worst = max(worst, float(np.abs(z_fwd - z_rev - affine).max()))
-    return worst
+    z_fwd = _height_profiles(fw, stress, grid)
+    z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress), grid)[::-1]
+    table = fw.grid_table(grid)
+    curves = table.p[1:-1]
+    affine = _jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves)[-1]
+    return float(np.abs(z_fwd - z_rev - affine).max())
 
 
 # ---------------------------------------------------------------------------

@@ -132,24 +132,26 @@ def integrate_samples(values: np.ndarray, h: float, j0: int = 0, j1: int | None 
 def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     """Prefix integrals over node ranges [0, j] for every j, fourth order.
 
-    Entry j equals integrate_samples(values, h, 0, j) up to rounding: even j
-    by composite Simpson, odd j >= 3 by Simpson plus a 3/8 tail, j == 1 by the
+    Works along the last axis; any leading axes are independent rows.  Entry
+    j equals integrate_samples(values, h, 0, j) up to rounding: even j by
+    composite Simpson, odd j >= 3 by Simpson plus a 3/8 tail, j == 1 by the
     single-panel cubic rule.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("cumulative_samples expects a 1-d sample array")
-    n = v.size - 1
-    if n < 3:
+    if v.ndim == 0 or v.shape[-1] < 4:
         raise ValueError("cumulative rule needs at least 4 samples")
-    out = np.zeros(n + 1)
-    pair = (h / 3.0) * (v[:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    out[2::2] = np.cumsum(pair)
-    out[1] = _startup_weights(h) @ v[:4]
-    if n >= 3:
-        odd = np.arange(3, n + 1, 2)
-        tail = (3.0 * h / 8.0) * (v[odd - 3] + 3.0 * v[odd - 2] + 3.0 * v[odd - 1] + v[odd])
-        out[odd] = out[odd - 3] + tail
+    n = v.shape[-1] - 1
+    out = np.zeros(v.shape)
+    pair = (h / 3.0) * (v[..., :-2:2] + 4.0 * v[..., 1:-1:2] + v[..., 2::2])
+    out[..., 2::2] = np.cumsum(pair, axis=-1)
+    # a (1, 4) @ (4, 1) product per row runs numpy's 1-d dot kernel, so rows
+    # stay bit-identical to a 1-d call
+    out[..., 1] = (v[..., None, :4] @ _startup_weights(h)[:, None])[..., 0, 0]
+    odd = np.arange(3, n + 1, 2)
+    tail = (3.0 * h / 8.0) * (
+        v[..., odd - 3] + 3.0 * v[..., odd - 2] + 3.0 * v[..., odd - 1] + v[..., odd]
+    )
+    out[..., odd] = out[..., odd - 3] + tail
     return out
 
 

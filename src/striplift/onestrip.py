@@ -11,11 +11,12 @@ criterion evaluated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .framework import Framework, _dump_json
-from .geomcore import brackets_from_jets, det2
+from .geomcore import det2
 from .numerics import EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
 from .statics import StressField, residual_report
 
@@ -28,25 +29,26 @@ def _require_onestrip(fw: Framework):
 
 
 def _strip_data(fw: Framework, grid: Grid):
-    """Bracket arrays at the strip (curves 0 and 1) over the grid nodes."""
-    prev = fw.grid_jets(0, grid)
-    cur = fw.grid_jets(1, grid)
-    nxt = fw.grid_jets(2, grid)
-    bs = brackets_from_jets(prev, cur, nxt)
-    third = {
-        "tan_jerk": det2(cur.d1, cur.d3),        # d/dt det(tan_1, acc_1)
-        "tan_prev_jerk_prev": det2(prev.d1, prev.d3),
+    """Brackets and norms of the strip's local data at the grid nodes.
+
+    Reads rows 1 and 2 of the grid table (curves 0 and 1).  Each bracket
+    [u, v] = det2(u, v) is named after its two arguments: edge = f_1 - f_0,
+    and tan, acc, jerk are the first three derivatives of curve 0 or 1.
+    Returns (brackets, norms), norms keyed by vector name.
+    """
+    table = fw.grid_table(grid)
+    (f0, f1), (tan0, tan1), (acc0, acc1), (jerk0, jerk1) = (field[1:3] for field in table)
+    vectors = {
+        "edge": f1 - f0, "tan0": tan0, "tan1": tan1,
+        "acc0": acc0, "acc1": acc1, "jerk0": jerk0, "jerk1": jerk1,
     }
-    norms = {
-        "edge": np.linalg.norm(cur.p - prev.p, axis=-1),
-        "tan0": np.linalg.norm(prev.d1, axis=-1),
-        "tan1": np.linalg.norm(cur.d1, axis=-1),
-        "acc0": np.linalg.norm(prev.d2, axis=-1),
-        "acc1": np.linalg.norm(cur.d2, axis=-1),
-        "jerk0": np.linalg.norm(prev.d3, axis=-1),
-        "jerk1": np.linalg.norm(cur.d3, axis=-1),
-    }
-    return bs, third, norms
+    pairs = (
+        "edge_tan0", "edge_tan1", "edge_acc0", "edge_acc1", "tan0_tan1",
+        "tan0_acc0", "tan0_acc1", "tan1_acc1", "tan0_jerk0", "tan1_jerk1",
+    )
+    brackets = {name: det2(*(vectors[v] for v in name.split("_"))) for name in pairs}
+    norms = {name: np.linalg.norm(v, axis=-1) for name, v in vectors.items()}
+    return SimpleNamespace(**brackets), norms
 
 
 def _floored_scale(term_magnitudes, term_bounds):
@@ -72,15 +74,18 @@ def onestrip_stresses(fw: Framework, grid: Grid | None = None):
     """
     _require_onestrip(fw)
     grid = grid or fw.grid
-    bs, _, _ = _strip_data(fw, grid)
-    jets0 = fw.grid_jets(0, grid)
-    jets1 = fw.grid_jets(1, grid)
-    edge = jets1.p - jets0.p
-    require_basis(edge, jets0.d1, "det(edge_0, tan_0)", grid.t)
-    require_basis(edge, jets1.d1, "det(edge_0, tan_1)", grid.t)
-    lam0 = np.exp(-cumulative_samples(bs.edge_prev_acc_prev / bs.edge_prev_tan_prev, grid.h))
-    lam1 = np.exp(-cumulative_samples(bs.edge_prev_acc / bs.edge_prev_tan, grid.h))
-    mu0 = lam0 * bs.tan_prev_acc_prev / bs.edge_prev_tan_prev
+    return _stresses(fw, _strip_data(fw, grid)[0], grid)
+
+
+def _stresses(fw: Framework, b, grid: Grid):
+    """onestrip_stresses from the strip brackets b, after guarding both strip bases."""
+    table = fw.grid_table(grid)
+    edge = table.p[2] - table.p[1]
+    require_basis(edge, table.d1[1], "det(edge_0, tan_0)", grid.t)
+    require_basis(edge, table.d1[2], "det(edge_0, tan_1)", grid.t)
+    lam0 = np.exp(-cumulative_samples(b.edge_acc0 / b.edge_tan0, grid.h))
+    lam1 = np.exp(-cumulative_samples(b.edge_acc1 / b.edge_tan1, grid.h))
+    mu0 = lam0 * b.tan0_acc0 / b.edge_tan0
     return lam0, lam1, mu0
 
 
@@ -99,14 +104,17 @@ def liftability_criterion(fw: Framework, grid: Grid | None = None) -> np.ndarray
     products (floored at EPS_REG of their norm bounds, see _floored_scale).
     """
     _require_onestrip(fw)
-    grid = grid or fw.grid
-    bs, third, nb = _strip_data(fw, grid)
-    jj = bs.tan_prev_acc_prev * bs.tan_acc  # [tan0, acc0][tan1, acc1]
-    p1 = jj * bs.edge_prev_tan_prev * (2.0 * bs.edge_prev_acc - bs.tan_prev_tan)
-    p2 = jj * bs.edge_prev_tan * (2.0 * bs.edge_prev_acc_prev - bs.tan_prev_tan)
-    bc = bs.edge_prev_tan_prev * bs.edge_prev_tan
-    p3 = bc * bs.tan_prev_acc_prev * third["tan_jerk"]
-    p4 = bc * bs.tan_acc * third["tan_prev_jerk_prev"]
+    return _criterion(*_strip_data(fw, grid or fw.grid))
+
+
+def _criterion(b, nb):
+    """liftability_criterion from the strip brackets b and norms nb."""
+    jj = b.tan0_acc0 * b.tan1_acc1  # [tan0, acc0][tan1, acc1]
+    p1 = jj * b.edge_tan0 * (2.0 * b.edge_acc1 - b.tan0_tan1)
+    p2 = jj * b.edge_tan1 * (2.0 * b.edge_acc0 - b.tan0_tan1)
+    bc = b.edge_tan0 * b.edge_tan1
+    p3 = bc * b.tan0_acc0 * b.tan1_jerk1
+    p4 = bc * b.tan1_acc1 * b.tan0_jerk0
     residual = (p1 - p2) - (p3 - p4)
     jj_b = nb["tan0"] * nb["acc0"] * nb["tan1"] * nb["acc1"]
     cross_b = 2.0 * nb["edge"] * np.maximum(nb["acc0"], nb["acc1"]) + nb["tan0"] * nb["tan1"]
@@ -129,11 +137,14 @@ def coupling_constant(fw: Framework, lam0, lam1, mu0, grid: Grid | None = None) 
     grid; falls back to 1 when the equation degenerates (straight strips).
     """
     _require_onestrip(fw)
-    grid = grid or fw.grid
-    bs, _, _ = _strip_data(fw, grid)
-    lam1_rate = -bs.edge_prev_acc / bs.edge_prev_tan * lam1
-    lhs = lam1_rate * bs.tan_prev_tan + lam1 * bs.tan_prev_acc
-    rhs = -mu0 * bs.edge_prev_tan_prev
+    return _coupling(_strip_data(fw, grid or fw.grid)[0], lam1, mu0)
+
+
+def _coupling(b, lam1, mu0) -> float:
+    """coupling_constant from the strip brackets b."""
+    lam1_rate = -b.edge_acc1 / b.edge_tan1 * lam1
+    lhs = lam1_rate * b.tan0_tan1 + lam1 * b.tan0_acc1
+    rhs = -mu0 * b.edge_tan0
     denom = float(lhs @ lhs)
     ref = float(np.max(np.abs(rhs))) + NORM_FLOOR
     if denom <= (1e-12 * ref) ** 2 * lhs.size:
@@ -200,25 +211,25 @@ def onestrip_verify(
     """
     _require_onestrip(fw)
     grid = grid or fw.grid
-    lam0, lam1, mu0 = onestrip_stresses(fw, grid)
-    bs, _, nb = _strip_data(fw, grid)
-    criterion = liftability_criterion(fw, grid)
+    b, nb = _strip_data(fw, grid)
+    lam0, lam1, mu0 = _stresses(fw, b, grid)
+    criterion = _criterion(b, nb)
     criterion_max = float(np.abs(criterion).max())
     verdict = bool(criterion_max < tol)
-    sigma = coupling_constant(fw, lam0, lam1, mu0, grid)
+    sigma = _coupling(b, lam1, mu0)
 
     lam0_dot = fd_derivative(lam0, grid.h)
     lam1_eq = sigma * lam1
     lam1_eq_dot = fd_derivative(lam1_eq, grid.h)
-    t_a = lam0 * bs.tan_prev_acc_prev
-    t_b = mu0 * bs.edge_prev_tan_prev
+    t_a = lam0 * b.tan0_acc0
+    t_b = mu0 * b.edge_tan0
     r1 = (t_a - t_b) / _floored_scale(
         (t_a, t_b),
         (np.abs(lam0) * nb["tan0"] * nb["acc0"], np.abs(mu0) * nb["edge"] * nb["tan0"]),
     )
-    t_a = lam1_eq_dot * bs.tan_prev_tan
-    t_b = lam1_eq * bs.tan_prev_acc
-    t_c = mu0 * bs.edge_prev_tan_prev
+    t_a = lam1_eq_dot * b.tan0_tan1
+    t_b = lam1_eq * b.tan0_acc1
+    t_c = mu0 * b.edge_tan0
     r2 = (t_a + t_b + t_c) / _floored_scale(
         (t_a, t_b, t_c),
         (
@@ -227,14 +238,14 @@ def onestrip_verify(
             np.abs(mu0) * nb["edge"] * nb["tan0"],
         ),
     )
-    t_a = lam0_dot * bs.edge_prev_tan_prev
-    t_b = lam0 * bs.edge_prev_acc_prev
+    t_a = lam0_dot * b.edge_tan0
+    t_b = lam0 * b.edge_acc0
     r3 = (t_a + t_b) / _floored_scale(
         (t_a, t_b),
         (np.abs(lam0_dot) * nb["edge"] * nb["tan0"], np.abs(lam0) * nb["edge"] * nb["acc0"]),
     )
-    t_a = lam1_eq_dot * bs.edge_prev_tan
-    t_b = lam1_eq * bs.edge_prev_acc
+    t_a = lam1_eq_dot * b.edge_tan1
+    t_b = lam1_eq * b.edge_acc1
     r4 = (t_a + t_b) / _floored_scale(
         (t_a, t_b),
         (np.abs(lam1_eq_dot) * nb["edge"] * nb["tan1"], np.abs(lam1_eq) * nb["edge"] * nb["acc1"]),
@@ -245,8 +256,8 @@ def onestrip_verify(
         stress = assemble_stress(fw, lam0, sigma * lam1, mu0, grid)
         equilibrium_max = residual_report(fw, stress).max_normalized
 
-    ratio0 = -bs.edge_prev_tan_prev[0] * bs.tan_acc[0]
-    denom0 = bs.edge_prev_tan[0] * bs.tan_prev_acc_prev[0]
+    ratio0 = -b.edge_tan0[0] * b.tan1_acc1[0]
+    denom0 = b.edge_tan1[0] * b.tan0_acc0[0]
     sign = int(np.sign(ratio0 * denom0)) if denom0 * ratio0 != 0 else 0
     return OneStripReport(
         grid=grid,

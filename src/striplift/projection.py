@@ -2,8 +2,8 @@
 
 Dropping the height coordinate of a conjugate surface gives a planar
 framework, and the heights induce closed-form stress functions on it.  The
-developability of each strip, written in projected coordinates, is the
-admission test: the induced stress is only meaningful when it holds.
+developability of each strip (the defect `conjugacy_residual` reads too) is
+the admission test: the induced stress is only meaningful when it holds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NotConjugateError, StripLiftError
 from .framework import AnalyticCurve, AnalyticSurface3D, CurveJet, Framework
 from .geomcore import det2, regularity_report
-from .lifting import SampledLifting
+from .lifting import SampledLifting, strip_defects
 from .numerics import NORM_FLOOR, Grid, require_basis
 from .statics import StressField
 
@@ -69,27 +69,6 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
     return ProjectedSurface(fw, surface)
 
 
-def _strip_defects(proj: ProjectedSurface, grid: Grid) -> np.ndarray:
-    """Normalized developability defects of the strips with height data.
-
-    Row k is strip z_indices[k] (between curves z_indices[k] and
-    z_indices[k+1]), one entry per grid node.
-    """
-    table = proj.surface.grid_table(grid)
-    p, d1 = table.p[..., :2], table.d1[..., :2]
-    z, z1 = table.p[..., 2], table.d1[..., 2]
-    edge = p[1:] - p[:-1]
-    a1, b1 = d1[:-1], d1[1:]
-    terms = (
-        det2(a1, b1) * (z[1:] - z[:-1]),
-        -det2(edge, b1) * z1[:-1],
-        det2(edge, a1) * z1[1:],
-    )
-    defect = terms[0] + terms[1] + terms[2]
-    scale = np.max([np.abs(t) for t in terms], axis=0)
-    return defect / np.maximum(scale, NORM_FLOOR)
-
-
 def developability_defect(proj: ProjectedSurface, i: int, t: float):
     """Normalized defects of the strips after and before curve i at node t.
 
@@ -97,7 +76,7 @@ def developability_defect(proj: ProjectedSurface, i: int, t: float):
     not exist or lacks height data.
     """
     j = proj.grid.node_index(t)
-    defects = _strip_defects(proj, proj.grid)
+    defects = strip_defects(proj.surface, proj.grid)
     rows = [s - proj.z_indices[0] for s in (i, i - 1)]
     return tuple(float(defects[k, j]) if 0 <= k < len(defects) else float("nan") for k in rows)
 
@@ -105,7 +84,7 @@ def developability_defect(proj: ProjectedSurface, i: int, t: float):
 def developability_report(proj: ProjectedSurface, grid: Grid | None = None):
     """Worst normalized strip defect and its location over all data."""
     grid = grid or proj.grid
-    rows = np.abs(_strip_defects(proj, grid))
+    rows = np.abs(strip_defects(proj.surface, grid))
     if rows.size:
         k, j = np.unravel_index(np.argmax(rows), rows.shape)
         if rows[k, j] > 0.0:

@@ -75,6 +75,25 @@ class TestValidate:
         _, p = docs
         assert main(["validate", "--input", str(p["surface"])]) == 0
 
+    def test_irregular_surface_fails_exit_1(self, tmp_path, capsys):
+        # lines along the x axis: every tangent runs along its edges, in the
+        # plane and on the surface above it
+        for dimension in (2, 3):
+            curves = []
+            for i in range(-1, 3):
+                curve = {"index": i, "x": {"poly": [float(i), 1.0]}, "y": {"poly": [0.0]}}
+                if dimension == 3:
+                    curve["z"] = {"poly": [0.1 * i]}
+                curves.append(curve)
+            path = tmp_path / f"lines{dimension}.json"
+            path.write_text(json.dumps({"dimension": dimension, "T": 1.0, "n": 1, "curves": curves}))
+            assert main(["validate", "--input", str(path)]) == 1
+            assert "regularity FAIL" in capsys.readouterr().out
+
+    def test_force_flag_rejected_exit_2(self, docs):
+        _, p = docs
+        assert main(["validate", "--input", str(p["framework"]), "--force"]) == 2
+
     def test_bad_grid_flag(self, docs):
         _, p = docs
         assert main(["validate", "--input", str(p["framework"]), "--grid", "7"]) == 2
@@ -213,6 +232,11 @@ class TestLift:
         assert code == 0
         assert out.read_text().startswith("# lifted semi-discrete surface")
 
+    def test_missing_output_exit_2(self, docs, capsys):
+        _, p = docs
+        assert main(["lift", "--input", str(p["framework"]), "--stress", str(p["stress"])]) == 2
+        assert "--output" in capsys.readouterr().err
+
     def test_failing_stress_without_force_exit_1(self, docs, tmp_path):
         _, p = docs
         code = main(
@@ -312,6 +336,11 @@ class TestDemo:
         assert sl.residual_report(fw, stress).max_normalized < 1e-7
         report = json.loads((tmp_path / "demo.report.json").read_text())
         assert report["conjugacy_residual"] < 1e-6
+
+    def test_grid_flag_rejected_exit_2(self, tmp_path):
+        # demo bundles use each built-in's own grid, so --grid is not a demo flag
+        assert main(["demo", "translational3d", "--grid", "512", "--output", str(tmp_path / "x")]) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_demo_exit_2(self, tmp_path):
         assert main(["demo", "nonsense", "--output", str(tmp_path / "x")]) == 2

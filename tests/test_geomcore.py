@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import striplift as sl
-from striplift.geomcore import bracket_set, brackets_from_jets, det2, det3, gp_residual
+from striplift.geomcore import det2, det3, gp_residual
+from striplift.numerics import basis_guard
+from striplift.onestrip import _strip_data
 
 
 class TestDet2:
@@ -116,9 +118,34 @@ class TestRegularity:
         assert report.argmin_forward[0] in range(0, 4)
 
 
+def brackets(fw, i, t):
+    """The local brackets [u, v] = det2(u, v) at (i, t), from the point jets of curves i-1..i+1."""
+    prev, cur, nxt = fw.jet(i - 1, t), fw.jet(i, t), fw.jet(i + 1, t)
+    edge, edge_prev = nxt.p - cur.p, cur.p - prev.p
+    return {
+        "edge_prev_edge": det2(edge_prev, edge),
+        "edge_tan": det2(edge, cur.d1),
+        "edge_tan_prev": det2(edge, prev.d1),
+        "edge_acc": det2(edge, cur.d2),
+        "edge_prev_tan": det2(edge_prev, cur.d1),
+        "edge_prev_tan_prev": det2(edge_prev, prev.d1),
+        "edge_prev_tan_next": det2(edge_prev, nxt.d1),
+        "edge_prev_acc": det2(edge_prev, cur.d2),
+        "edge_prev_acc_prev": det2(edge_prev, prev.d2),
+        "tan_tan_next": det2(cur.d1, nxt.d1),
+        "tan_prev_tan": det2(prev.d1, cur.d1),
+        "tan_acc": det2(cur.d1, cur.d2),
+        "tan_prev_acc": det2(prev.d1, cur.d2),
+        "tan_prev_acc_prev": det2(prev.d1, prev.d2),
+        "acc_prev_tan": det2(prev.d2, cur.d1),
+    }
+
+
 class TestBracketSet:
+    """The brackets of the local jets: the determinants the statics and the strip test read."""
+
     def test_straight_lines_zero_curvature_brackets(self, parallel_lines):
-        bs = bracket_set(parallel_lines, 1, 0.25)
+        bs = brackets(parallel_lines, 1, 0.25)
         for name in (
             "edge_acc",
             "edge_prev_acc_prev",
@@ -128,48 +155,20 @@ class TestBracketSet:
             "tan_prev_acc",
             "acc_prev_tan",
         ):
-            assert getattr(bs, name) == 0.0
+            assert bs[name] == 0.0
 
     def test_antisymmetry_against_regularity_determinant(self, translational):
+        # the regularity scan reads det(tangent, forward edge) = -det(edge, tangent)
         _, proj, _ = translational
         fw = proj.framework
-        t = fw.grid.t[37]
-        bs = bracket_set(fw, 1, t)
-        jet = fw.jet(1, t)
-        edge = fw.delta(1, t)
-        assert bs.edge_tan == pytest.approx(-det2(jet.d1, edge), rel=1e-14)
-
-    def test_matches_independent_recomputation(self):
-        fw = sl.builtin("circles2d", n=1)
-        i, t = 1, 0.0
-        bs = bracket_set(fw, i, t)
-        jp, jc, jn = fw.jet(i - 1, t), fw.jet(i, t), fw.jet(i + 1, t)
-        edge = jn.p - jc.p
-        edge_prev = jc.p - jp.p
-        pairs = {
-            "edge_prev_edge": (edge_prev, edge),
-            "edge_tan": (edge, jc.d1),
-            "edge_prev_tan_prev": (edge_prev, jp.d1),
-            "edge_tan_next": (edge, jn.d1),
-            "edge_prev_tan": (edge_prev, jc.d1),
-            "edge_tan_prev": (edge, jp.d1),
-            "edge_prev_tan_next": (edge_prev, jn.d1),
-            "edge_acc": (edge, jc.d2),
-            "edge_prev_acc_prev": (edge_prev, jp.d2),
-            "edge_prev_acc": (edge_prev, jc.d2),
-            "tan_tan_next": (jc.d1, jn.d1),
-            "tan_prev_tan": (jp.d1, jc.d1),
-            "tan_acc": (jc.d1, jc.d2),
-            "tan_prev_acc_prev": (jp.d1, jp.d2),
-            "tan_prev_acc": (jp.d1, jc.d2),
-            "acc_prev_tan": (jp.d2, jc.d1),
-        }
-        for name, (u, v) in pairs.items():
-            assert getattr(bs, name) == pytest.approx(det2(u, v), rel=1e-14, abs=1e-14), name
+        table = fw.grid_table()
+        det, _, _ = basis_guard(table.d1[2, 37], table.p[3, 37] - table.p[2, 37])
+        assert brackets(fw, 1, fw.grid.t[37])["edge_tan"] == pytest.approx(-det, rel=1e-14)
 
     def test_index_out_of_range(self, parallel_lines):
+        # the brackets at curve 2 need curve 3, past the last curve n+1 = 2
         with pytest.raises(IndexError):
-            bracket_set(parallel_lines, 2, 0.0)
+            brackets(parallel_lines, 2, 0.0)
 
     def test_derivative_identities_by_finite_differences(self, translational):
         # d/dt of det(edge, tan) equals det(edge, acc) - det(tan, tan_next), etc.
@@ -178,35 +177,35 @@ class TestBracketSet:
         h = 1e-5
         for i in (0, 2):
             for t in (0.3, 0.9):
-                plus = bracket_set(fw, i, t + h)
-                minus = bracket_set(fw, i, t - h)
-                mid = bracket_set(fw, i, t)
-                fd = (plus.edge_tan - minus.edge_tan) / (2 * h)
-                want = -mid.tan_tan_next + mid.edge_acc
-                assert fd == pytest.approx(want, rel=1e-7, abs=1e-8)
-                fd = (plus.edge_prev_tan_prev - minus.edge_prev_tan_prev) / (2 * h)
-                want = -mid.tan_prev_tan + mid.edge_prev_acc_prev
-                assert fd == pytest.approx(want, rel=1e-7, abs=1e-8)
-                fd = (plus.edge_prev_tan - minus.edge_prev_tan) / (2 * h)
-                want = -mid.tan_prev_tan + mid.edge_prev_acc
-                assert fd == pytest.approx(want, rel=1e-7, abs=1e-8)
-                fd = (plus.tan_prev_tan - minus.tan_prev_tan) / (2 * h)
-                want = mid.acc_prev_tan + mid.tan_prev_acc
-                assert fd == pytest.approx(want, rel=1e-7, abs=1e-8)
-                fd = (plus.edge_prev_edge - minus.edge_prev_edge) / (2 * h)
-                want = (
-                    -mid.edge_tan + mid.edge_tan_prev
-                    + mid.edge_prev_tan_next - mid.edge_prev_tan
-                )
-                assert fd == pytest.approx(want, rel=1e-7, abs=1e-8)
+                plus = brackets(fw, i, t + h)
+                minus = brackets(fw, i, t - h)
+                mid = brackets(fw, i, t)
 
-    def test_array_valued_brackets(self, translational):
-        _, proj, _ = translational
+                def fd(name):
+                    return (plus[name] - minus[name]) / (2 * h)
+
+                want = -mid["tan_tan_next"] + mid["edge_acc"]
+                assert fd("edge_tan") == pytest.approx(want, rel=1e-7, abs=1e-8)
+                want = -mid["tan_prev_tan"] + mid["edge_prev_acc_prev"]
+                assert fd("edge_prev_tan_prev") == pytest.approx(want, rel=1e-7, abs=1e-8)
+                want = -mid["tan_prev_tan"] + mid["edge_prev_acc"]
+                assert fd("edge_prev_tan") == pytest.approx(want, rel=1e-7, abs=1e-8)
+                want = mid["acc_prev_tan"] + mid["tan_prev_acc"]
+                assert fd("tan_prev_tan") == pytest.approx(want, rel=1e-7, abs=1e-8)
+                want = (
+                    -mid["edge_tan"] + mid["edge_tan_prev"]
+                    + mid["edge_prev_tan_next"] - mid["edge_prev_tan"]
+                )
+                assert fd("edge_prev_edge") == pytest.approx(want, rel=1e-7, abs=1e-8)
+
+    def test_array_valued_brackets(self, cylinder):
+        # the one-strip brackets, read from the grid table, against point jets
+        _, proj, _ = cylinder
         fw = proj.framework
         grid = fw.grid
-        bs = brackets_from_jets(
-            fw.grid_jets(0, grid), fw.grid_jets(1, grid), fw.grid_jets(2, grid)
-        )
-        assert bs.edge_tan.shape == (grid.N + 1,)
-        single = bracket_set(fw, 1, grid.t[10])
-        assert bs.edge_tan[10] == pytest.approx(single.edge_tan, rel=1e-15)
+        strip, _ = _strip_data(fw, grid)
+        assert strip.edge_tan1.shape == (grid.N + 1,)
+        at0, at1 = brackets(fw, 0, grid.t[10]), brackets(fw, 1, grid.t[10])
+        assert strip.edge_tan0[10] == pytest.approx(at0["edge_tan"], rel=1e-15)
+        assert strip.edge_acc1[10] == pytest.approx(at1["edge_prev_acc"], rel=1e-15)
+        assert strip.tan0_acc1[10] == pytest.approx(at1["tan_prev_acc"], rel=1e-15)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import striplift as sl
-from striplift.numerics import fd_derivative
+from striplift.numerics import NORM_FLOOR, fd_derivative
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -56,3 +56,17 @@ def test_residual_is_the_balance_of_point_jets(drawn):
             scale = max(np.abs(term).max() for term in terms)
             # equal bit for bit unless the host's vector sin differs from its scalar sin
             assert np.abs(report.residual[i, j] - balance).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(frameworks())
+def test_lifting_heights_are_the_axis_path_heights(drawn):
+    fw, seed = drawn
+    rng = np.random.default_rng(seed)
+    stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+    z = sl.build_lifting(fw, stress, force=True).z  # forced: a coarse grid may miss the gate
+    scale = sl.height_scale(fw, stress)
+    assert scale == max(np.abs(z).max(), NORM_FLOOR)
+    for k in range(fw.n + 1):
+        for j, t in enumerate(fw.grid.t):
+            assert abs(z[k, j] - sl.height(fw, stress, (k, t), sl.lpath(k, t))) <= 1e-12 * scale

@@ -4,7 +4,7 @@ import pytest
 import striplift as sl
 from striplift.errors import NotSelfStressedError, SchemaError
 from striplift.lifting import (
-    _height_profile,
+    _height_profiles,
     export_obj,
     load_lifting,
     lpath,
@@ -59,19 +59,9 @@ class TestHeight:
         assert sl.height(fw, cleared, (0, s), lpath(0, s)) == 0.0
         assert sl.height(fw, stress, (0, s), lpath(0, s)) != 0.0
 
-    def test_lpath_closed_form_matches_height(self, translational):
-        _, proj, stress = translational
-        fw = proj.framework
-        for k in range(fw.n + 1):
-            for j in (0, 7, 200, 256):
-                t = stress.grid.t[j]
-                a = sl.height(fw, stress, (k, t), lpath(k, t))
-                b = sl.height_lpath(fw, stress, k, t)
-                assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
-
     def test_origin_is_zero(self, translational):
         _, proj, stress = translational
-        assert sl.height_lpath(proj.framework, stress, 0, 0.0) == 0.0
+        assert sl.height(proj.framework, stress, (0, 0.0), lpath(0, 0.0)) == 0.0
 
     def test_two_paths_agree_for_self_stress(self, translational):
         _, proj, stress = translational
@@ -81,7 +71,7 @@ class TestHeight:
             3, s, (0.0, stress.grid.t[32], stress.grid.t[80], stress.grid.t[150], s)
         )
         a = sl.height(fw, stress, (3, s), stair)
-        b = sl.height_lpath(fw, stress, 3, s)
+        b = sl.height(fw, stress, (3, s), lpath(3, s))
         scale = sl.height_scale(fw, stress)
         assert abs(a - b) < 1e-6 * scale
 
@@ -154,7 +144,8 @@ class TestBuildLifting:
         surface = sl.build_lifting(fw, stress)
         for k in (0, 2, 3):
             for j in (1, 3, 100, 256):
-                want = sl.height_lpath(fw, stress, k, stress.grid.t[j])
+                t = stress.grid.t[j]
+                want = sl.height(fw, stress, (k, t), lpath(k, t))
                 assert surface.z[k, j] == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_one_curve_circle_flat_boundary(self):
@@ -263,7 +254,8 @@ class TestExport:
     def test_profile_matches_direct_heights(self, translational):
         _, proj, stress = translational
         fw = proj.framework
-        prof = _height_profile(fw, stress, 2, stress.grid)
+        prof = _height_profiles(fw, stress, stress.grid)[2]
         for j in (0, 1, 5, 64, 255):
-            direct = sl.height_lpath(fw, stress, 2, stress.grid.t[j])
+            t = stress.grid.t[j]
+            direct = sl.height(fw, stress, (2, t), lpath(2, t))
             assert prof[j] == pytest.approx(direct, rel=1e-12, abs=1e-14)

@@ -96,13 +96,13 @@ class TestCriterion:
         grid = fw.grid
         from striplift.onestrip import _strip_data
 
-        bs, third, nb = _strip_data(fw, grid)
-        jj = bs.tan_prev_acc_prev * bs.tan_acc
-        p1 = jj * bs.edge_prev_tan_prev * (2.0 * bs.edge_prev_acc - bs.tan_prev_tan)
-        p2 = jj * bs.edge_prev_tan * (2.0 * bs.edge_prev_acc_prev - bs.tan_prev_tan)
-        bc = bs.edge_prev_tan_prev * bs.edge_prev_tan
-        p3 = bc * bs.tan_prev_acc_prev * third["tan_jerk"]
-        p4 = bc * bs.tan_acc * third["tan_prev_jerk_prev"]
+        b, _ = _strip_data(fw, grid)
+        jj = b.tan0_acc0 * b.tan1_acc1
+        p1 = jj * b.edge_tan0 * (2.0 * b.edge_acc1 - b.tan0_tan1)
+        p2 = jj * b.edge_tan1 * (2.0 * b.edge_acc0 - b.tan0_tan1)
+        bc = b.edge_tan0 * b.edge_tan1
+        p3 = bc * b.tan0_acc0 * b.tan1_jerk1
+        p4 = bc * b.tan1_acc1 * b.tan0_jerk0
         scale = np.max(np.abs([p1, p2, p3, p4]), axis=0)
         without_jerk = (p1 - p2) / np.maximum(scale, 1e-30)
         with_jerk = sl.liftability_criterion(fw)

@@ -101,6 +101,14 @@ class TestDevelopability:
         worst, _ = sl.developability_report(proj)
         assert worst > 1e-2
 
+    def test_projected_lifting_defect_is_its_conjugacy(self, translational):
+        # one defect for both: projecting a lifting reports the lifting's conjugacy
+        _, proj, stress = translational
+        lifted = sl.build_lifting(proj.framework, stress)
+        worst, _ = sl.developability_report(sl.project(lifted))
+        assert worst == sl.conjugacy_residual(lifted)
+        assert worst < 1e-6
+
     def test_pairs_are_shifted_strip_values(self, translational):
         _, proj, _ = translational
         t = proj.grid.t[40]
