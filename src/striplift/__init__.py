@@ -60,7 +60,6 @@ from .numerics import (
     Grid,
     cumulative_samples,
     fd_derivative,
-    integrate,
     integrate_samples,
     ode_march,
     solve2x2,
@@ -68,15 +67,12 @@ from .numerics import (
 from .onestrip import (
     OneStripReport,
     assemble_stress,
-    coupling_constant,
     liftability_criterion,
-    onestrip_stresses,
     onestrip_verify,
 )
 from .projection import (
     ProjectedSurface,
     boundary_planarity,
-    developability_defect,
     developability_report,
     induced_stress,
     plane_fit_distance,
@@ -86,7 +82,6 @@ from .projection import (
 from .statics import (
     ResidualReport,
     StressField,
-    equilibrium_residual,
     force_load,
     force_vector,
     load_stress,

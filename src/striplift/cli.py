@@ -92,6 +92,15 @@ def _parse_mu_spec(text: str) -> CoordFunction:
     return _coord_from_doc(doc, "--mu-minus1")
 
 
+def _load_stressed(args):
+    """The framework and stress of check and lift; --grid may only repeat the stress's N."""
+    fw, stress = _load_planar(args), load_stress(_read(args.stress))
+    if args.grid not in (None, stress.grid.N):
+        raise SchemaError(f"--grid {args.grid} differs from the stress document's {stress.grid.N}",
+                          field="N")
+    return fw, stress
+
+
 def cmd_validate(args) -> int:
     # regularity reads only the x and y columns, so a surface is judged by its projection
     report = regularity_report(load_framework(_read(args.input), grid_panels=args.grid))
@@ -101,8 +110,9 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     fw = _load_planar(args)
-    if fw.regularity_warning:  # set by the loader's regularity check
-        print(regularity_report(fw).summary())
+    report = regularity_report(fw)
+    if not report.passed:
+        print(report.summary())
         return EXIT_CHECK_FAILED
     lambda0 = [float(v) for v in args.lambda0.split(",")]
     mu = _parse_mu_spec(args.mu_minus1)
@@ -115,8 +125,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fw = _load_planar(args)
-    stress = load_stress(_read(args.stress))
+    fw, stress = _load_stressed(args)
     res = residual_report(fw, stress)
     print(res.summary())
     paths = random_paths(fw.n, fw.T, stress.grid, count=20, seed=args.seed)
@@ -140,8 +149,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    fw = _load_planar(args)
-    stress = load_stress(_read(args.stress))
+    fw, stress = _load_stressed(args)
     surface = build_lifting(fw, stress, tol=args.tol, force=args.force)
     if surface.path_dependent:
         print("warning: stress failed the residual gate; output is path-dependent")
@@ -292,12 +300,14 @@ def _parser() -> argparse.ArgumentParser:
                    help="prescribed first boundary edge stress: a number or a "
                         'coordinate object like {"poly": [0, 1], "trig": []}')
 
+    stress_grid = dict(help="the stress document's panel count N; any other value is rejected")
     command("check", cmd_check, "equilibrium residual and path-independence spread",
-            ("input", "stress", "grid", "tol", "seed", "output"))
+            ("input", "stress", "grid", "tol", "seed", "output"), grid=stress_grid)
 
     command("lift", cmd_lift, "build the lifted surface of a self-stress",
             ("input", "stress", "grid", "tol", "force", "format", "reproducible", "output"),
-            format=dict(choices=("obj", "json"), default="obj"), output=dict(required=True))
+            format=dict(choices=("obj", "json"), default="obj"), output=dict(required=True),
+            grid=stress_grid)
 
     command("project", cmd_project, "project a spatial surface and induce its stress",
             ("input", "grid", "tol", "output"))

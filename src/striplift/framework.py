@@ -154,25 +154,9 @@ class AnalyticCurve:
         stacked = [np.stack([pc[k] for pc in per_coord], axis=-1) for k in range(4)]
         return CurveJet(*stacked)
 
-    def position(self, t) -> np.ndarray:
-        return np.stack([c.value(t) for c in self.coords], axis=-1)
-
-
-def _check_index_run(entries, n, where):
-    expected = list(range(-1, n + 2))
-    got = [e["index"] for e in entries]
-    if got != expected:
-        raise SchemaError(
-            f"curve indices must run -1..{n + 1} without gaps, got {got}",
-            field=where,
-        )
-
 
 class _IndexedCurves:
     """Shared container behavior: curves indexed -1 .. n+1 on [0, T]."""
-
-    #: set by the loader when a parsed framework fails the regularity check
-    regularity_warning = False
 
     def __init__(self, T: float, n: int, curves, grid: Grid | None = None):
         if n < 0:
@@ -255,14 +239,6 @@ class Framework(_IndexedCurves):
         if any(c.dim != 2 for c in self._curves):
             raise ValueError("framework curves must be planar")
 
-    def ruled_point(self, u: float, v: float) -> np.ndarray:
-        """Point of the ruled interpolation at transverse coordinate u."""
-        if not -1.0 <= u <= self.n + 1.0:
-            raise ValueError(f"transverse coordinate {u} outside [-1, {self.n + 1}]")
-        i = min(int(math.floor(u)), self.n)
-        w = u - i
-        return (1.0 - w) * self.jet(i, v).p + w * self.jet(i + 1, v).p
-
 
 class AnalyticSurface3D(_IndexedCurves):
     """A spatial semi-discrete surface with the same index layout as a framework."""
@@ -289,7 +265,7 @@ def _coord_from_doc(doc, where: str) -> CoordFunction:
         raise SchemaError("coordinate entry must be an object", field=where)
     poly = doc.get("poly", [0.0])
     trig = doc.get("trig", [])
-    if not isinstance(poly, list) or not all(isinstance(x, (int, float)) for x in poly):
+    if not isinstance(poly, list) or not _numbers(poly):
         raise SchemaError("poly must be a list of numbers", field=f"{where}.poly")
     if not isinstance(trig, list):
         raise SchemaError("trig must be a list", field=f"{where}.trig")
@@ -303,7 +279,7 @@ def _coord_from_doc(doc, where: str) -> CoordFunction:
             raise SchemaError(
                 f"missing key {exc.args[0]!r}", field=f"{where}.trig[{m}]"
             ) from None
-        if not all(isinstance(x, (int, float)) for x in rows[-1]):
+        if not _numbers(rows[-1]):
             raise SchemaError("trig entries must be numbers", field=f"{where}.trig[{m}]")
     try:
         return CoordFunction(tuple(poly), tuple(rows))
@@ -311,7 +287,13 @@ def _coord_from_doc(doc, where: str) -> CoordFunction:
         raise SchemaError(str(exc), field=where) from None
 
 
+def _numbers(values) -> bool:
+    """Whether every entry is a JSON number; a bool is not one."""
+    return set(map(type, values)) <= {int, float}
+
+
 _NUMBER_RULES = {
+    "dimension": ("2 or 3", lambda v: isinstance(v, int) and v in (2, 3)),
     "T": ("a positive finite number", lambda v: isinstance(v, (int, float)) and 0 < v <= sys.float_info.max),
     "n": ("a non-negative integer", lambda v: isinstance(v, int) and v >= 0),
     "N": ("an even integer >= 2", lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0),
@@ -319,11 +301,11 @@ _NUMBER_RULES = {
 
 
 def document_numbers(doc: dict, *keys):
-    """The grid and strip-count numbers `keys` ("T", "n", "N") of a document.
+    """The numbers `keys` ("dimension", "T", "n", "N") of a document.
 
-    T must be a positive finite number, n a non-negative integer and N an
-    even integer >= 2; a bool is neither.  Raises SchemaError naming the
-    first field that fails.
+    dimension must be the integer 2 or 3, T a positive finite number, n a
+    non-negative integer and N an even integer >= 2; a bool is none of
+    these.  Raises SchemaError naming the first field that fails.
     """
     values = []
     for key in keys:
@@ -333,6 +315,20 @@ def document_numbers(doc: dict, *keys):
             raise SchemaError(f"{key} must be {want}, got {value!r}", field=key)
         values.append(value)
     return values
+
+
+def document_rows(doc: dict, key: str) -> np.ndarray:
+    """The sample rows `key` of a document: a list of equally long lists of numbers.
+
+    A bool is not a number.  Raises SchemaError naming the field; the caller
+    checks the shape.
+    """
+    rows = doc[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) and _numbers(r) for r in rows):
+        raise SchemaError("must be a list of rows of numbers", field=key)
+    if len(set(map(len, rows))) > 1:
+        raise SchemaError("rows must have equal length", field=key)
+    return np.array(rows, dtype=float)
 
 
 def _reject_constant(name):
@@ -395,8 +391,7 @@ def load_framework(text: str, grid_panels: int | None = None):
     """Parse a framework document.
 
     Returns a Framework for dimension 2 and an AnalyticSurface3D for
-    dimension 3.  A framework that fails the regularity check still loads;
-    it only gets `regularity_warning` set so it can be inspected.
+    dimension 3.  Loading only parses; `regularity_report` judges regularity.
     """
     doc = parse_document(text)
     return framework_from_doc(doc, grid_panels)
@@ -406,22 +401,23 @@ def framework_from_doc(doc, grid_panels: int | None = None):
     """Build a Framework or AnalyticSurface3D from a parsed document object."""
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
-    dim = doc.get("dimension")
-    if dim not in (2, 3):
-        raise SchemaError(f"dimension must be 2 or 3, got {dim!r}", field="dimension")
-    T, n = document_numbers(doc, "T", "n")
+    dim, T, n = document_numbers(doc, "dimension", "T", "n")
     entries = doc.get("curves")
     if not isinstance(entries, list):
         raise SchemaError("curves must be a list", field="curves")
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "index" not in entry:
-            raise SchemaError("curve entry needs an index", field=f"curves[{k}]")
+        index = entry.get("index") if isinstance(entry, dict) else None
+        if type(index) is not int:  # a bool is not an index
+            raise SchemaError(f"needs an integer index, got {index!r}", field=f"curves[{k}]")
     entries = sorted(entries, key=lambda e: e["index"])
     if len(entries) != n + 3:
         raise SchemaError(
             f"expected {n + 3} curves for n={n}, got {len(entries)}", field="curves"
         )
-    _check_index_run(entries, n, "curves")
+    got = [e["index"] for e in entries]
+    if got != list(range(-1, n + 2)):
+        raise SchemaError(f"curve indices must run -1..{n + 1} without gaps, got {got}",
+                          field="curves")
     names = "xyz"[:dim]
     curves = []
     for entry in entries:
@@ -434,12 +430,7 @@ def framework_from_doc(doc, grid_panels: int | None = None):
         curves.append(AnalyticCurve(tuple(coords)))
     grid = Grid(float(T), grid_panels) if grid_panels else None
     cls = Framework if dim == 2 else AnalyticSurface3D
-    obj = cls(float(T), n, curves, grid)
-    if dim == 2:
-        from .geomcore import regularity_report
-
-        obj.regularity_warning = not regularity_report(obj).passed
-    return obj
+    return cls(float(T), n, curves, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .framework import (
     CurveJet,
     Framework,
     document_numbers,
+    document_rows,
     framework_from_doc,
     framework_to_doc,
     save_framework,
@@ -124,7 +125,7 @@ def _jump_sums(weights, base, tangent, target) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((1,) + target.shape[:-1]), terms]), axis=0)
 
 
-def _height_profiles(fw: Framework, stress: StressField, grid: Grid) -> np.ndarray:
+def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     """Axis-path heights of curves 0..n at every grid node, shape (n+1, N+1).
 
     The axis path to (k, t) jumps over curves 0..k-1 at parameter 0, then runs
@@ -133,6 +134,7 @@ def _height_profiles(fw: Framework, stress: StressField, grid: Grid) -> np.ndarr
     quadratures, so every profile matches `height` along `lpath` node for
     node without a quadrature per node.
     """
+    grid = stress.grid
     table = fw.grid_table(grid)
     prev, target = table.p[:-2], table.p[1:-1]  # curves k-1 and k, k = 0..n
     edge = target - prev
@@ -145,9 +147,9 @@ def _height_profiles(fw: Framework, stress: StressField, grid: Grid) -> np.ndarr
     return z - (px * target[..., 1] - py * target[..., 0] - q)
 
 
-def height_scale(fw: Framework, stress: StressField, grid: Grid | None = None) -> float:
+def height_scale(fw: Framework, stress: StressField) -> float:
     """max |height| over all curves and nodes, floored away from zero."""
-    peak = float(np.abs(_height_profiles(fw, stress, grid or stress.grid)).max())
+    peak = float(np.abs(_height_profiles(fw, stress)).max())
     return max(peak, NORM_FLOOR)
 
 
@@ -192,12 +194,6 @@ class SampledLifting:
             )
         return self._table
 
-    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
-        """Spatial jets of lifted curve i at the grid nodes: row i of grid_table."""
-        if not 0 <= i <= self.n:
-            raise IndexError(f"lifted curve index {i} outside 0..{self.n}")
-        return CurveJet(*(field[i] for field in self.grid_table(grid)))
-
 
 def build_lifting(
     fw: Framework,
@@ -217,7 +213,7 @@ def build_lifting(
         if not force:
             raise NotSelfStressedError(report, tol)
         path_dependent = True
-    z = _height_profiles(fw, stress, stress.grid)
+    z = _height_profiles(fw, stress)
     return SampledLifting(fw, z, stress.grid, path_dependent=path_dependent)
 
 
@@ -266,10 +262,9 @@ def reversal_affine_defect(
     report = residual_report(fw, stress)
     if report.max_normalized >= tol:
         raise NotSelfStressedError(report, tol)
-    grid = stress.grid
-    z_fwd = _height_profiles(fw, stress, grid)
-    z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress), grid)[::-1]
-    table = fw.grid_table(grid)
+    z_fwd = _height_profiles(fw, stress)
+    z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress))[::-1]
+    table = fw.grid_table(stress.grid)
     curves = table.p[1:-1]
     affine = _jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves)[-1]
     return float(np.abs(z_fwd - z_rev - affine).max())
@@ -342,7 +337,7 @@ def load_lifting(text: str) -> SampledLifting:
     if not isinstance(fw, Framework):
         raise SchemaError("embedded framework must be planar", field="framework")
     grid = Grid(float(T), N)
-    z = np.asarray(doc["z"], dtype=float)
+    z = document_rows(doc, "z")
     try:
         return SampledLifting(fw, z, grid, path_dependent=bool(doc.get("path_dependent", False)))
     except ValueError as exc:

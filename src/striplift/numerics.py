@@ -18,7 +18,7 @@ from .errors import DegenerateBasisError, EvaluationError, GridAlignmentError
 #: when |det| <= EPS_REG * |u| * |v|.
 EPS_REG = 1e-9
 
-#: Default number of panels for grids and stand-alone quadrature.
+#: Default number of panels for grids.
 DEFAULT_PANELS = 256
 
 #: Floor used by normalizations so that zero fields report zero, not NaN.
@@ -59,32 +59,6 @@ class Grid:
 
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(self.T, self.N * factor)
-
-
-def integrate(fn, a: float, b: float, n_panels: int = DEFAULT_PANELS) -> float:
-    """Composite Simpson approximation of the integral of fn over [a, b].
-
-    Requires a <= b and an even panel count.  Returns exactly 0.0 when a == b.
-    Raises EvaluationError carrying the offending parameter when fn produces
-    a non-finite value.
-    """
-    if a > b:
-        raise ValueError(f"integration bounds out of order: a={a} > b={b}")
-    if a == b:
-        return 0.0
-    if n_panels < 2 or n_panels % 2 != 0:
-        raise ValueError(f"panel count must be even and >= 2, got {n_panels}")
-    ts = np.linspace(a, b, n_panels + 1)
-    vals = np.empty(n_panels + 1)
-    for k, t in enumerate(ts):
-        vals[k] = fn(t)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise EvaluationError("integrand is not finite", t=float(ts[bad[0]]))
-    h = (b - a) / n_panels
-    return (h / 3.0) * (
-        vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
-    )
 
 
 def _startup_weights(h: float) -> np.ndarray:

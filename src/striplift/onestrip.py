@@ -64,21 +64,18 @@ def _floored_scale(term_magnitudes, term_bounds):
     return np.maximum(scale, np.maximum(floor, NORM_FLOOR))
 
 
-def onestrip_stresses(fw: Framework, grid: Grid | None = None):
-    """Closed-form strictly positive stress pair and the ruling stress.
-
-    lambda_0 and lambda_1 are exponentials of cumulative quadratures from 0
-    (so both start at 1); mu_0 follows algebraically.  Requires the two
-    strip determinants det(edge_0, tan_0) and det(edge_0, tan_1) bounded away
-    from zero on the grid.
-    """
-    _require_onestrip(fw)
-    grid = grid or fw.grid
-    return _stresses(fw, _strip_data(fw, grid)[0], grid)
-
-
 def _stresses(fw: Framework, b, grid: Grid):
-    """onestrip_stresses from the strip brackets b, after guarding both strip bases."""
+    """Closed-form stresses of the strip and the coupling between them.
+
+    lambda_0 and lambda_1 are strictly positive exponentials of cumulative
+    quadratures from 0 (so both start at 1); mu_0 follows algebraically from
+    the strip brackets b.  The two strip determinants det(edge_0, tan_0) and
+    det(edge_0, tan_1) must stay away from zero on the grid.  Each lambda is
+    fixed only up to scale; the cross equation pins the ratio, including its
+    sign (negative for e.g. projected cylinders and cone frustums).  The
+    coupling is its least-squares fit over the grid, or 1 where the equation
+    degenerates (straight strips).  Returns (lam0, lam1, mu0, coupling).
+    """
     table = fw.grid_table(grid)
     edge = table.p[2] - table.p[1]
     require_basis(edge, table.d1[1], "det(edge_0, tan_0)", grid.t)
@@ -86,7 +83,13 @@ def _stresses(fw: Framework, b, grid: Grid):
     lam0 = np.exp(-cumulative_samples(b.edge_acc0 / b.edge_tan0, grid.h))
     lam1 = np.exp(-cumulative_samples(b.edge_acc1 / b.edge_tan1, grid.h))
     mu0 = lam0 * b.tan0_acc0 / b.edge_tan0
-    return lam0, lam1, mu0
+    lam1_rate = -b.edge_acc1 / b.edge_tan1 * lam1
+    lhs = lam1_rate * b.tan0_tan1 + lam1 * b.tan0_acc1
+    rhs = -mu0 * b.edge_tan0
+    denom = float(lhs @ lhs)
+    ref = float(np.max(np.abs(rhs))) + NORM_FLOOR
+    coupling = 1.0 if denom <= (1e-12 * ref) ** 2 * lhs.size else float((lhs @ rhs) / denom)
+    return lam0, lam1, mu0, coupling
 
 
 def liftability_criterion(fw: Framework, grid: Grid | None = None) -> np.ndarray:
@@ -126,30 +129,6 @@ def _criterion(b, nb):
         bc_b * nb["tan1"] * nb["acc1"] * nb["tan0"] * nb["jerk0"],
     )
     return residual / _floored_scale((p1, p2, p3, p4), bounds)
-
-
-def coupling_constant(fw: Framework, lam0, lam1, mu0, grid: Grid | None = None) -> float:
-    """Relative scale of lambda_1 that balances the cross equation.
-
-    The closed-form solutions fix each lambda only up to scale; the remaining
-    balance equation pins the ratio, including its sign (negative for e.g.
-    projected cylinders and cone frustums).  Fitted by least squares over the
-    grid; falls back to 1 when the equation degenerates (straight strips).
-    """
-    _require_onestrip(fw)
-    return _coupling(_strip_data(fw, grid or fw.grid)[0], lam1, mu0)
-
-
-def _coupling(b, lam1, mu0) -> float:
-    """coupling_constant from the strip brackets b."""
-    lam1_rate = -b.edge_acc1 / b.edge_tan1 * lam1
-    lhs = lam1_rate * b.tan0_tan1 + lam1 * b.tan0_acc1
-    rhs = -mu0 * b.edge_tan0
-    denom = float(lhs @ lhs)
-    ref = float(np.max(np.abs(rhs))) + NORM_FLOOR
-    if denom <= (1e-12 * ref) ** 2 * lhs.size:
-        return 1.0
-    return float((lhs @ rhs) / denom)
 
 
 @dataclass(frozen=True)
@@ -212,11 +191,10 @@ def onestrip_verify(
     _require_onestrip(fw)
     grid = grid or fw.grid
     b, nb = _strip_data(fw, grid)
-    lam0, lam1, mu0 = _stresses(fw, b, grid)
+    lam0, lam1, mu0, sigma = _stresses(fw, b, grid)
     criterion = _criterion(b, nb)
     criterion_max = float(np.abs(criterion).max())
     verdict = bool(criterion_max < tol)
-    sigma = _coupling(b, lam1, mu0)
 
     lam0_dot = fd_derivative(lam0, grid.h)
     lam1_eq = sigma * lam1

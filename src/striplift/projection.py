@@ -23,27 +23,18 @@ DEFAULT_CONJUGACY_TOL = 1e-8
 class ProjectedSurface:
     """A planar framework together with the surface that carries its heights.
 
-    The checks below read the surface's own grid table, row k of which holds
+    The checks below read `surface.grid_table(grid)`, row k of which holds
     curve z_indices[k]: exact jets of an analytic surface, or the
-    stencil-differentiated heights of a sampled lifting on its own grid.
-    Height data may cover only part of the curve range; `z_indices` lists
-    the covered curve indices.
+    stencil-differentiated heights of a sampled lifting on its own grid; the
+    heights are its z column.  Height data may cover only part of the curve
+    range; `z_indices` lists the covered curve indices.
     """
 
     def __init__(self, framework: Framework, surface):
         self.framework = framework
         self.surface = surface
-        self.analytic = isinstance(surface, AnalyticSurface3D)
-        self.grid = framework.grid if self.analytic else surface.grid
+        self.grid = framework.grid if isinstance(surface, AnalyticSurface3D) else surface.grid
         self.z_indices = list(surface.curve_indices)
-
-    def z_rows(self, i: int, grid: Grid | None = None):
-        """Height samples and their first two derivatives for curve i."""
-        if i not in self.z_indices:
-            raise IndexError(f"no height data for curve {i}")
-        table = self.surface.grid_table(grid or self.grid)
-        k = i - self.z_indices[0]
-        return table.p[k, :, 2], table.d1[k, :, 2], table.d2[k, :, 2]
 
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
@@ -69,30 +60,17 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
     return ProjectedSurface(fw, surface)
 
 
-def developability_defect(proj: ProjectedSurface, i: int, t: float):
-    """Normalized defects of the strips after and before curve i at node t.
-
-    Returns a pair (strip i, strip i-1); entries are NaN when the strip does
-    not exist or lacks height data.
-    """
-    j = proj.grid.node_index(t)
-    defects = strip_defects(proj.surface, proj.grid)
-    rows = [s - proj.z_indices[0] for s in (i, i - 1)]
-    return tuple(float(defects[k, j]) if 0 <= k < len(defects) else float("nan") for k in rows)
-
-
-def developability_report(proj: ProjectedSurface, grid: Grid | None = None):
+def developability_report(proj: ProjectedSurface):
     """Worst normalized strip defect and its location over all data."""
-    grid = grid or proj.grid
-    rows = np.abs(strip_defects(proj.surface, grid))
+    rows = np.abs(strip_defects(proj.surface, proj.grid))
     if rows.size:
         k, j = np.unravel_index(np.argmax(rows), rows.shape)
         if rows[k, j] > 0.0:
-            return float(rows[k, j]), (proj.z_indices[k], float(grid.t[j]))
+            return float(rows[k, j]), (proj.z_indices[k], float(proj.grid.t[j]))
     return 0.0, (None, None)
 
 
-def _height_stress(proj: ProjectedSurface, grid: Grid):
+def _height_stress(proj: ProjectedSurface):
     """Stress rows the heights induce wherever their formulas have the data.
 
     Returns (lam, mu): lam rows for curves z_indices[1:-1] and mu rows for
@@ -100,7 +78,7 @@ def _height_stress(proj: ProjectedSurface, grid: Grid):
     checked curve by curve in that order; the first degenerate one raises
     DegenerateBasisError.
     """
-    lo = proj.z_indices[0]
+    lo, grid = proj.z_indices[0], proj.grid
     table = proj.surface.grid_table(grid)
     p, d1, d2 = table.p[..., :2], table.d1[..., :2], table.d2[..., :2]
     z, z1, z2 = table.p[..., 2], table.d1[..., 2], table.d2[..., 2]
@@ -124,9 +102,7 @@ def _height_stress(proj: ProjectedSurface, grid: Grid):
 
 
 def induced_stress(
-    proj: ProjectedSurface,
-    conjugacy_tol: float = DEFAULT_CONJUGACY_TOL,
-    grid: Grid | None = None,
+    proj: ProjectedSurface, conjugacy_tol: float = DEFAULT_CONJUGACY_TOL
 ) -> StressField:
     """Closed-form stress functions induced by the heights.
 
@@ -135,27 +111,26 @@ def induced_stress(
     projection denominators raise DegenerateBasisError.
     """
     fw = proj.framework
-    grid = grid or proj.grid
     missing = [i for i in fw.curve_indices if i not in proj.z_indices]
     if missing:
         raise StripLiftError(
             f"induced stress needs heights on every curve; missing {missing} "
             "(surfaces sampled from liftings only support the interior diagnostic)"
         )
-    worst, where = developability_report(proj, grid)
+    worst, where = developability_report(proj)
     if worst > conjugacy_tol:
         raise NotConjugateError(worst, conjugacy_tol, location=where)
-    lam, mu = _height_stress(proj, grid)
-    return StressField(grid, lam, mu)
+    lam, mu = _height_stress(proj)
+    return StressField(proj.grid, lam, mu)
 
 
-def recovered_interior_stress(proj: ProjectedSurface, grid: Grid | None = None) -> dict:
+def recovered_interior_stress(proj: ProjectedSurface) -> dict:
     """Diagnostic stress rows recoverable without boundary heights.
 
     For height data on curves 0..n this returns lam rows for 1..n-1 and mu
     rows for 0..n-1 as a mapping, without any self-stress claim.
     """
-    lam, mu = _height_stress(proj, grid or proj.grid)
+    lam, mu = _height_stress(proj)
     lo = proj.z_indices[0]
     return {
         "lambda": {lo + 1 + k: row for k, row in enumerate(lam)},
@@ -177,6 +152,5 @@ def plane_fit_distance(points: np.ndarray) -> float:
 
 def boundary_planarity(surface: SampledLifting) -> tuple:
     """Normalized plane-fit distances of the first and last lifted curves."""
-    first = surface.grid_jets(0).p
-    last = surface.grid_jets(surface.n).p
-    return plane_fit_distance(first), plane_fit_distance(last)
+    points = surface.grid_table().p  # row i holds lifted curve i
+    return plane_fit_distance(points[0]), plane_fit_distance(points[surface.n])

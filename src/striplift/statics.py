@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DivergenceError, SchemaError
-from .framework import CoordFunction, Framework, _dump_json, document_numbers, parse_document
+from .framework import (
+    CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
+)
 from .numerics import (
     NORM_FLOOR,
     Grid,
@@ -97,8 +99,8 @@ def load_stress(text: str) -> StressField:
             raise SchemaError(f"missing key {key!r}", field=key)
     T, n, N = document_numbers(doc, "T", "n", "N")
     grid = Grid(float(T), N)
-    lam = np.asarray(doc["lambda"], dtype=float)
-    mu = np.asarray(doc["mu"], dtype=float)
+    lam = document_rows(doc, "lambda")
+    mu = document_rows(doc, "mu")
     if lam.ndim != 2 or lam.shape[0] != n + 1:
         raise SchemaError(f"lambda must have {n + 1} rows", field="lambda")
     if mu.ndim != 2 or mu.shape[0] != n + 2:
@@ -149,16 +151,6 @@ def force_vector(fw: Framework, stress: StressField, i: int, t: float) -> np.nda
     _check_compatible(fw, stress)
     j = stress.grid.node_index(t)
     return stress.lam_at(i)[j] * fw.jet(i, stress.grid.t[j]).d1
-
-
-def equilibrium_residual(fw: Framework, stress: StressField, i: int, t: float) -> np.ndarray:
-    """The force balance defect at curve i and grid node t."""
-    _check_compatible(fw, stress)
-    if not 0 <= i <= fw.n:
-        raise IndexError(f"curve index {i} outside 0..{fw.n}")
-    j = stress.grid.node_index(t)
-    t1, t2, t3, t4 = _force_terms(fw, stress)
-    return t1[i, j] + t2[i, j] + t3[i, j] - t4[i, j]
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def test_criterion_07_solver_oracle_roundtrip(translational):
 
     err = err_against(stress, sl.solve_stress(fw, stress.lam[:, 0], mu_fn))
     fine = sl.Grid(fw.T, 2 * stress.grid.N)
-    oracle_fine = sl.induced_stress(sl.project(surface, grid=fine), grid=fine)
+    oracle_fine = sl.induced_stress(sl.project(surface, grid=fine))
     err_fine = err_against(oracle_fine, sl.solve_stress(fw, stress.lam[:, 0], mu_fn, grid=fine))
     _record(
         7,

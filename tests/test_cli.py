@@ -1,9 +1,13 @@
+import ast
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import striplift as sl
+from striplift import framework, geomcore
 from striplift.cli import main
 from striplift.statics import load_stress, save_stress
 
@@ -118,6 +122,15 @@ class TestValidate:
         assert "jet of curve 0 is not finite at t=0.0" in capsys.readouterr().err
 
 
+def _reading(kind, p, path):
+    """The command that reads the document `path` of the given kind."""
+    return {
+        "stress": ["check", "--input", str(p["framework"]), "--stress", str(path)],
+        "lifting": ["project", "--input", str(path)],
+        "framework": ["validate", "--input", str(path)],
+    }[kind]
+
+
 class TestDocumentNumbers:
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -137,12 +150,7 @@ class TestDocumentNumbers:
         doc[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        argv = {
-            "stress": ["check", "--input", str(p["framework"]), "--stress", str(bad)],
-            "lifting": ["project", "--input", str(bad)],
-            "framework": ["validate", "--input", str(bad)],
-        }[kind]
-        assert main(argv) == 2
+        assert main(_reading(kind, p, bad)) == 2
         assert f"invalid input: {key}: {key} must be" in capsys.readouterr().err
 
 
@@ -383,3 +391,89 @@ class TestDemo:
         text = (tmp_path / "p.framework.json").read_text()
         fw = sl.builtin("perturbed2d", seed=5)
         assert text == sl.save_framework(fw)
+
+
+def _corrupt(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestDocumentEntries:
+    @pytest.mark.parametrize(
+        "kind, path, value, field",
+        [
+            pytest.param("stress", ("lambda", 1, 5), {}, "lambda", id="lambda-object"),
+            pytest.param("stress", ("lambda", 0, 3), True, "lambda", id="lambda-bool"),
+            pytest.param("stress", ("mu", 0, 0), {}, "mu", id="mu-object"),
+            pytest.param("lifting", ("z", 2, 7), {}, "z", id="z-object"),
+            pytest.param("framework", ("curves", 3, "index"), "2", "curves[3]", id="index-string"),
+            pytest.param("framework", ("curves", 2, "index"), True, "curves[2]", id="index-bool"),
+            pytest.param("framework", ("dimension",), 2.0, "dimension", id="dimension-float"),
+            pytest.param("framework", ("curves", 1, "x", "poly", 0), True,
+                         "curves[index=0].x.poly", id="poly-bool"),
+            pytest.param("framework", ("curves", 1, "y", "trig", 0, "amp"), True,
+                         "curves[index=0].y.trig[0]", id="trig-bool"),
+        ],
+    )
+    def test_bad_entry_exit_2_with_field(self, docs, tmp_path, capsys, kind, path, value, field):
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        _corrupt(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(_reading(kind, p, bad)) == 2
+        assert f"invalid input: {field}: " in capsys.readouterr().err
+
+
+class TestStressGrid:
+    @pytest.mark.parametrize("command", ["check", "lift"])
+    def test_grid_other_than_the_stress_n_exit_2(self, tmp_path, capsys, command):
+        prefix = tmp_path / "demo"
+        assert main(["demo", "translational3d", "--output", str(prefix), "--reproducible"]) == 0
+        out = tmp_path / "out"
+        argv = [command, "--input", f"{prefix}.framework.json",
+                "--stress", f"{prefix}.stress.json", "--output", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--grid", "128"]) == 2
+        assert "invalid input: N: --grid 128 differs from the stress document's 256" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        assert main(argv + ["--grid", "256"]) == 0
+
+
+class TestRegularityScans:
+    """Loading only parses: a command scans regularity only where it reports it."""
+
+    @pytest.mark.parametrize(
+        "argv, scans",
+        [
+            (["validate", "--input", "{framework}"], 1),
+            (["validate", "--input", "{surface}"], 1),
+            (["solve", "--input", "{circle1}", "--lambda0", "1"], 1),
+            (["check", "--input", "{framework}", "--stress", "{stress}"], 0),
+            (["lift", "--input", "{framework}", "--stress", "{stress}", "--output", "{out}"], 0),
+            (["onestrip", "--input", "{onestrip}"], 0),
+        ],
+    )
+    def test_one_scan_per_report(self, docs, tmp_path, monkeypatch, argv, scans):
+        _, p = docs
+        calls = []
+        scan = geomcore.regularity_report
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("striplift") and getattr(module, "regularity_report", None) is scan:
+                monkeypatch.setattr(module, "regularity_report", counted)
+        assert main([a.format(**p, out=tmp_path / "out.obj") for a in argv]) == 0
+        assert len(calls) == scans
+
+    def test_loader_does_not_judge(self):
+        tree = ast.parse(inspect.getsource(framework))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "geomcore" not in imported

@@ -131,34 +131,6 @@ class TestDelta:
             assert np.allclose(d, -(fw.jet(i, 0.4).p - fw.jet(i + 1, 0.4).p))
 
 
-class TestRuledPoint:
-    def test_interpolation_endpoint(self, parallel_lines):
-        p = parallel_lines.ruled_point(1.0, 0.5)
-        assert np.allclose(p, parallel_lines.jet(1, 0.5).p)
-
-    def test_midpoint(self, parallel_lines):
-        p = parallel_lines.ruled_point(0.5, 0.25)
-        a = parallel_lines.jet(0, 0.25).p
-        b = parallel_lines.jet(1, 0.25).p
-        assert np.allclose(p, 0.5 * (a + b))
-
-    def test_affine_in_transverse_coordinate(self, translational):
-        _, proj, _ = translational
-        fw = proj.framework
-        v = 0.8
-        for u in (0.1, 1.3, 2.6):
-            second_diff = (
-                fw.ruled_point(u + 0.2, v)
-                - 2.0 * fw.ruled_point(u + 0.1, v)
-                + fw.ruled_point(u, v)
-            )
-            assert np.abs(second_diff).max() < 1e-12
-
-    def test_domain_bounds(self, parallel_lines):
-        with pytest.raises(ValueError):
-            parallel_lines.ruled_point(2.5, 0.0)
-
-
 class TestDocuments:
     def test_minimal_one_curve_document(self):
         doc = {
@@ -174,7 +146,7 @@ class TestDocuments:
         fw = load_framework(json.dumps(doc))
         assert isinstance(fw, sl.Framework)
         assert list(fw.curve_indices) == [-1, 0, 1]
-        assert not fw.regularity_warning
+        assert sl.regularity_report(fw).passed
 
     def test_roundtrip_is_bit_exact(self, translational):
         surface, proj, _ = translational
@@ -245,7 +217,7 @@ class TestDocuments:
             ],
         }
         fw = load_framework(json.dumps(doc))
-        assert fw.regularity_warning
+        assert not sl.regularity_report(fw).passed
 
 
 class TestBuiltins:

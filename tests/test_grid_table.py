@@ -1,10 +1,12 @@
-"""The whole-array grid table against point evaluations, on generated frameworks."""
+"""The whole-array grid table against point evaluations, and the balance
+residual's linearity and rotation equivariance, on generated frameworks."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import striplift as sl
+from striplift.framework import combine
 from striplift.numerics import NORM_FLOOR, fd_derivative
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -32,15 +34,19 @@ def test_table_rows_are_the_curve_jets(drawn):
             assert np.array_equal(getattr(table, field)[i + 1], getattr(jet, field))
 
 
+def random_stress(fw, rng):
+    lam, mu = rng.normal(size=(fw.n + 1, fw.grid.N + 1)), rng.normal(size=(fw.n + 2, fw.grid.N + 1))
+    return sl.StressField(fw.grid, lam, mu)
+
+
 @PROPERTY
 @given(frameworks())
 def test_residual_is_the_balance_of_point_jets(drawn):
     fw, seed = drawn
     grid = fw.grid
-    rng = np.random.default_rng(seed)
-    lam = rng.normal(size=(fw.n + 1, grid.N + 1))
-    mu = rng.normal(size=(fw.n + 2, grid.N + 1))
-    report = sl.residual_report(fw, sl.StressField(grid, lam, mu))
+    stress = random_stress(fw, np.random.default_rng(seed))
+    lam, mu = stress.lam, stress.mu
+    report = sl.residual_report(fw, stress)
     lam_dot = fd_derivative(lam, grid.h)
     for j, t in enumerate(grid.t):
         jets = [fw.jet(k, t) for k in fw.curve_indices]  # curve k at jets[k + 1]
@@ -56,6 +62,38 @@ def test_residual_is_the_balance_of_point_jets(drawn):
             scale = max(np.abs(term).max() for term in terms)
             # equal bit for bit unless the host's vector sin differs from its scalar sin
             assert np.abs(report.residual[i, j] - balance).max() <= 1e-13 * scale
+
+
+#: stress weights, away from the underflow range where a * lam loses its digits
+WEIGHTS = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+
+
+@PROPERTY
+@given(frameworks(), WEIGHTS, WEIGHTS)
+def test_residual_is_linear_in_the_stress(drawn, a, b):
+    fw, seed = drawn
+    rng = np.random.default_rng(seed)
+    s1, s2 = random_stress(fw, rng), random_stress(fw, rng)
+    combo = sl.StressField(fw.grid, a * s1.lam + b * s2.lam, a * s1.mu + b * s2.mu)
+    r1, r2, r = (sl.residual_report(fw, s).residual for s in (s1, s2, combo))
+    scale = abs(a) * np.abs(r1).max() + abs(b) * np.abs(r2).max()
+    assert np.abs(r - (a * r1 + b * r2)).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(frameworks(), st.floats(0.0, 2.0 * np.pi))
+def test_residual_turns_with_the_framework(drawn, angle):
+    # rotating every curve's coefficient tables rotates every residual vector
+    fw, seed = drawn
+    c, s = np.cos(angle), np.sin(angle)
+    curves = [fw.curve(i).coords for i in fw.curve_indices]
+    turned = [sl.AnalyticCurve((combine(x, c, y, -s), combine(x, s, y, c))) for x, y in curves]
+    turned = sl.Framework(fw.T, fw.n, turned, fw.grid)
+    stress = random_stress(fw, np.random.default_rng(seed))
+    residual = sl.residual_report(fw, stress).residual
+    want = residual @ np.array([[c, s], [-s, c]])  # row vectors times R^T
+    got = sl.residual_report(turned, stress).residual
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(residual).max()
 
 
 @PROPERTY

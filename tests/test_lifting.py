@@ -158,9 +158,8 @@ class TestBuildLifting:
         _, proj, stress = translational
         fw = proj.framework
         surface = sl.build_lifting(fw, stress)
-        for i in (0, 3):
-            jets = surface.grid_jets(i)
-            assert np.array_equal(jets.p[:, :2], fw.grid_jets(i).p)
+        lifted = surface.grid_table().p  # row i holds lifted curve i
+        assert np.array_equal(lifted[..., :2], fw.grid_table(stress.grid).p[1:-1])
 
     def test_refuses_non_self_stress(self, translational):
         _, proj, stress = translational
@@ -254,7 +253,7 @@ class TestExport:
     def test_profile_matches_direct_heights(self, translational):
         _, proj, stress = translational
         fw = proj.framework
-        prof = _height_profiles(fw, stress, stress.grid)[2]
+        prof = _height_profiles(fw, stress)[2]
         for j in (0, 1, 5, 64, 255):
             t = stress.grid.t[j]
             direct = sl.height(fw, stress, (2, t), lpath(2, t))

@@ -9,7 +9,6 @@ from striplift.numerics import (
     basis_guard,
     cumulative_samples,
     fd_derivative,
-    integrate,
     integrate_samples,
     ode_march,
     solve2x2,
@@ -37,37 +36,36 @@ class TestGrid:
 
 
 class TestIntegrate:
+    """The node rules of integrate_samples and cumulative_samples on closed forms."""
+
     def test_constant(self):
-        assert integrate(lambda t: 1.0, 0.0, 1.0, 8) == pytest.approx(1.0, abs=1e-15)
+        assert integrate_samples(np.ones(9), 1.0 / 8.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_quadratic_exact(self):
-        # Simpson is exact on cubics
-        assert integrate(lambda t: t * t, 0.0, 1.0, 2) == pytest.approx(1.0 / 3.0, abs=1e-16)
+        # every rule is exact on cubics: Simpson, the 3/8 tail and the one-panel rule
+        g = Grid(1.0, 8)
+        antiderivative = g.t**4 / 4.0 - g.t**2 / 2.0
+        for j0, j1 in [(0, 2), (0, 8), (0, 7), (2, 5), (4, 5), (7, 8)]:
+            got = integrate_samples(g.t**3 - g.t, g.h, j0, j1)
+            assert got == pytest.approx(antiderivative[j1] - antiderivative[j0], abs=1e-15)
 
     def test_cosine_against_antiderivative(self):
         # composite Simpson error bound (b-a) h^4 max|f''''| / 180:
         # 3.2e-9 at 64 panels, 1.3e-11 at 256
-        val = integrate(math.cos, 0.0, math.pi / 2.0, 64)
-        assert abs(val - 1.0) < 4e-9
-        val = integrate(math.cos, 0.0, math.pi / 2.0, 256)
-        assert abs(val - 1.0) < 1e-10
+        for n, bound in ((64, 4e-9), (256, 1e-10)):
+            g = Grid(math.pi / 2.0, n)
+            assert abs(integrate_samples(np.cos(g.t), g.h) - 1.0) < bound
 
     def test_empty_interval_is_exactly_zero(self):
-        assert integrate(math.exp, 0.7, 0.7, 8) == 0.0
-
-    def test_nonfinite_integrand_reports_location(self):
-        def fn(t):
-            return 1.0 / (t - 0.5) if t != 0.5 else float("inf")
-
-        with pytest.raises(EvaluationError) as err:
-            integrate(fn, 0.0, 1.0, 4)
-        assert err.value.t == pytest.approx(0.5)
+        g = Grid(1.0, 8)
+        assert cumulative_samples(np.exp(g.t), g.h)[0] == 0.0
 
     def test_additive_on_aligned_subdivisions(self):
-        # splitting at a node of the same panel lattice reuses identical nodes
-        fn = lambda t: math.sin(2.1 * t) + 0.3 * t**2
-        whole = integrate(fn, 0.0, 2.0, 64)
-        split = integrate(fn, 0.0, 1.25, 40) + integrate(fn, 1.25, 2.0, 24)
+        # splitting at an even node adds up the same Simpson pairs
+        g = Grid(2.0, 64)
+        vals = np.sin(2.1 * g.t) + 0.3 * g.t**2
+        whole = integrate_samples(vals, g.h)
+        split = integrate_samples(vals, g.h, 0, 40) + integrate_samples(vals, g.h, 40, 64)
         assert abs(whole - split) < 1e-12 * max(1.0, abs(whole))
 
 

@@ -8,10 +8,10 @@ from striplift.framework import AnalyticCurve, CoordFunction, reparametrized
 
 class TestStresses:
     def test_straight_parallel_lines(self, parallel_lines):
-        lam0, lam1, mu0 = sl.onestrip_stresses(parallel_lines)
-        assert np.all(lam0 == 1.0)
-        assert np.all(lam1 == 1.0)
-        assert np.all(mu0 == 0.0)
+        report = sl.onestrip_verify(parallel_lines)
+        assert np.all(report.lambda0 == 1.0)
+        assert np.all(report.lambda1 == 1.0)
+        assert np.all(report.mu0 == 0.0)
 
     def test_solutions_satisfy_their_rate_equations(self, cylinder):
         # the two exponential solutions against finite differences of their samples
@@ -36,14 +36,15 @@ class TestStresses:
 
     def test_positive_and_unit_at_zero(self, cylinder):
         _, proj, _ = cylinder
-        lam0, lam1, mu0 = sl.onestrip_stresses(proj.framework)
+        report = sl.onestrip_verify(proj.framework)
+        lam0, lam1 = report.lambda0, report.lambda1
         assert lam0[0] == 1.0 and lam1[0] == 1.0
         assert np.all(lam0 > 0.0) and np.all(lam1 > 0.0)
 
     def test_requires_n_equal_one(self, translational):
         _, proj, _ = translational
         with pytest.raises(ValueError):
-            sl.onestrip_stresses(proj.framework)
+            sl.onestrip_verify(proj.framework)
 
     def test_degenerate_strip_rejected(self):
         # det(edge_0, tan_1) = -t^2 - 3t: the tangent of curve 1 runs along the edge at t = 0
@@ -55,7 +56,7 @@ class TestStresses:
         ]
         fw = sl.Framework(2.0, 1, curves, sl.Grid(2.0, 16))
         with pytest.raises(DegenerateBasisError) as err:
-            sl.onestrip_stresses(fw)
+            sl.onestrip_verify(fw)
         assert err.value.location == ("det(edge_0, tan_1)", 0.0)
 
 

@@ -4,6 +4,7 @@ import pytest
 import striplift as sl
 from striplift.errors import DegenerateBasisError, NotConjugateError, StripLiftError
 from striplift.framework import AnalyticCurve, AnalyticSurface3D, CoordFunction, combine, shifted
+from striplift.lifting import strip_defects
 from striplift.projection import recovered_interior_stress
 
 from conftest import twisted_surface
@@ -28,19 +29,18 @@ class TestProject:
     def test_flat_surface_splits(self):
         proj = sl.project(flat_surface(0.25))
         assert isinstance(proj.framework, sl.Framework)
-        z, z1, z2 = proj.z_rows(0)
-        assert np.all(z == 0.25)
-        assert np.all(z1 == 0.0)
-        assert np.all(z2 == 0.0)
+        table = proj.surface.grid_table(proj.grid)
+        for field, want in ((table.p, 0.25), (table.d1, 0.0), (table.d2, 0.0)):
+            assert np.all(field[..., 2] == want)
 
     def test_translational_split(self, translational):
         surface, proj, _ = translational
+        plane = proj.framework.grid_table().p
+        space = proj.surface.grid_table(proj.grid).p
+        assert proj.surface is surface
+        assert np.array_equal(plane, space[..., :2])
         for i in surface.curve_indices:
-            assert np.array_equal(
-                proj.framework.grid_jets(i).p, surface.grid_jets(i).p[:, :2]
-            )
-            z = proj.z_rows(i)[0]
-            assert np.array_equal(z, surface.grid_jets(i).p[:, 2])
+            assert np.array_equal(space[i + 1, :, 2], surface.curve(i).coords[2].value(proj.grid.t))
 
     def test_vertical_strip_degenerate(self):
         # two coincident projected curves separated only in height
@@ -60,10 +60,9 @@ class TestProject:
         _, proj, stress = translational
         lifted = sl.build_lifting(proj.framework, stress)
         back = sl.project(lifted)
-        assert not back.analytic
+        assert back.surface is lifted
         assert list(back.z_indices) == [0, 1, 2, 3]
-        z, z1, _ = back.z_rows(2)
-        assert np.array_equal(z, lifted.z[2])
+        assert np.array_equal(back.surface.grid_table(back.grid).p[2, :, 2], lifted.z[2])
 
     def test_lifting_keeps_its_own_grid(self):
         # a loaded lifting carries its stress grid; its framework the default one
@@ -82,19 +81,20 @@ class TestProject:
 class TestDevelopability:
     def test_flat_heights_zero_defect(self):
         proj = sl.project(flat_surface())
-        a, b = sl.developability_defect(proj, 0, 1.0)
-        assert a == 0.0 and b == 0.0
+        assert np.all(strip_defects(proj.surface, proj.grid) == 0.0)
+        assert sl.developability_report(proj) == (0.0, (None, None))
 
     def test_builtin_conjugates_below_tolerance(self, translational, cylinder):
         for _, proj, _ in (translational, cylinder):
             worst, _ = sl.developability_report(proj)
             assert worst < 1e-10
 
-    def test_missing_strip_is_nan(self, translational):
+    def test_one_row_per_strip(self, translational):
+        # strips -1..n: none lies before the first curve or after the last
         _, proj, _ = translational
-        a, b = sl.developability_defect(proj, -1, 0.0)
-        assert not np.isnan(a)
-        assert np.isnan(b)
+        defects = strip_defects(proj.surface, proj.grid)
+        assert defects.shape == (len(proj.z_indices) - 1, proj.grid.N + 1)
+        assert np.all(np.isfinite(defects))
 
     def test_twisted_control_large_defect(self):
         proj = sl.project(twisted_surface())
@@ -109,12 +109,12 @@ class TestDevelopability:
         assert worst == sl.conjugacy_residual(lifted)
         assert worst < 1e-6
 
-    def test_pairs_are_shifted_strip_values(self, translational):
-        _, proj, _ = translational
-        t = proj.grid.t[40]
-        a1, _ = sl.developability_defect(proj, 1, t)
-        _, b2 = sl.developability_defect(proj, 2, t)
-        assert a1 == b2
+    def test_report_is_the_worst_strip_row(self):
+        proj = sl.project(twisted_surface())
+        defects = np.abs(strip_defects(proj.surface, proj.grid))
+        worst, (i, t) = sl.developability_report(proj)
+        k, j = i - proj.z_indices[0], proj.grid.node_index(t)
+        assert worst == defects.max() == defects[k, j]
 
 
 class TestInducedStress:
