@@ -44,6 +44,7 @@ from .lifting import (
     random_paths,
     save_lifting,
 )
+from .numerics import DEFAULT_TOL
 from .onestrip import onestrip_verify
 from .projection import developability_report, induced_stress, project
 from .statics import load_stress, residual_report, save_stress, solve_stress
@@ -52,8 +53,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
-
-DEFAULT_TOL = 1e-6
 
 
 def _read(path: str) -> str:
@@ -92,12 +91,16 @@ def _parse_mu_spec(text: str) -> CoordFunction:
     return _coord_from_doc(doc, "--mu-minus1")
 
 
+def _stored_grid(args, grid, document):
+    """A sampled document keeps its own grid: --grid may only repeat its N."""
+    if args.grid not in (None, grid.N):
+        raise SchemaError(f"--grid {args.grid} differs from the {document}'s {grid.N}", field="N")
+
+
 def _load_stressed(args):
-    """The framework and stress of check and lift; --grid may only repeat the stress's N."""
+    """The framework and stress of check and lift."""
     fw, stress = _load_planar(args), load_stress(_read(args.stress))
-    if args.grid not in (None, stress.grid.N):
-        raise SchemaError(f"--grid {args.grid} differs from the stress document's {stress.grid.N}",
-                          field="N")
+    _stored_grid(args, stress.grid, "stress document")
     return fw, stress
 
 
@@ -166,6 +169,7 @@ def cmd_project(args) -> int:
     doc = parse_document(text)
     if isinstance(doc, dict) and doc.get("kind") == "lifted_surface":
         surface = load_lifting(text)
+        _stored_grid(args, surface.grid, "lifting dump")
     else:
         surface = load_framework(text, grid_panels=args.grid)
         if not isinstance(surface, AnalyticSurface3D):
@@ -185,7 +189,7 @@ def cmd_project(args) -> int:
     print("induced stress " + res.summary())
     if out is not None:
         _write(_with(out, ".stress.json"), save_stress(stress))
-    return EXIT_OK if res.max_normalized < DEFAULT_TOL else EXIT_CHECK_FAILED
+    return EXIT_OK if res.max_normalized < args.tol else EXIT_CHECK_FAILED
 
 
 def cmd_onestrip(args) -> int:
@@ -212,7 +216,7 @@ def cmd_demo(args) -> int:
         _write(_with(prefix, ".surface.json"), save_framework(surface))
         proj = project(surface)
         _write(_with(prefix, ".framework.json"), save_framework(proj.framework))
-        stress = induced_stress(proj)
+        stress = induced_stress(proj, conjugacy_tol=args.tol)
         _write(_with(prefix, ".stress.json"), save_stress(stress))
         res = residual_report(proj.framework, stress)
         lifted = build_lifting(proj.framework, stress, tol=args.tol)

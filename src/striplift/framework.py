@@ -248,6 +248,16 @@ class AnalyticSurface3D(_IndexedCurves):
         if any(c.dim != 3 for c in self._curves):
             raise ValueError("surface curves must have 3 coordinates")
 
+    def planar(self, grid: Grid) -> Framework:
+        """The framework of the x and y columns, on `grid`.
+
+        Its curves share their coordinate functions with this surface, so its
+        grid table is the first two columns of the surface's.
+        """
+        fw = Framework(self.T, self.n, [AnalyticCurve(c.coords[:2]) for c in self._curves], grid)
+        fw._tables[grid.N, grid.T] = CurveJet(*(f[..., :2] for f in self.grid_table(grid)))
+        return fw
+
 
 # ---------------------------------------------------------------------------
 # document I/O

@@ -32,6 +32,20 @@ def det3(a, b, c):
     )
 
 
+def balance_vectors(jets):
+    """Tangent, acceleration, forward and backward edge of curves 0..n.
+
+    Takes a table of all curves -1..n+1, a grid table or `tabulate` output:
+    positions, then first and second derivatives (any higher ones are
+    ignored), each with the curve axis first and row i+1 holding curve i.
+    Returns the four vectors the balance at curves 0..n reads, each with one
+    row per curve 0..n.
+    """
+    p, d1, d2, *_ = jets
+    edge = p[1:] - p[:-1]  # edge[i + 1] = f_{i+1} - f_i
+    return d1[1:-1], d2[1:-1], edge[1:], edge[:-1]
+
+
 def gp_residual(a, b, c, d):
     """det(a,b)det(c,d) - det(a,c)det(b,d) + det(a,d)det(b,c).
 
@@ -72,11 +86,9 @@ class RegularityReport:
 def regularity_report(fw, grid=None) -> RegularityReport:
     """Scan curves 0..n on the grid for the two independence determinants."""
     grid = grid or fw.grid
-    table = fw.grid_table(grid)
-    edge = table.p[1:] - table.p[:-1]  # edge[i + 1] = f_{i+1} - f_i
-    tangent = table.d1[1:-1]
+    tangent, _, forward, backward = balance_vectors(fw.grid_table(grid))
     found = []
-    for other in (edge[1:], edge[:-1]):  # forward, then backward edges
+    for other in (forward, backward):
         det, threshold, degenerate = basis_guard(tangent, other)
         dets = np.abs(det)
         i, j = np.unravel_index(np.argmin(dets), dets.shape)

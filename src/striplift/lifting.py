@@ -28,10 +28,10 @@ from .framework import (
     parse_document,
 )
 from .geomcore import det2, det3
-from .numerics import NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples
+from .numerics import (
+    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples
+)
 from .statics import StressField, residual_report
-
-DEFAULT_SELF_STRESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class SampledLifting:
 def build_lifting(
     fw: Framework,
     stress: StressField,
-    tol: float = DEFAULT_SELF_STRESS_TOL,
+    tol: float = DEFAULT_TOL,
     force: bool = False,
 ) -> SampledLifting:
     """Attach path-independent heights to a self-stressed framework.
@@ -223,8 +223,11 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     Works on analytic surfaces and on sampled liftings.  Row k is the strip
     between rows k and k+1 of the surface's grid table: the spatial
     determinant of its ruling vector and the two curve tangents, divided by
-    the product of their norms (floored).
+    the product of their norms (floored).  A surface of one curve has no
+    strip and raises ValueError.
     """
+    if len(surface.curve_indices) < 2:
+        raise ValueError("strip defects need at least two curves")
     table = surface.grid_table(grid or surface.grid)
     ruling = table.p[1:] - table.p[:-1]
     a1, b1 = table.d1[:-1], table.d1[1:]
@@ -232,11 +235,9 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     return det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
 
 
-def conjugacy_residual(surface, grid: Grid | None = None) -> float:
+def conjugacy_residual(surface) -> float:
     """Worst normalized developability defect over all strips and nodes."""
-    if len(surface.curve_indices) < 2:
-        raise ValueError("conjugacy needs at least two curves")
-    return float(np.abs(strip_defects(surface, grid)).max())
+    return float(np.abs(strip_defects(surface)).max())
 
 
 def reversed_framework(fw: Framework) -> Framework:
@@ -251,7 +252,7 @@ def reversed_stress(stress: StressField) -> StressField:
 
 
 def reversal_affine_defect(
-    fw: Framework, stress: StressField, tol: float = DEFAULT_SELF_STRESS_TOL
+    fw: Framework, stress: StressField, tol: float = DEFAULT_TOL
 ) -> float:
     """Defect of the reversal identity between the two liftings.
 
@@ -274,16 +275,12 @@ def reversal_affine_defect(
 # export
 
 
-def _source_hash(surface) -> str:
-    if isinstance(surface, SampledLifting):
-        text = save_framework(surface.framework)
-    else:
-        text = save_framework(surface)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def _source_hash(surface: SampledLifting) -> str:
+    return hashlib.sha256(save_framework(surface.framework).encode()).hexdigest()[:12]
 
 
-def export_obj(surface, reproducible: bool = False) -> str:
-    """Wavefront OBJ text for a lifted or analytic surface on its grid.
+def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
+    """Wavefront OBJ text for a lifted surface on its grid.
 
     One vertex per (curve, node), quad faces per strip cell.  The header
     carries the source hash and grid size; the timestamp line is left out
@@ -296,11 +293,11 @@ def export_obj(surface, reproducible: bool = False) -> str:
         f"# source: {_source_hash(surface)}",
         f"# grid: curves={rows} nodes={grid.N + 1} T={grid.T!r}",
     ]
-    if getattr(surface, "path_dependent", False):
+    if surface.path_dependent:
         lines.append("# warning: path-dependent heights (stress failed the residual gate)")
     if not reproducible:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    for p in surface.grid_table(grid).p.reshape(-1, 3):
+    for p in surface.grid_table().p.reshape(-1, 3):
         lines.append("v " + " ".join(format(x, ".17g") for x in p))
     for r in range(rows - 1):
         for j in range(grid.N):
@@ -332,13 +329,19 @@ def load_lifting(text: str) -> SampledLifting:
     for key in ("T", "n", "N", "framework", "z"):
         if key not in doc:
             raise SchemaError(f"missing key {key!r}", field=key)
-    T, _, N = document_numbers(doc, "T", "n", "N")
+    T, n, N = document_numbers(doc, "T", "n", "N")
     fw = framework_from_doc(doc["framework"])
     if not isinstance(fw, Framework):
         raise SchemaError("embedded framework must be planar", field="framework")
+    for key, value, own in (("T", T, fw.T), ("n", n, fw.n)):
+        if value != own:
+            raise SchemaError(f"{value!r} differs from the embedded framework's {own!r}", field=key)
+    path_dependent = doc.get("path_dependent", False)
+    if not isinstance(path_dependent, bool):
+        raise SchemaError(f"must be true or false, got {path_dependent!r}", field="path_dependent")
     grid = Grid(float(T), N)
     z = document_rows(doc, "z")
     try:
-        return SampledLifting(fw, z, grid, path_dependent=bool(doc.get("path_dependent", False)))
+        return SampledLifting(fw, z, grid, path_dependent=path_dependent)
     except ValueError as exc:
         raise SchemaError(str(exc), field="z") from None

@@ -21,6 +21,10 @@ EPS_REG = 1e-9
 #: Default number of panels for grids.
 DEFAULT_PANELS = 256
 
+#: Default tolerance of every pass/fail gate: the equilibrium residual, the
+#: strip developability and the one-strip criterion.
+DEFAULT_TOL = 1e-6
+
 #: Floor used by normalizations so that zero fields report zero, not NaN.
 NORM_FLOOR = 1e-30
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .framework import Framework, _dump_json
 from .geomcore import det2
-from .numerics import EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
+from .numerics import (
+    DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
+)
 from .statics import StressField, residual_report
-
-DEFAULT_CRITERION_TOL = 1e-6
 
 
 def _require_onestrip(fw: Framework):
@@ -64,6 +64,17 @@ def _floored_scale(term_magnitudes, term_bounds):
     return np.maximum(scale, np.maximum(floor, NORM_FLOOR))
 
 
+def _system_residual(b, nb, *terms):
+    """Normalized sum of the terms coef * [u, v], each given as (coef, "u_v").
+
+    The terms are added in order; term magnitudes and their a-priori bounds
+    |coef| * |u| * |v| (norms nb) set the scale, see _floored_scale.
+    """
+    values = [coef * getattr(b, name) for coef, name in terms]
+    bounds = [np.abs(coef) * nb[u] * nb[v] for coef, name in terms for u, v in [name.split("_")]]
+    return sum(values[1:], values[0]) / _floored_scale(values, bounds)
+
+
 def _stresses(fw: Framework, b, grid: Grid):
     """Closed-form stresses of the strip and the coupling between them.
 
@@ -92,7 +103,7 @@ def _stresses(fw: Framework, b, grid: Grid):
     return lam0, lam1, mu0, coupling
 
 
-def liftability_criterion(fw: Framework, grid: Grid | None = None) -> np.ndarray:
+def liftability_criterion(fw: Framework) -> np.ndarray:
     """Per-node normalized residual of the one-strip liftability identity.
 
     The identity couples the first three derivatives of the two curves:
@@ -107,7 +118,7 @@ def liftability_criterion(fw: Framework, grid: Grid | None = None) -> np.ndarray
     products (floored at EPS_REG of their norm bounds, see _floored_scale).
     """
     _require_onestrip(fw)
-    return _criterion(*_strip_data(fw, grid or fw.grid))
+    return _criterion(*_strip_data(fw, fw.grid))
 
 
 def _criterion(b, nb):
@@ -174,11 +185,7 @@ class OneStripReport:
         return "\n".join(lines) + "\n"
 
 
-def onestrip_verify(
-    fw: Framework,
-    tol: float = DEFAULT_CRITERION_TOL,
-    grid: Grid | None = None,
-) -> OneStripReport:
+def onestrip_verify(fw: Framework, tol: float = DEFAULT_TOL) -> OneStripReport:
     """Assemble the one-strip stresses and judge liftability.
 
     The verdict is the normalized criterion residual staying below tol at
@@ -189,7 +196,7 @@ def onestrip_verify(
     of the two curve stresses undetermined.
     """
     _require_onestrip(fw)
-    grid = grid or fw.grid
+    grid = fw.grid
     b, nb = _strip_data(fw, grid)
     lam0, lam1, mu0, sigma = _stresses(fw, b, grid)
     criterion = _criterion(b, nb)
@@ -199,39 +206,18 @@ def onestrip_verify(
     lam0_dot = fd_derivative(lam0, grid.h)
     lam1_eq = sigma * lam1
     lam1_eq_dot = fd_derivative(lam1_eq, grid.h)
-    t_a = lam0 * b.tan0_acc0
-    t_b = mu0 * b.edge_tan0
-    r1 = (t_a - t_b) / _floored_scale(
-        (t_a, t_b),
-        (np.abs(lam0) * nb["tan0"] * nb["acc0"], np.abs(mu0) * nb["edge"] * nb["tan0"]),
-    )
-    t_a = lam1_eq_dot * b.tan0_tan1
-    t_b = lam1_eq * b.tan0_acc1
-    t_c = mu0 * b.edge_tan0
-    r2 = (t_a + t_b + t_c) / _floored_scale(
-        (t_a, t_b, t_c),
-        (
-            np.abs(lam1_eq_dot) * nb["tan0"] * nb["tan1"],
-            np.abs(lam1_eq) * nb["tan0"] * nb["acc1"],
-            np.abs(mu0) * nb["edge"] * nb["tan0"],
+    residuals = (
+        _system_residual(b, nb, (lam0, "tan0_acc0"), (-mu0, "edge_tan0")),
+        _system_residual(
+            b, nb, (lam1_eq_dot, "tan0_tan1"), (lam1_eq, "tan0_acc1"), (mu0, "edge_tan0")
         ),
-    )
-    t_a = lam0_dot * b.edge_tan0
-    t_b = lam0 * b.edge_acc0
-    r3 = (t_a + t_b) / _floored_scale(
-        (t_a, t_b),
-        (np.abs(lam0_dot) * nb["edge"] * nb["tan0"], np.abs(lam0) * nb["edge"] * nb["acc0"]),
-    )
-    t_a = lam1_eq_dot * b.edge_tan1
-    t_b = lam1_eq * b.edge_acc1
-    r4 = (t_a + t_b) / _floored_scale(
-        (t_a, t_b),
-        (np.abs(lam1_eq_dot) * nb["edge"] * nb["tan1"], np.abs(lam1_eq) * nb["edge"] * nb["acc1"]),
+        _system_residual(b, nb, (lam0_dot, "edge_tan0"), (lam0, "edge_acc0")),
+        _system_residual(b, nb, (lam1_eq_dot, "edge_tan1"), (lam1_eq, "edge_acc1")),
     )
 
     equilibrium_max = None
     if verdict:
-        stress = assemble_stress(fw, lam0, sigma * lam1, mu0, grid)
+        stress = assemble_stress(fw, lam0, sigma * lam1, mu0)
         equilibrium_max = residual_report(fw, stress).max_normalized
 
     ratio0 = -b.edge_tan0[0] * b.tan1_acc1[0]
@@ -242,7 +228,7 @@ def onestrip_verify(
         lambda0=lam0,
         lambda1=lam1,
         mu0=mu0,
-        system_residuals=(r1, r2, r3, r4),
+        system_residuals=residuals,
         criterion=criterion,
         criterion_max=criterion_max,
         verdict=verdict,
@@ -252,9 +238,8 @@ def onestrip_verify(
     )
 
 
-def assemble_stress(fw: Framework, lam0, lam1, mu0, grid: Grid | None = None) -> StressField:
-    """StressField with zero boundary edge rows from the three strip samples."""
+def assemble_stress(fw: Framework, lam0, lam1, mu0) -> StressField:
+    """StressField on fw.grid with zero boundary edge rows from the three strip samples."""
     _require_onestrip(fw)
-    grid = grid or fw.grid
-    zeros = np.zeros(grid.N + 1)
-    return StressField(grid, np.stack([lam0, lam1]), np.stack([zeros, mu0, zeros]))
+    zeros = np.zeros(fw.grid.N + 1)
+    return StressField(fw.grid, np.stack([lam0, lam1]), np.stack([zeros, mu0, zeros]))

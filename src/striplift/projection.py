@@ -11,13 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotConjugateError, StripLiftError
-from .framework import AnalyticCurve, AnalyticSurface3D, CurveJet, Framework
+from .framework import AnalyticSurface3D, Framework
 from .geomcore import det2, regularity_report
 from .lifting import SampledLifting, strip_defects
-from .numerics import NORM_FLOOR, Grid, require_basis
+from .numerics import DEFAULT_TOL, NORM_FLOOR, Grid, require_basis
 from .statics import StressField
-
-DEFAULT_CONJUGACY_TOL = 1e-8
 
 
 class ProjectedSurface:
@@ -40,14 +38,7 @@ class ProjectedSurface:
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
     """Split off the height coordinate; the planar part must be regular."""
     if isinstance(surface, AnalyticSurface3D):
-        grid = grid or surface.grid
-        flat = [
-            AnalyticCurve(surface.curve(i).coords[:2]) for i in surface.curve_indices
-        ]
-        fw = Framework(surface.T, surface.n, flat, grid)
-        # the planar curves share their coordinate functions with the surface,
-        # so their grid table is the first two columns of the surface's
-        fw._tables[grid.N, grid.T] = CurveJet(*(f[..., :2] for f in surface.grid_table(grid)))
+        fw = surface.planar(grid or surface.grid)
     elif isinstance(surface, SampledLifting):
         fw, grid = surface.framework, surface.grid
     else:
@@ -61,13 +52,10 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
 
 
 def developability_report(proj: ProjectedSurface):
-    """Worst normalized strip defect and its location over all data."""
+    """Worst normalized strip defect over all data and its first location."""
     rows = np.abs(strip_defects(proj.surface, proj.grid))
-    if rows.size:
-        k, j = np.unravel_index(np.argmax(rows), rows.shape)
-        if rows[k, j] > 0.0:
-            return float(rows[k, j]), (proj.z_indices[k], float(proj.grid.t[j]))
-    return 0.0, (None, None)
+    k, j = np.unravel_index(np.argmax(rows), rows.shape)
+    return float(rows[k, j]), (proj.z_indices[k], float(proj.grid.t[j]))
 
 
 def _height_stress(proj: ProjectedSurface):
@@ -102,7 +90,7 @@ def _height_stress(proj: ProjectedSurface):
 
 
 def induced_stress(
-    proj: ProjectedSurface, conjugacy_tol: float = DEFAULT_CONJUGACY_TOL
+    proj: ProjectedSurface, conjugacy_tol: float = DEFAULT_TOL
 ) -> StressField:
     """Closed-form stress functions induced by the heights.
 

@@ -22,6 +22,7 @@ from .errors import DegenerateBasisError, DivergenceError, SchemaError
 from .framework import (
     CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
 )
+from .geomcore import balance_vectors
 from .numerics import (
     NORM_FLOOR,
     Grid,
@@ -111,25 +112,13 @@ def load_stress(text: str) -> StressField:
         raise SchemaError(str(exc)) from None
 
 
-def _balance_vectors(p, d1, d2):
-    """Tangent, acceleration, forward and backward edge of curves 0..n.
-
-    Takes positions and derivatives of all curves -1..n+1 (curve axis
-    first) and returns the four vectors the balance at curves 0..n reads,
-    each with one row per curve 0..n.
-    """
-    edge = p[1:] - p[:-1]  # edge[i + 1] = f_{i+1} - f_i
-    return d1[1:-1], d2[1:-1], edge[1:], edge[:-1]
-
-
 def _force_terms(fw: Framework, stress: StressField):
     """The four force terms of the balance, each of shape (n+1, N+1, 2).
 
     lam_dot_i * tan_i, lam_i * acc_i, mu_i * edge_i and mu_{i-1} * edge_{i-1}
     at every curve 0..n and grid node; the balance is t1 + t2 + t3 - t4.
     """
-    table = fw.grid_table(stress.grid)
-    tan, acc, fwd, bwd = _balance_vectors(table.p, table.d1, table.d2)
+    tan, acc, fwd, bwd = balance_vectors(fw.grid_table(stress.grid))
     lam_dot = fd_derivative(stress.lam, stress.grid.h)
     return (
         lam_dot[..., None] * tan,
@@ -224,8 +213,7 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     """
     grid = stress.grid
     ja, jb = grid.node_index(a), grid.node_index(b)
-    table = fw.grid_table(grid)
-    tan, _, fwd, bwd = _balance_vectors(table.p, table.d1, table.d2)
+    tan, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
     norm = lambda v: np.linalg.norm(v[i], axis=-1)
     tension = np.abs(stress.lam_at(i)) * norm(tan)
     ruling = np.abs(stress.mu_at(i)) * norm(fwd) + np.abs(stress.mu_at(i - 1)) * norm(bwd)
@@ -252,7 +240,7 @@ def _strip_table(fw: Framework, times: np.ndarray):
     Cramer determinant of (tangent, forward edge); then that determinant, its
     threshold and its degeneracy verdict, each of shape (len(times), n+1).
     """
-    tan, acc, fwd, bwd = _balance_vectors(*fw.tabulate(times, order=2))
+    tan, acc, fwd, bwd = balance_vectors(fw.tabulate(times, order=2))
     det, threshold, degenerate = basis_guard(tan, fwd)
     table = np.concatenate([tan, acc, fwd, bwd, det[..., None]], axis=-1)
     return np.ascontiguousarray(table.transpose(1, 0, 2)), det.T, threshold.T, degenerate.T

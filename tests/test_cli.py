@@ -308,6 +308,42 @@ class TestProject:
         _, p = docs
         assert main(["project", "--input", str(p["framework"])]) == 2
 
+    @pytest.mark.parametrize("tol, code", [("1e-2", 0), ("1e-6", 1)])
+    def test_exit_gate_reads_tol(self, docs, tol, code):
+        # on 32 panels the induced stress's residual is 4.6e-5
+        _, p = docs
+        assert main(["project", "--input", str(p["surface"]), "--grid", "32", "--tol", tol]) == code
+
+
+class TestLiftingDump:
+    """A lifting dump must agree with its embedded framework."""
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            pytest.param("T", lambda T: 1.5 * T, id="T-past-the-framework"),
+            pytest.param("n", lambda n: 7, id="n-other-than-the-framework"),
+            pytest.param("path_dependent", lambda flag: "no", id="path-dependent-string"),
+        ],
+    )
+    def test_disagreeing_field_exit_2(self, docs, tmp_path, capsys, key, edit):
+        _, p = docs
+        doc = json.loads(p["lifting"].read_text())
+        doc[key] = edit(doc[key])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(_reading("lifting", p, bad)) == 2
+        assert f"invalid input: {key}: " in capsys.readouterr().err
+
+    def test_grid_other_than_the_dump_n_exit_2(self, docs, capsys):
+        _, p = docs
+        argv = ["project", "--input", str(p["lifting"])]
+        assert main(argv + ["--grid", "64"]) == 2
+        assert "invalid input: N: --grid 64 differs from the lifting dump's 256" in (
+            capsys.readouterr().err
+        )
+        assert main(argv + ["--grid", "256"]) == 0
+
 
 class TestOneStrip:
     def test_cylinder_passes_with_csv(self, docs, tmp_path):

@@ -1,0 +1,30 @@
+"""Every module-level import of a package module is used in that module.
+
+Deleting code tends to leave its imports behind; this catches them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import striplift
+
+MODULES = sorted(p for p in Path(striplift.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """The names the module-level imports of `tree` bind (not `__future__`)."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - used)
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -82,7 +82,13 @@ class TestDevelopability:
     def test_flat_heights_zero_defect(self):
         proj = sl.project(flat_surface())
         assert np.all(strip_defects(proj.surface, proj.grid) == 0.0)
-        assert sl.developability_report(proj) == (0.0, (None, None))
+        assert sl.developability_report(proj) == (0.0, (-1, 0.0))  # the first maximum
+
+    def test_one_curve_lifting_has_no_strip(self):
+        fw = sl.builtin("circles2d", n=0)
+        proj = sl.project(sl.build_lifting(fw, sl.solve_stress(fw, [1.0], 0.0)))
+        with pytest.raises(ValueError, match="at least two curves"):
+            sl.developability_report(proj)
 
     def test_builtin_conjugates_below_tolerance(self, translational, cylinder):
         for _, proj, _ in (translational, cylinder):
