@@ -183,7 +183,7 @@ def cmd_project(args) -> int:
     full_cover = list(proj.z_indices) == list(proj.framework.curve_indices)
     if not full_cover:
         print("heights cover only part of the curves; no stress document written")
-        return EXIT_OK
+        return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
     stress = induced_stress(proj, conjugacy_tol=args.tol)
     res = residual_report(proj.framework, stress)
     print("induced stress " + res.summary())

@@ -1,9 +1,9 @@
 """Deterministic numerical kernels shared by the whole package.
 
-Quadrature is composite Simpson on uniform nodes, time stepping is the
-classic fourth-order Runge-Kutta scheme, and small linear solves go through
-Cramer's rule with a scale-free degeneracy guard.  Everything here is a pure
-function of its inputs.
+Quadrature is composite Simpson on uniform nodes, and one scale-free guard
+judges every 2x2 basis.  The per-point classic RK4 march and Cramer solve
+(ode_march, solve2x2) build the tests' reference solver; statics marches RK4
+as step matrices.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations

@@ -156,10 +156,10 @@ class OneStripReport:
     verdict: bool
     coupling: float                # fitted lambda_1 scale for the balance
     coupling_sign: int             # sign diagnostic of the exponential relation
-    equilibrium_max: float | None  # residual_report max of the assembled stress
+    equilibrium_max: float | None  # residual_report max of the assembled stress, if liftable
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "T": self.grid.T,
             "N": self.grid.N,
             "lambda0": self.lambda0,
@@ -174,6 +174,7 @@ class OneStripReport:
             "coupling_sign": self.coupling_sign,
             "equilibrium_max": self.equilibrium_max,
         }
+        return {key: value for key, value in doc.items() if value is not None}
 
     def to_json(self) -> str:
         return _dump_json(self.to_doc())

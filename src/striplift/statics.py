@@ -18,19 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DivergenceError, SchemaError
+from .errors import DegenerateBasisError, DivergenceError, EvaluationError, SchemaError
 from .framework import (
     CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
 )
 from .geomcore import balance_vectors
-from .numerics import (
-    NORM_FLOOR,
-    Grid,
-    basis_guard,
-    fd_derivative,
-    integrate_samples,
-    ode_march,
-)
+from .numerics import NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples
 
 
 @dataclass(frozen=True)
@@ -232,34 +225,20 @@ def _boundary_samples(spec, times: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot interpret edge stress specification {spec!r}")
 
 
-def _strip_table(fw: Framework, times: np.ndarray):
-    """What the balance at curves 0..n reads, at every time in `times`.
-
-    Returns the table, shape (len(times), n+1, 9), whose last axis holds
-    tangent, acceleration, forward edge and backward edge (x, y each) and the
-    Cramer determinant of (tangent, forward edge); then that determinant, its
-    threshold and its degeneracy verdict, each of shape (len(times), n+1).
-    """
-    tan, acc, fwd, bwd = balance_vectors(fw.tabulate(times, order=2))
-    det, threshold, degenerate = basis_guard(tan, fwd)
-    table = np.concatenate([tan, acc, fwd, bwd, det[..., None]], axis=-1)
-    return np.ascontiguousarray(table.transpose(1, 0, 2)), det.T, threshold.T, degenerate.T
-
-
-def _sweep(entries, lam, mu_prev):
+def _sweep(vectors, lam, mu_prev):
     """Sweep the balance over curves 0..n in increasing i.
 
-    entries holds one strip-table entry per curve, lam the curve stresses and
-    mu_prev the prescribed mu_{-1}.  Returns the growth rates of lam_0..lam_n
-    and the edge stresses mu_0..mu_n, as lists.  Works on scalars (one time)
-    and on arrays (many times at once) alike.
+    vectors are tangent, acceleration, forward and backward edge and the
+    Cramer determinant of (tangent, forward edge), and lam the curve
+    stresses, each with the curve axis first; mu_prev is mu_{-1}.  Trailing
+    axes broadcast.  Returns the rates of lam_0..lam_n and mu_0..mu_n, as lists.
     """
     rates, mus = [], []
-    for (d1x, d1y, d2x, d2y, fx, fy, bx, by, det), lam_i in zip(entries, lam):
-        r0 = -lam_i * d2x + mu_prev * bx
-        r1 = -lam_i * d2y + mu_prev * by
-        rates.append((r0 * fy - r1 * fx) / det)
-        mu_prev = (d1x * r1 - d1y * r0) / det
+    for d1, d2, f, b, det, lam_i in zip(*vectors, lam):
+        r0 = -lam_i * d2[..., 0] + mu_prev * b[..., 0]
+        r1 = -lam_i * d2[..., 1] + mu_prev * b[..., 1]
+        rates.append((r0 * f[..., 1] - r1 * f[..., 0]) / det)
+        mu_prev = (d1[..., 0] * r1 - d1[..., 1] * r0) / det
         mus.append(mu_prev)
     return rates, mus
 
@@ -268,18 +247,16 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     """March the equilibrium system forward in t to construct a stress.
 
     lambda0 prescribes the curve stresses at t = 0 (one value per curve
-    0..n); mu_minus1 prescribes the first boundary edge stress as a function
-    of t (a callable, a CoordFunction, or a constant).  At each time the
-    curves are swept in increasing i: the balance at curve i determines the
-    growth rate of lam_i and the edge stress mu_i, given mu_{i-1} from the
-    previous stage.  Sampling is classic RK4 on the grid.  Before the march,
-    the curve data the sweep reads (tangent, acceleration, both edges and
-    the Cramer determinant per curve) and mu_{-1} are tabulated once, from
-    the exact closed forms, at exactly the times the RK4 stages ask for
-    (t_j, t_j + h/2, t_j + h) and at the grid nodes; the edge stresses at the
-    nodes are then recovered in one pass over whole rows.  A degenerate
-    basis is reported when the march reaches it.  The output includes the
-    induced boundary edge stress at index n.
+    0..n); mu_minus1 the first boundary edge stress as a function of t (a
+    callable, a CoordFunction, or a constant).  The balance at curve i gives
+    the growth rate of lam_i and the edge stress mu_i from mu_{i-1}, swept in
+    increasing i.  The system is linear, so one sweep over unit columns gives
+    its generator B(t) on y = [lam; 1] at the grid nodes and half steps, and
+    classic RK4 is one step matrix per step, applied by one matrix-vector
+    product.  In march order, stage by stage, an input |lam| above
+    1e12 * max(1, |lambda0|) raises DivergenceError, a degenerate basis at
+    the stage time DegenerateBasisError, a non-finite derivative
+    EvaluationError.  The output includes the induced edge stress mu_n.
     """
     grid = grid or fw.grid
     lam0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -289,42 +266,63 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
         raise ValueError("lambda0 must be finite")
     guard = 1e12 * max(1.0, float(np.abs(lam0).max()))
 
-    # the stage times by the same float operations ode_march uses, then the
-    # grid nodes; each distinct time gets one table row
-    starts = grid.t[:-1]
-    row_of = {}
-    for t in np.concatenate([starts, starts + 0.5 * grid.h, starts + grid.h, grid.t]).tolist():
-        row_of.setdefault(t, len(row_of))
-    times = np.array(list(row_of))
-    mu_first = _boundary_samples(mu_minus1, times)
-    table, det, threshold, degenerate = _strip_table(fw, times)
-    degenerate_rows = set(np.flatnonzero(degenerate.any(axis=1)).tolist())
+    # the nodes, then the half steps by the float operations of numerics.ode_march;
+    # positions, tangents and accelerations of every curve at those times
+    N, m = grid.N, fw.n + 2
+    times = np.concatenate([grid.t, grid.t[:-1] + 0.5 * grid.h])
+    table = np.concatenate([list(fw.grid_table(grid))[:3], fw.tabulate(times[N + 1:], 2)], axis=2)
+    tan, acc, fwd, bwd = balance_vectors(table)
+    det, threshold, degenerate = basis_guard(tan, fwd)
+    # no division by a degenerate or zero determinant: its rates read NaN
+    vectors = (tan, acc, fwd, bwd, np.where(degenerate | (det == 0), np.nan, det))
+    mu = np.zeros((m, times.size))  # mu_{-1} of the columns of [lam; 1]
+    mu[-1] = _boundary_samples(mu_minus1, times)
+    mu[-1, ~np.isfinite(mu[-1])] = np.nan
+    # lam' = (B @ [lam; 1])[:n+1]: column k <= n is the rate for lam = e_k and
+    # mu_{-1} = 0, column n+1 the rate for lam = 0 and the given mu_{-1}
+    B = np.zeros((times.size, m, m))
+    B[:, :-1] = np.transpose(_sweep(vectors, np.eye(m)[:-1, :, None], mu)[0], (2, 0, 1))
+    # classic RK4 as matrices: maps[s - 2, j] takes y_j to the input of stage
+    # s = 2, 3, 4 of step j, maps[3, j] takes it to y_{j+1}
+    h, eye = grid.h, np.eye(m)
+    maps = np.empty((4, N, m, m))
+    maps[3] = K = B[:N]  # K1 = B(t_j), then K2, K3, K4 in place
+    for s, (c, B_s, w) in enumerate(((0.5 * h, B[N + 1:], 2.0), (0.5 * h, B[N + 1:], 2.0),
+                                     (h, B[1:N + 1], 1.0))):
+        np.multiply(c, K, out=maps[s])
+        maps[s] += eye  # I + h/2 K1, I + h/2 K2, I + h K3
+        K = np.matmul(B_s, maps[s], out=K if s else None)
+        maps[3] += w * K
+    maps[3] *= h / 6.0
+    maps[3] += eye  # I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    # stage s of step j fails where its derivative is not finite (a degenerate basis included)
+    failed = ~np.isfinite(maps).all(axis=(2, 3)).T
+    growth = np.max([np.abs(a).sum(axis=-1).max(axis=-1) for a in maps], axis=0)  # |maps|_inf
+    reach = np.concatenate([[0.0], np.cumsum(np.log2(np.fmax(growth, 1.0)))])
 
-    def row(t):
-        k = row_of[float(t)]
-        if k in degenerate_rows:
-            i = int(np.argmax(degenerate[k]))
-            raise DegenerateBasisError(
-                float(det[k, i]), float(threshold[k, i]), location=(i, float(t))
-            )
-        return k
+    y = np.empty((N + 1, m))
+    y[0] = [*lam0, 1.0]
+    j0 = 0
+    while j0 < N:
+        # |y| grows by at most 2**1000 between checks, so a diverging march cannot overflow
+        budget = reach[j0] + 1000.0 - np.log2(np.abs(y[j0]).max())
+        j1 = min(N, max(j0 + 1, int(np.searchsorted(reach, budget, side="right")) - 1))
+        for step, y_j, y_next in zip(maps[3, j0:j1], y[j0:j1], y[j0 + 1:]):
+            np.dot(step, y_j, out=y_next)
+        inputs = np.concatenate([y[None, j0:j1], (maps[:3, j0:j1] @ y[j0:j1, :, None])[..., 0]])
+        diverged = (np.abs(inputs[..., :-1]).max(axis=-1) > guard).T
+        if (diverged | failed[j0:j1]).any():
+            j, s = divmod(int(np.argmax(diverged | failed[j0:j1])), 4)
+            k = j0 + j + (0, N + 1, N + 1, 1)[s]  # the time row stage s reads
+            t = float(times[k])
+            if diverged[j, s]:
+                raise DivergenceError(f"curve stress exceeded {guard:.3e} at t={t:.6g}")
+            if degenerate[:, k].any():
+                i = int(np.argmax(degenerate[:, k]))
+                raise DegenerateBasisError(float(det[i, k]), float(threshold[i, k]), (i, t))
+            raise EvaluationError("derivative is not finite", t=t, stage=s + 1)
+        j0 = j1
 
-    def deriv(t, lam):
-        if np.abs(lam).max() > guard:
-            raise DivergenceError(
-                f"curve stress exceeded {guard:.3e} at t={float(t):.6g}"
-            )
-        k = row(t)
-        try:
-            return _sweep(table[k].tolist(), lam.tolist(), float(mu_first[k]))[0]
-        except ZeroDivisionError:
-            # det == 0 passes the guard only when its threshold overflowed to
-            # NaN; give the non-finite rate numpy's division would, which
-            # ode_march then reports
-            return np.full(lam.shape, np.nan)
-
-    lam_samples = ode_march(deriv, lam0, grid).T
-    nodes = [row(t) for t in grid.t]
-    mu_nodes = mu_first[nodes]
-    _, mus = _sweep(table[nodes].transpose(1, 2, 0), lam_samples, mu_nodes)
-    return StressField(grid, lam_samples, np.vstack([mu_nodes, *mus]))
+    lam = y[:, :-1].T
+    _, mus = _sweep([v[:, :N + 1] for v in vectors], lam, mu[-1, :N + 1])
+    return StressField(grid, lam, np.vstack([mu[-1, :N + 1], *mus]))

@@ -58,6 +58,14 @@ def docs(tmp_path_factory):
     return root, paths
 
 
+@pytest.fixture(scope="module")
+def perturbed_bundle(tmp_path_factory):
+    """The framework file of `demo perturbed2d` (seed 0)."""
+    prefix = tmp_path_factory.mktemp("perturbed") / "p"
+    assert main(["demo", "perturbed2d", "--output", str(prefix)]) == 0
+    return prefix.parent / "p.framework.json"
+
+
 class TestValidate:
     def test_pass_exit_0(self, docs):
         _, p = docs
@@ -314,6 +322,18 @@ class TestProject:
         _, p = docs
         assert main(["project", "--input", str(p["surface"]), "--grid", "32", "--tol", tol]) == code
 
+    @pytest.mark.parametrize("tol, code", [("1e-12", 1), ("1e-6", 0)])
+    def test_lifting_dump_gate_reads_tol(self, perturbed_bundle, tmp_path, capsys, tol, code):
+        # the forced lifting of a marched stress has a developability defect of 7.2e-7
+        stress, lifting = tmp_path / "p.stress.json", tmp_path / "p.lifting.json"
+        fw = ["--input", str(perturbed_bundle)]
+        assert main(["solve", *fw, "--lambda0", "1,1", "--output", str(stress)]) == 0
+        assert main(["lift", *fw, "--stress", str(stress), "--force", "--format", "json",
+                     "--output", str(lifting)]) == 0
+        capsys.readouterr()
+        assert main(["project", "--input", str(lifting), "--tol", tol]) == code
+        assert "developability defect max 7.17" in capsys.readouterr().out
+
 
 class TestLiftingDump:
     """A lifting dump must agree with its embedded framework."""
@@ -365,6 +385,14 @@ class TestOneStrip:
         path = tmp_path / "p.json"
         path.write_text(sl.save_framework(fw))
         assert main(["onestrip", "--input", str(path)]) == 1
+
+    def test_failed_verdict_writes_no_null(self, perturbed_bundle, tmp_path):
+        # the equilibrium residual is computed only for a liftable strip
+        out = tmp_path / "report.json"
+        assert main(["onestrip", "--input", str(perturbed_bundle), "--output", str(out)]) == 1
+        text = out.read_text()
+        assert "null" not in text
+        assert "equilibrium_max" not in json.loads(text)
 
     def test_wrong_strip_count_exit_2(self, docs):
         _, p = docs

@@ -1,10 +1,14 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import striplift as sl
+from striplift import framework, statics
 from striplift.errors import (
     DegenerateBasisError,
     DivergenceError,
@@ -326,6 +330,19 @@ class TestSolveStress:
             sl.solve_stress(fw, [1.0], 0.0)
         assert err.value.location == (0, 0.0)
 
+    def test_degeneracy_at_a_half_step_is_located_there(self):
+        # delta_0 = (0, (t - c)^2) vanishes only at c = t_5 + h/2, a time that
+        # stages 2 and 3 of step 5 read and no grid node is
+        c = 5 / 16 + 1 / 32
+        fw = sl.Framework(
+            2.0, 0, [line((-1.0,)), line((0.0,)), line((c * c, -2.0 * c, 1.0))], sl.Grid(2.0, 32)
+        )
+        with pytest.raises(DegenerateBasisError) as ref:
+            reference_solve_stress(fw, [1.0], lambda t: 0.0)
+        with pytest.raises(DegenerateBasisError) as err:
+            sl.solve_stress(fw, [1.0], 0.0)
+        assert err.value.location == ref.value.location == (0, c)
+
     def test_degeneracy_raised_when_the_march_reaches_it(self):
         # delta_0 = (0, (t-2)^2) vanishes only at the last node t = T = 2; the
         # backward edge has a tangential part, so a huge mu_{-1} blows lam up
@@ -382,3 +399,49 @@ class TestSolveStress:
         # outermost edge stress balances the outer curve: nonzero constants
         assert np.abs(out.mu_at(1)).min() > 0.0
         assert np.ptp(out.mu_at(1)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 5),
+    half_panels=st.integers(8, 64),
+    amplitude=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_the_reference_on_generated_frameworks(n, half_panels, amplitude, seed):
+    fw = sl.builtin("perturbed2d", n=n, seed=seed, amplitude=amplitude)
+    grid = sl.Grid(fw.T, 2 * half_panels)
+    rng = np.random.default_rng(seed)
+    mu = sl.CoordFunction(
+        tuple(rng.uniform(-0.05, 0.05, 2)),
+        ((rng.uniform(0.0, 0.05), float(rng.integers(1, 4)), rng.uniform(0.0, 2.0 * math.pi)),),
+    )
+    lambda0 = rng.uniform(0.5, 2.0, n + 1)
+    lam, mu_samples = reference_solve_stress(fw, lambda0, lambda t: float(mu.value(t)), grid)
+    out = sl.solve_stress(fw, lambda0, mu, grid)
+    assert np.abs(out.lam - lam).max() <= 1e-13 * np.abs(lam).max()
+    assert np.abs(out.mu - mu_samples).max() <= 1e-13 * np.abs(mu_samples).max()
+
+
+@pytest.mark.parametrize("panels", [64, 1024])
+def test_solve_work_does_not_grow_with_the_grid(monkeypatch, panels):
+    # the march is whole-array: a fixed number of sweeps and tabulations
+    # whatever the grid, once the grid table is cached
+    fw = sl.builtin("perturbed2d", n=2, seed=1)
+    grid = sl.Grid(fw.T, panels)
+    fw.grid_table(grid)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(statics, "_sweep", counted("sweep", statics._sweep))
+    monkeypatch.setattr(
+        framework._IndexedCurves, "tabulate", counted("tabulate", framework._IndexedCurves.tabulate)
+    )
+    sl.solve_stress(fw, [1.0, 1.5, 2.0], 0.0, grid=grid)
+    assert calls == {"sweep": 2, "tabulate": 1}
