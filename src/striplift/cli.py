@@ -82,10 +82,9 @@ def _load_planar(args) -> Framework:
 
 def _parse_mu_spec(text: str) -> CoordFunction:
     try:
-        return CoordFunction((float(text),))
+        doc = {"poly": [float(text)]}
     except ValueError:
-        pass
-    doc = parse_document(text)
+        doc = parse_document(text)
     if not isinstance(doc, dict):
         raise SchemaError("edge stress spec must be a number or a coordinate object")
     return _coord_from_doc(doc, "--mu-minus1")

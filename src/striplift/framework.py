@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, SchemaError
-from .numerics import DEFAULT_PANELS, Grid
+from .numerics import DEFAULT_PANELS, Grid, require_finite
 
 MAX_POLY_DEGREE = 8
 MAX_TRIG_TERMS = 16
@@ -197,10 +197,7 @@ class _IndexedCurves:
         for row, curve in enumerate(self._curves):
             for c, coord in enumerate(curve.coords):
                 table[:, row, :, c] = coord.derivatives(times, order)
-        bad = ~np.isfinite(table).all(axis=(0, 3))
-        if bad.any():
-            row, j = np.argwhere(bad)[0]
-            raise EvaluationError(f"jet of curve {row - 1} is not finite", t=float(times[j]))
+        require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
         return table
 
     def grid_table(self, grid: Grid | None = None) -> CurveJet:
@@ -353,28 +350,32 @@ def parse_document(text: str) -> dict:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
-def format_float(x: float) -> str:
-    """Serialize with 17 significant digits (bit-faithful round trips)."""
-    return format(float(x), ".17g")
+def format_rows(values: np.ndarray, row: str, field: str):
+    """Yield `row % values[k]` for each row k of a 2-d array; "%.17g" writes format(x, ".17g").
+    Raises EvaluationError naming `field` at the first row with a non-finite entry."""
+    for k, entries in enumerate(values):
+        if not np.isfinite(entries).all():
+            raise EvaluationError(f"non-finite value in {field} (row {k}); nothing is written")
+        yield row % tuple(entries.tolist())
 
 
 def _dump_json(obj) -> str:
-    # json.dumps would reformat floats; substitute pre-formatted tokens.
-    def enc(o):
-        if isinstance(o, float):
-            return format_float(o)
+    # json.dumps would reformat floats; floats and float arrays go through format_rows.
+    def enc(o, field):
+        if isinstance(o, float):  # format_rows refuses a non-finite one
+            return "%.17g" % o if math.isfinite(o) else enc(np.array([o]), field)
         if isinstance(o, (int, str, bool)) or o is None:
             return json.dumps(o)
         if isinstance(o, dict):
-            items = ", ".join(f"{json.dumps(k)}: {enc(v)}" for k, v in o.items())
-            return "{" + items + "}"
+            return "{" + ", ".join(f"{json.dumps(k)}: {enc(v, k)}" for k, v in o.items()) + "}"
         if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(enc(v) for v in o) + "]"
-        if isinstance(o, np.ndarray):
-            return enc(o.tolist())
+            return "[" + ", ".join(enc(v, field) for v in o) + "]"
+        if isinstance(o, np.ndarray) and o.dtype == float and o.ndim in (1, 2):
+            rows = format_rows(np.atleast_2d(o), f"[{', '.join(['%.17g'] * o.shape[-1])}]", field)
+            return ", ".join(rows) if o.ndim == 1 else "[" + ", ".join(rows) + "]"
         raise TypeError(f"cannot serialize {type(o)!r}")
 
-    return enc(obj)
+    return enc(obj, "document")
 
 
 def framework_to_doc(fw) -> dict:

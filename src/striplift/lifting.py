@@ -21,6 +21,7 @@ from .framework import (
     Framework,
     document_numbers,
     document_rows,
+    format_rows,
     framework_from_doc,
     framework_to_doc,
     save_framework,
@@ -209,7 +210,7 @@ def build_lifting(
     """
     report = residual_report(fw, stress)
     path_dependent = False
-    if report.max_normalized >= tol:
+    if not report.max_normalized < tol:  # fails closed
         if not force:
             raise NotSelfStressedError(report, tol)
         path_dependent = True
@@ -261,7 +262,7 @@ def reversal_affine_defect(
     affine term at every node and returns the largest absolute mismatch.
     """
     report = residual_report(fw, stress)
-    if report.max_normalized >= tol:
+    if not report.max_normalized < tol:  # fails closed
         raise NotSelfStressedError(report, tol)
     z_fwd = _height_profiles(fw, stress)
     z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress))[::-1]
@@ -282,29 +283,26 @@ def _source_hash(surface: SampledLifting) -> str:
 def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     """Wavefront OBJ text for a lifted surface on its grid.
 
-    One vertex per (curve, node), quad faces per strip cell.  The header
-    carries the source hash and grid size; the timestamp line is left out
-    when reproducible is set.
+    One vertex per (curve, node), quad faces per strip cell, formatted one
+    curve or strip at a time.  The header carries the source hash and grid
+    size; the timestamp line is left out when reproducible is set.
     """
-    grid = surface.grid
-    rows = len(surface.curve_indices)
+    N, rows = surface.grid.N, len(surface.curve_indices)
     lines = [
         "# lifted semi-discrete surface",
         f"# source: {_source_hash(surface)}",
-        f"# grid: curves={rows} nodes={grid.N + 1} T={grid.T!r}",
+        f"# grid: curves={rows} nodes={N + 1} T={surface.grid.T!r}",
     ]
     if surface.path_dependent:
         lines.append("# warning: path-dependent heights (stress failed the residual gate)")
     if not reproducible:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    for p in surface.grid_table().p.reshape(-1, 3):
-        lines.append("v " + " ".join(format(x, ".17g") for x in p))
-    for r in range(rows - 1):
-        for j in range(grid.N):
-            a = r * (grid.N + 1) + j + 1
-            b = (r + 1) * (grid.N + 1) + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-    return "\n".join(lines) + "\n"
+    points = surface.grid_table().p.reshape(rows, 3 * (N + 1))
+    a = np.arange(rows - 1)[:, None] * (N + 1) + np.arange(1, N + 1)
+    quads = np.stack([a, a + N + 1, a + N + 2, a + 1], axis=-1).reshape(rows - 1, 4 * N)
+    return "".join([*(line + "\n" for line in lines),
+                    *format_rows(points, "v %.17g %.17g %.17g\n" * (N + 1), "vertex"),
+                    *format_rows(quads, "f %d %d %d %d\n" * N, "face")])
 
 
 def save_lifting(surface: SampledLifting) -> str:

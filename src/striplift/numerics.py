@@ -166,6 +166,18 @@ def require_basis(col1, col2, label, t):
     return det
 
 
+def require_finite(values, quantity, times, first=0):
+    """Raise EvaluationError at the first curve and time where values is not finite.
+
+    Axis 0 runs over curves first, first + 1, ..., axis 1 over times; any
+    further axes are reduced.  The message names the quantity, curve and t.
+    """
+    bad = ~np.isfinite(values).all(axis=tuple(range(2, np.ndim(values))))
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        raise EvaluationError(f"{quantity} of curve {row + first} is not finite", t=float(times[j]))
+
+
 def solve2x2(col1, col2, rhs, location=None):
     """Solve x1*col1 + x2*col2 = rhs by Cramer's rule.
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .framework import Framework, _dump_json
+from .framework import Framework, _dump_json, format_rows
 from .geomcore import det2
 from .numerics import (
     DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
@@ -180,10 +180,8 @@ class OneStripReport:
         return _dump_json(self.to_doc())
 
     def to_csv(self) -> str:
-        lines = ["t,criterion_residual"]
-        for t, r in zip(self.grid.t, self.criterion):
-            lines.append(f"{format(t, '.17g')},{format(r, '.17g')}")
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([self.grid.t, self.criterion])
+        return "t,criterion_residual\n" + "".join(format_rows(rows, "%.17g,%.17g\n", "criterion"))
 
 
 def onestrip_verify(fw: Framework, tol: float = DEFAULT_TOL) -> OneStripReport:

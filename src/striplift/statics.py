@@ -23,7 +23,9 @@ from .framework import (
     CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
 )
 from .geomcore import balance_vectors
-from .numerics import NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples
+from .numerics import (
+    NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples, require_finite
+)
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,15 @@ class ResidualReport:
 def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
     _check_compatible(fw, stress)
     grid = stress.grid
-    terms = _force_terms(fw, stress)
-    t1, t2, t3, t4 = terms
-    res = t1 + t2 + t3 - t4
-    scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
-    normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        terms = _force_terms(fw, stress)
+        t1, t2, t3, t4 = terms
+        res = t1 + t2 + t3 - t4
+        scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
+        normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
+    require_finite(normed, "normalized residual", grid.t)
+    # a finite residual over an infinite scale reads 0, which no gate should trust
+    require_finite(scale, "force scale", grid.t)
     flat = int(np.argmax(normed))
     i_max, j_max = divmod(flat, grid.N + 1)
     return ResidualReport(
@@ -253,10 +259,11 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     increasing i.  The system is linear, so one sweep over unit columns gives
     its generator B(t) on y = [lam; 1] at the grid nodes and half steps, and
     classic RK4 is one step matrix per step, applied by one matrix-vector
-    product.  In march order, stage by stage, an input |lam| above
-    1e12 * max(1, |lambda0|) raises DivergenceError, a degenerate basis at
-    the stage time DegenerateBasisError, a non-finite derivative
-    EvaluationError.  The output includes the induced edge stress mu_n.
+    product.  A lambda0 whose guard 1e12 * max(1, |lambda0|) overflows is a
+    ValueError.  In march order, stage by stage, an input |lam| above that
+    guard raises DivergenceError, a degenerate basis at the stage time
+    DegenerateBasisError, a non-finite derivative EvaluationError.  The
+    output includes the induced edge stress mu_n.
     """
     grid = grid or fw.grid
     lam0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -265,6 +272,9 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     if not np.all(np.isfinite(lam0)):
         raise ValueError("lambda0 must be finite")
     guard = 1e12 * max(1.0, float(np.abs(lam0).max()))
+    if not np.isfinite(guard):
+        raise ValueError(f"lambda0 must stay below {np.finfo(float).max / 1e12:.3e} in magnitude "
+                         "so that its divergence guard 1e12 * max|lambda0| is finite")
 
     # the nodes, then the half steps by the float operations of numerics.ode_march;
     # positions, tangents and accelerations of every curve at those times

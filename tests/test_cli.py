@@ -283,6 +283,55 @@ class TestLift:
         assert json.loads(out.read_text())["path_dependent"] is True
 
 
+class TestNonFinite:
+    """Overflow ends in exit 2 naming where it arose, and no file is written."""
+
+    @pytest.fixture
+    def scaled(self, docs, tmp_path):
+        def write(factor):
+            stress = load_stress(docs[1]["stress"].read_text())
+            path = tmp_path / f"scaled_{factor:g}.json"
+            path.write_text(save_stress(stress.scaled(factor)))
+            return path
+
+        return write
+
+    def test_overflowing_residual_fails_closed(self, docs, scaled, tmp_path, capsys):
+        _, p = docs
+        stress, out = scaled(1e306), tmp_path / "x.obj"
+        argv = ["--input", str(p["framework"]), "--stress", str(stress)]
+        assert main(["lift", *argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "normalized residual of curve 0 is not finite at t=0.0" in capsys.readouterr().err
+        assert main(["check", *argv]) == 2
+        assert "nan" not in capsys.readouterr().out
+
+    def test_overflowing_heights_write_nothing(self, docs, scaled, tmp_path, capsys):
+        _, p = docs
+        out = tmp_path / "x.json"
+        code = main(["lift", "--input", str(p["framework"]), "--stress", str(scaled(1.5e308)),
+                     "--force", "--format", "json", "--output", str(out)])
+        assert code in (2, 3)
+        assert not out.exists()
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout and "inf" not in stdout
+
+    def test_lambda0_beyond_the_divergence_guard_exit_2(self, tmp_path, capsys):
+        fw = tmp_path / "circles.json"
+        fw.write_text(sl.save_framework(sl.builtin("circles2d")))
+        assert main(["solve", "--input", str(fw), "--lambda0", "1e308,1"]) == 2
+        assert "invalid input: lambda0 must stay below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_mu_spec_names_the_flag(self, docs, capsys, value):
+        _, p = docs
+        code = main(["solve", "--input", str(p["circle1"]), "--lambda0", "1", "--mu-minus1", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--mu-minus1: coefficient table contains non-finite entries" in err
+        assert "JSON" not in err
+
+
 class TestProject:
     def test_surface_roundtrip(self, docs, tmp_path):
         _, p = docs

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import striplift as sl
-from striplift.errors import NotSelfStressedError, SchemaError
+from striplift.errors import EvaluationError, NotSelfStressedError, SchemaError
+from striplift.framework import _dump_json
 from striplift.lifting import (
+    SampledLifting,
     _height_profiles,
     export_obj,
     load_lifting,
@@ -258,3 +262,87 @@ class TestExport:
             t = stress.grid.t[j]
             direct = sl.height(fw, stress, (2, t), lpath(2, t))
             assert prof[j] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# byte format: the row formatter against the per-float writer it replaced
+
+
+def per_float_json(value):
+    """JSON text of nested lists of floats, one format(x, ".17g") per float."""
+    if isinstance(value, list):
+        return "[" + ", ".join(per_float_json(v) for v in value) + "]"
+    return format(value, ".17g")
+
+
+def per_float_obj_body(surface):
+    """Vertex and face lines of an OBJ, one format(x, ".17g") per coordinate."""
+    N, rows = surface.grid.N, surface.n + 1
+    points = surface.grid_table().p.reshape(-1, 3)
+    lines = ["v " + " ".join(format(x, ".17g") for x in p) for p in points]
+    for r in range(rows - 1):
+        for j in range(N):
+            a = r * (N + 1) + j + 1
+            b = (r + 1) * (N + 1) + j + 1
+            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    return lines
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e22]),
+    st.integers(-10**9, 10**9).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cols=st.integers(0, 5), data=st.data())
+def test_json_rows_match_the_per_float_writer(cols, data):
+    rows = data.draw(st.lists(st.lists(FLOATS, min_size=cols, max_size=cols), max_size=4))
+    matrix = np.array(rows, dtype=float).reshape(len(rows), cols)
+    scalar = data.draw(FLOATS)
+    text = _dump_json({"m": matrix, "v": matrix.ravel(), "s": scalar})
+    want = (f'{{"m": {per_float_json(rows)}, "v": {per_float_json(matrix.ravel().tolist())}, '
+            f'"s": {per_float_json(scalar)}}}')
+    assert text == want
+
+
+def _body(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+class TestRowFormatter:
+    def test_one_curve_obj_matches_the_per_float_writer(self):
+        fw = sl.builtin("circles2d", n=0)
+        surface = sl.build_lifting(fw, sl.solve_stress(fw, [1.0], 0.0))
+        body = _body(export_obj(surface, reproducible=True))
+        assert body == per_float_obj_body(surface)
+        assert not any(line.startswith("f ") for line in body)
+
+    def test_sixteen_panel_obj_matches_the_per_float_writer(self):
+        base = sl.builtin("circles2d", n=2)
+        grid = sl.Grid(base.T, 16)
+        fw = sl.Framework(base.T, base.n, [base.curve(i) for i in range(-1, base.n + 2)], grid)
+        rng = np.random.default_rng(5)
+        z = np.round(rng.normal(size=(fw.n + 1, grid.N + 1)), 3)
+        z[0, :3] = (-0.0, 5e-324, 7.0)
+        surface = SampledLifting(fw, z, grid)
+        body = _body(export_obj(surface, reproducible=True))
+        assert body == per_float_obj_body(surface)
+        assert sum(line.startswith("f ") for line in body) == 2 * 16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writers_refuse_non_finite_heights(self, bad):
+        fw = sl.builtin("circles2d", n=0)
+        z = np.zeros((1, fw.grid.N + 1))
+        z[0, 7] = bad
+        with np.errstate(all="ignore"):  # the height stencils of the constructor
+            surface = SampledLifting(fw, z, fw.grid)
+        with pytest.raises(EvaluationError, match=r"non-finite value in z \(row 0\)"):
+            save_lifting(surface)
+        with pytest.raises(EvaluationError, match=r"non-finite value in vertex \(row 0\)"):
+            export_obj(surface)
+
+    def test_json_refuses_a_non_finite_scalar(self):
+        with pytest.raises(EvaluationError, match="residual_max"):
+            _dump_json({"name": "x", "residual_max": float("nan")})
