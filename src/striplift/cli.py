@@ -155,11 +155,12 @@ def cmd_lift(args) -> int:
     surface = build_lifting(fw, stress, tol=args.tol, force=args.force)
     if surface.path_dependent:
         print("warning: stress failed the residual gate; output is path-dependent")
+    conjugacy = conjugacy_residual(surface)  # a non-finite defect raises before any file is written
     if args.format == "obj":
         _write(Path(args.output), export_obj(surface, reproducible=args.reproducible))
     else:
         _write(Path(args.output), save_lifting(surface))
-    print(f"conjugacy residual {conjugacy_residual(surface):.6e}")
+    print(f"conjugacy residual {conjugacy:.6e}")
     return EXIT_OK
 
 

@@ -30,7 +30,8 @@ from .framework import (
 )
 from .geomcore import det2, det3
 from .numerics import (
-    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples
+    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples,
+    require_finite,
 )
 from .statics import StressField, residual_report
 
@@ -78,41 +79,48 @@ def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
     return paths
 
 
-def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
-    """Accumulated height of the framework point p = (k, s) along the path.
+def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
+    """Heights of the framework point p = (k, s) along each path, from the grid table.
 
-    Path nodes and s must coincide with grid nodes; the curve integrals use
-    the fourth-order node rules, so nothing is interpolated.
+    Path nodes are grid nodes; curve integrals use the fourth-order node rules.
+    The first bad path raises ValueError (other target), IndexError (k outside
+    0..n) or GridAlignmentError (off-grid node).
     """
     k, s = p
-    if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
-        raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
-    if not 0 <= k <= fw.n:
-        raise IndexError(f"target curve {k} outside 0..{fw.n}")
-    grid = stress.grid
-    idx = [grid.node_index(g) for g in path.gamma]
-    target = fw.jet(k, grid.t[idx[-1]]).p
-    total = 0.0
-    for i in range(k):
-        tj = grid.t[idx[i + 1]]
-        jet = fw.jet(i, tj)
-        total += stress.lam_at(i)[idx[i + 1]] * det2(jet.d1, target - jet.p)
-    for i in range(k + 1):
-        j0, j1 = idx[i], idx[i + 1]
-        if j1 > j0:
-            prev = fw.grid_jets(i - 1, grid)
-            edge = fw.grid_jets(i, grid).p - prev.p
-            integrand = stress.mu_at(i - 1) * det2(edge, target[None, :] - prev.p)
-            total -= integrate_samples(integrand, grid.h, j0, j1)
-    return float(total)
+    grid, idx = stress.grid, []
+    for path in paths:
+        if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
+            raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
+        if not 0 <= k <= fw.n:
+            raise IndexError(f"target curve {k} outside 0..{fw.n}")
+        idx.append([grid.node_index(g) for g in path.gamma])
+    idx, table = np.array(idx), fw.grid_table(grid)
+    target = table.p[k + 1, idx[0, -1]]  # every path ends at the node of s
+    on = np.arange(k), idx[:, 1:-1]  # path m jumps off curve i at node idx[m, i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
+        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
+        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
+        # jump terms summed in curve order from 0.0, then one integral per run along a curve
+        heights = np.cumsum(np.c_[np.zeros(len(paths)), jumps], axis=1)[:, -1]
+        for m, js in enumerate(idx):
+            for i in np.flatnonzero(js[1:] > js[:-1]):
+                heights[m] -= integrate_samples(integrands[i], grid.h, js[i], js[i + 1])
+    return require_finite(heights[None, None], "height", [s], first=k)[0, 0]
+
+
+def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
+    """Accumulated height of the framework point p = (k, s) along the path."""
+    return float(_path_heights(fw, stress, p, [path])[0])
 
 
 def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> float:
     """Largest pairwise height difference among paths to the same point."""
     if len(paths) < 2:
         raise ValueError("need at least two paths to measure a spread")
-    values = [height(fw, stress, p, path) for path in paths]
-    return float(max(values) - min(values))
+    values = _path_heights(fw, stress, p, paths).tolist()
+    spread = max(values) - min(values)  # python floats overflow to inf without a warning
+    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
 
 
 def _jump_sums(weights, base, tangent, target) -> np.ndarray:
@@ -138,14 +146,15 @@ def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     grid = stress.grid
     table = fw.grid_table(grid)
     prev, target = table.p[:-2], table.p[1:-1]  # curves k-1 and k, k = 0..n
-    edge = target - prev
     mu = stress.mu[:-1]  # mu_{k-1}
-    px, py, q = cumulative_samples(
-        np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
-    )
     k = np.arange(fw.n + 1)
-    z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)[k, k]
-    return z - (px * target[..., 1] - py * target[..., 0] - q)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        edge = target - prev
+        px, py, q = cumulative_samples(
+            np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
+        )
+        z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)[k, k]
+        return require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
 
 
 def height_scale(fw: Framework, stress: StressField) -> float:
@@ -171,9 +180,11 @@ class SampledLifting:
         self.T = framework.T
         self.n = framework.n
         self.path_dependent = bool(path_dependent)
-        self.z_d1 = fd_derivative(z, grid.h)
-        self.z_d2 = fd_derivative(self.z_d1, grid.h)
-        self.z_d3 = fd_derivative(self.z_d2, grid.h)
+        with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+            self.z_d1 = fd_derivative(z, grid.h)
+            self.z_d2 = fd_derivative(self.z_d1, grid.h)
+            self.z_d3 = fd_derivative(self.z_d2, grid.h)
+        require_finite(np.stack([self.z_d1, self.z_d2, self.z_d3], -1), "height derivative", grid.t)
         self._table = None
 
     @property
@@ -225,15 +236,17 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     between rows k and k+1 of the surface's grid table: the spatial
     determinant of its ruling vector and the two curve tangents, divided by
     the product of their norms (floored).  A surface of one curve has no
-    strip and raises ValueError.
+    strip and raises ValueError, a non-finite defect EvaluationError.
     """
     if len(surface.curve_indices) < 2:
         raise ValueError("strip defects need at least two curves")
     table = surface.grid_table(grid or surface.grid)
-    ruling = table.p[1:] - table.p[:-1]
     a1, b1 = table.d1[:-1], table.d1[1:]
     norm = lambda v: np.linalg.norm(v, axis=-1)
-    return det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        ruling = table.p[1:] - table.p[:-1]
+        defects = det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+    return require_finite(defects, "strip defect", (grid or surface.grid).t, surface.curve_indices[0])
 
 
 def conjugacy_residual(surface) -> float:

@@ -167,7 +167,7 @@ def require_basis(col1, col2, label, t):
 
 
 def require_finite(values, quantity, times, first=0):
-    """Raise EvaluationError at the first curve and time where values is not finite.
+    """Return values; raise EvaluationError at their first non-finite curve and time.
 
     Axis 0 runs over curves first, first + 1, ..., axis 1 over times; any
     further axes are reduced.  The message names the quantity, curve and t.
@@ -176,6 +176,7 @@ def require_finite(values, quantity, times, first=0):
     if bad.any():
         row, j = np.argwhere(bad)[0]
         raise EvaluationError(f"{quantity} of curve {row + first} is not finite", t=float(times[j]))
+    return values
 
 
 def solve2x2(col1, col2, rhs, location=None):

@@ -1,6 +1,22 @@
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import striplift as sl
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def frameworks(draw, ns=st.integers(1, 6), amplitudes=st.floats(0.0, 0.2),
+               panels=st.sampled_from([16, 64])):
+    """perturbed2d frameworks (by default n in 1..6 on a 16- or 64-panel grid), and a seed."""
+    n = draw(ns)
+    seed = draw(st.integers(0, 2**32 - 1))
+    amplitude = draw(amplitudes)
+    fw = sl.builtin("perturbed2d", n=n, seed=seed, amplitude=amplitude)
+    grid = sl.Grid(fw.T, draw(panels))
+    return sl.Framework(fw.T, n, [fw.curve(i) for i in fw.curve_indices], grid), seed
 
 
 @pytest.fixture(scope="session")

@@ -316,6 +316,52 @@ class TestNonFinite:
         stdout = capsys.readouterr().out
         assert "nan" not in stdout and "inf" not in stdout
 
+    @pytest.fixture
+    def magnified(self, docs, tmp_path):
+        """The demo framework with every x and y coefficient times a factor."""
+        def write(factor):
+            doc = json.loads(docs[1]["framework"].read_text())
+            for curve in doc["curves"]:
+                for axis in (curve["x"], curve["y"]):
+                    axis["poly"] = [factor * c for c in axis["poly"]]
+                    for term in axis.get("trig", []):
+                        term["amp"] *= factor
+            path = tmp_path / f"magnified_{factor:g}.json"
+            path.write_text(json.dumps(doc))
+            return path
+
+        return write
+
+    @pytest.mark.parametrize("factor", [1e153, 3e153, 1e154])
+    def test_overflowing_path_heights_exit_2(self, docs, magnified, capsys, factor):
+        # the residual is scale-free and passes at 1.5e-8; the heights to (3, T) overflow
+        _, p = docs
+        assert main(["check", "--input", str(magnified(factor)), "--stress", str(p["stress"])]) == 2
+        out, err = capsys.readouterr()
+        assert "inf" not in out and "nan" not in out
+        assert "invalid input: height of curve 3 is not finite at t=1.6" in err
+
+    def test_overflowing_strip_defects_write_nothing(self, docs, magnified, tmp_path, capsys):
+        _, p = docs
+        out = tmp_path / "x.obj"
+        argv = ["--input", str(magnified(1e150)), "--stress", str(p["stress"]), "--output", str(out)]
+        assert main(["lift", *argv]) == 2
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert "nan" not in stdout
+        assert "invalid input: strip defect of curve 0 is not finite at t=0.0" in err
+
+    def test_overflowing_lifting_dump_stencils_exit_2(self, docs, tmp_path, capsys):
+        _, p = docs
+        doc = json.loads(p["lifting"].read_text())
+        doc["z"][0][3] = 1e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["project", "--input", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert "invalid input: height derivative of curve 0 is not finite at t=0.0" in err
+
     def test_lambda0_beyond_the_divergence_guard_exit_2(self, tmp_path, capsys):
         fw = tmp_path / "circles.json"
         fw.write_text(sl.save_framework(sl.builtin("circles2d")))

@@ -1,26 +1,59 @@
+import itertools
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import striplift as sl
+from striplift import framework
 from striplift.errors import EvaluationError, NotSelfStressedError, SchemaError
 from striplift.framework import _dump_json
+from striplift.geomcore import det2
 from striplift.lifting import (
     SampledLifting,
     _height_profiles,
+    _path_heights,
     export_obj,
     load_lifting,
     lpath,
     save_lifting,
 )
+from striplift.numerics import integrate_samples
 
-from conftest import mu_scaled, twisted_surface
+from conftest import PROPERTY, frameworks, mu_scaled, twisted_surface
 
 
 def zero_stress(fw):
     g = fw.grid
     return sl.StressField(g, np.zeros((fw.n + 1, g.N + 1)), np.zeros((fw.n + 2, g.N + 1)))
+
+
+def reference_height(fw, stress, p, path):
+    """The per-point height: point jets at the target and at every jump node."""
+    k, s = p
+    if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
+        raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
+    if not 0 <= k <= fw.n:
+        raise IndexError(f"target curve {k} outside 0..{fw.n}")
+    grid = stress.grid
+    idx = [grid.node_index(g) for g in path.gamma]
+    target = fw.jet(k, grid.t[idx[-1]]).p
+    total = 0.0
+    for i in range(k):
+        tj = grid.t[idx[i + 1]]
+        jet = fw.jet(i, tj)
+        total += stress.lam_at(i)[idx[i + 1]] * det2(jet.d1, target - jet.p)
+    for i in range(k + 1):
+        j0, j1 = idx[i], idx[i + 1]
+        if j1 > j0:
+            prev = fw.grid_jets(i - 1, grid)
+            edge = fw.grid_jets(i, grid).p - prev.p
+            integrand = stress.mu_at(i - 1) * det2(edge, target[None, :] - prev.p)
+            total -= integrate_samples(integrand, grid.h, j0, j1)
+    return float(total)
 
 
 class TestIncreasingPath:
@@ -132,6 +165,63 @@ class TestSpread:
         fw = proj.framework
         with pytest.raises(ValueError):
             sl.path_independence_spread(fw, stress, (3, fw.T), [lpath(3, fw.T)])
+
+
+@PROPERTY
+@given(frameworks(panels=st.sampled_from([16, 32, 64, 128, 256])), st.data())
+def test_path_heights_are_the_reference_heights(drawn, data):
+    fw, seed = drawn
+    rng = np.random.default_rng(seed)
+    stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+    k = data.draw(st.integers(0, fw.n))
+    s = float(fw.grid.t[data.draw(st.integers(0, fw.grid.N))])
+    paths = sl.random_paths(k, s, fw.grid, 8, seed=seed) + [lpath(k, s)]
+    want = np.array([reference_height(fw, stress, (k, s), path) for path in paths])
+    single = [sl.height(fw, stress, (k, s), path) for path in paths]
+    assert _path_heights(fw, stress, (k, s), paths).tobytes() == want.tobytes()
+    assert np.array(single).tobytes() == want.tobytes()
+
+
+def test_spread_reads_no_point_jets(monkeypatch, translational):
+    # all twenty heights come from the cached grid table
+    _, proj, stress = translational
+    fw = proj.framework
+    fw.grid_table(stress.grid)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner in (framework._IndexedCurves, framework.AnalyticCurve):
+        monkeypatch.setattr(owner, "jet", counted(owner.__name__, owner.jet))
+    paths = sl.random_paths(fw.n, fw.T, stress.grid, 20, seed=3)
+    spread = sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths)
+    assert spread < 1e-6 * sl.height_scale(fw, stress)
+    assert calls == {}
+
+
+def _off_grid(k, T):
+    return sl.IncreasingPath(k, T, (0.0, 0.1234567) + (0.2,) * (k - 1) + (T,))
+
+
+PATHS = {"axis": lpath, "other target": lambda k, T: lpath(k - 1, T), "off grid": _off_grid}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(PATHS)), ids=" then ".join)
+@pytest.mark.parametrize("k", [3, 4], ids=["curve 3", "curve 4 of 3"])
+def test_first_bad_path_raises_what_the_reference_raises(translational, k, order):
+    _, proj, stress = translational
+    fw = proj.framework
+    paths = [PATHS[name](k, fw.T) for name in order]
+    with pytest.raises((ValueError, IndexError, sl.GridAlignmentError)) as want:
+        [reference_height(fw, stress, (k, fw.T), path) for path in paths]
+    for call in (_path_heights, sl.path_independence_spread):
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            call(fw, stress, (k, fw.T), paths)
 
 
 class TestBuildLifting:
@@ -334,10 +424,8 @@ class TestRowFormatter:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writers_refuse_non_finite_heights(self, bad):
         fw = sl.builtin("circles2d", n=0)
-        z = np.zeros((1, fw.grid.N + 1))
-        z[0, 7] = bad
-        with np.errstate(all="ignore"):  # the height stencils of the constructor
-            surface = SampledLifting(fw, z, fw.grid)
+        surface = SampledLifting(fw, np.zeros((1, fw.grid.N + 1)), fw.grid)
+        surface.z[0, 7] = bad  # past the constructor, which refuses non-finite stencils
         with pytest.raises(EvaluationError, match=r"non-finite value in z \(row 0\)"):
             save_lifting(surface)
         with pytest.raises(EvaluationError, match=r"non-finite value in vertex \(row 0\)"):
