@@ -2,9 +2,11 @@
 
 Curves are stored as coefficient tables (polynomial part up to degree 8 plus
 up to 16 sine terms per coordinate), so positions and the first three
-derivatives are exact closed forms.  A framework holds n+3 curves indexed
--1 .. n+1 over a shared parameter interval [0, T]: the two extra boundary
-curves only prescribe directions for boundary forces.
+derivatives are exact closed forms.  One jet kernel (`_Coefficients.jets`)
+evaluates them for one coordinate, one curve or every curve of a framework,
+with one sin and one cos per distinct frequency and time.  A framework
+holds n+3 curves indexed -1 .. n+1 over a shared parameter interval [0, T]:
+the two extra boundary curves only prescribe directions for boundary forces.
 
 Document format (JSON):
 
@@ -29,6 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,29 +71,83 @@ class CoordFunction:
         """Values of the function and its first `order` derivatives at t.
 
         t may be a scalar or an ndarray; returns a list of arrays (or floats)
-        of length order+1.
+        of length order+1.  Evaluated by the jet kernel of `_Coefficients`.
         """
         t = np.asarray(t, dtype=float)
-        out = []
-        coeffs = np.array(self.poly)
-        with np.errstate(over="ignore"):  # a huge freq**k becomes inf, not an error
-            for k in range(order + 1):
-                val = _polyval(coeffs, t) if coeffs.size else np.zeros_like(t)
-                for amp, freq, phase in self.trig:
-                    val = val + amp * np.float64(freq) ** k * np.sin(freq * t + phase + k * _HALF_PI)
-                out.append(val if val.ndim else float(val))
-                coeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else np.zeros(0)
-        return out
+        rows = self._coefficients.jets(t.reshape(-1), order)[:, 0, :, 0]
+        return [row.reshape(t.shape) if t.ndim else float(row[0]) for row in rows]
 
     def value(self, t):
         return self.derivatives(t, order=0)[0]
 
+    @cached_property
+    def _coefficients(self):
+        return _Coefficients([(self,)])
 
-def _polyval(coeffs: np.ndarray, t: np.ndarray):
-    acc = np.zeros_like(t)
-    for c in coeffs[::-1]:
-        acc = acc * t + c
-    return acc
+
+class _Coefficients:
+    """Coefficient tables of curves of one dimension, zero-padded to one shape.
+
+    Axes (curve, coord, ...): `poly`; per trig slot `freq`, `cos_sin` =
+    (amp cos phase, amp sin phase) and `row`, the row of the frequency in
+    `distinct` (len(distinct), a row of zeros in `jets`, for empty slots).
+    """
+
+    def __init__(self, curves):
+        coords = [cf for curve in curves for cf in curve]
+        shape = (len(curves), len(curves[0]))
+        degree, slots = max(len(cf.poly) for cf in coords), max(len(cf.trig) for cf in coords)
+        self.poly = np.array([cf.poly + (0.0,) * (degree - len(cf.poly)) for cf in coords])
+        self.poly = self.poly.reshape(shape + (degree,))
+        rows = {}  # distinct frequency -> row; a dict, as np.unique imports numpy.ma
+        terms = [[(a, f, p, rows.setdefault(f, len(rows))) for a, f, p in cf.trig] for cf in coords]
+        trig = np.array([row + [(0.0, 0.0, 0.0, len(rows))] * (slots - len(row)) for row in terms])
+        amp, self.freq, phase, row = np.moveaxis(trig.reshape(shape + (slots, 4)), -1, 0)
+        self.cos_sin, self.row = (amp * np.cos(phase), amp * np.sin(phase)), row.astype(np.intp)
+        self.distinct = np.array(list(rows), dtype=float)
+
+    def jets(self, t: np.ndarray, order: int) -> np.ndarray:
+        """Values and first `order` derivatives at the 1-d times t, (order+1, curve, time, coord).
+
+        One S = sin(f t) and C = cos(f t) per distinct frequency and time;
+        with (a, b) = (amp cos phase, amp sin phase), order k of a term is
+        (-1)^(k//2) f^k times P = a S + b C (k even) or Q = -b S + a C (k
+        odd), the quarter turn phase + k pi/2 as an exact sign swap.  Even,
+        then odd orders are summed time-contiguous, a Horner pass over the
+        padded polynomial rows and then the trig slots in order, elementwise
+        only: a curve alone is bit-identical to the same curve in a batch.
+        Overflow gives inf or nan without a warning; callers check it.
+        """
+        curves, dim, degree = self.poly.shape
+        out = np.empty((order + 1, curves, t.size, dim))
+        coef = np.zeros((order + 1,) + self.poly.shape)  # derivative k of the polynomial
+        coef[0] = self.poly
+        for k in range(1, min(order, degree - 1) + 1):
+            coef[k, ..., :-k] = coef[k - 1, ..., 1 : degree - k + 1] * np.arange(1, degree - k + 1)
+        sin, cos = np.zeros((2, self.distinct.size + 1, t.size))
+        k = np.arange(order + 1)[:, None, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.sin(np.multiply.outer(self.distinct, t), out=sin[:-1])
+            np.cos(np.multiply.outer(self.distinct, t), out=cos[:-1])
+            scale = (1 - 2 * (k // 2 % 2)) * self.freq**k
+            a, b = self.cos_sin
+            base, term = np.empty((2, curves, dim, t.size))
+            buffer = np.empty((order // 2 + 1, curves, dim, t.size))
+            for parity, (u, v) in enumerate(((a, b), (-b, a))[: order + 1]):
+                orders, work = slice(parity, order + 1, 2), buffer[: (order - parity) // 2 + 1]
+                work[...] = coef[orders, ..., -1:]
+                for j in range(degree - 2, -1, -1):
+                    work *= t
+                    work += coef[orders, ..., j : j + 1]
+                for m in range(self.row.shape[-1]):  # base = u S + v C, P or Q of slot m
+                    np.take(sin, self.row[..., m], axis=0, out=base, mode="clip")
+                    base *= u[..., m, None]
+                    np.take(cos, self.row[..., m], axis=0, out=term, mode="clip")
+                    base += np.multiply(term, v[..., m, None], out=term)
+                    for work_k, scale_k in zip(work, scale[orders, ..., m, None]):
+                        work_k += np.multiply(scale_k, base, out=term)
+                out[orders] = work.transpose(0, 1, 3, 2)
+        return out
 
 
 def combine(cf1: CoordFunction, s1: float, cf2: CoordFunction, s2: float) -> CoordFunction:
@@ -150,9 +207,13 @@ class AnalyticCurve:
         return len(self.coords)
 
     def jet(self, t) -> CurveJet:
-        per_coord = [c.derivatives(t, order=3) for c in self.coords]
-        stacked = [np.stack([pc[k] for pc in per_coord], axis=-1) for k in range(4)]
-        return CurveJet(*stacked)
+        t = np.asarray(t, dtype=float)
+        table = self._coefficients.jets(t.reshape(-1), 3)
+        return CurveJet(*table.reshape((4,) + t.shape + (self.dim,)))
+
+    @cached_property
+    def _coefficients(self):
+        return _Coefficients([self.coords])
 
 
 class _IndexedCurves:
@@ -172,6 +233,10 @@ class _IndexedCurves:
         self.grid = grid if grid is not None else Grid(self.T, DEFAULT_PANELS)
         self._tables = {}
 
+    @cached_property
+    def _coefficients(self):
+        return _Coefficients([c.coords for c in self._curves])
+
     @property
     def curve_indices(self):
         return range(-1, self.n + 2)
@@ -189,14 +254,13 @@ class _IndexedCurves:
         """Values and first `order` derivatives of every curve at every time.
 
         Shape (order+1, n+3, len(times), dim): derivative order, curve (row
-        i+1 holds curve i), time, coordinate.  Raises EvaluationError at the
-        first curve and time where an entry is not finite.
+        i+1 holds curve i), time, coordinate.  The curves' coefficient tables
+        are packed once per container for the jet kernel.  Raises
+        EvaluationError at the first curve and time where an entry is not
+        finite.
         """
         times = np.asarray(times, dtype=float)
-        table = np.empty((order + 1, self.n + 3, times.size, self._curves[0].dim))
-        for row, curve in enumerate(self._curves):
-            for c, coord in enumerate(curve.coords):
-                table[:, row, :, c] = coord.derivatives(times, order)
+        table = self._coefficients.jets(times, order)
         require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
         return table
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_REG, NORM_FLOOR, basis_guard
+from .numerics import EPS_REG, NORM_FLOOR, basis_guard, require_finite
 
 
 def det2(a, b):
@@ -84,15 +84,23 @@ class RegularityReport:
 
 
 def regularity_report(fw, grid=None) -> RegularityReport:
-    """Scan curves 0..n on the grid for the two independence determinants."""
+    """Scan curves 0..n on the grid for the two independence determinants.
+
+    A determinant or norm product that overflows raises EvaluationError
+    naming it, the curve and t.
+    """
     grid = grid or fw.grid
     tangent, _, forward, backward = balance_vectors(fw.grid_table(grid))
     found = []
-    for other in (forward, backward):
-        det, threshold, degenerate = basis_guard(tangent, other)
+    for other, edge in ((forward, "forward edge"), (backward, "backward edge")):
+        with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+            det, threshold, degenerate = basis_guard(tangent, other)
+            norms = threshold / EPS_REG
+        require_finite(det, f"det(tangent, {edge})", grid.t)
+        require_finite(norms, f"|tangent| |{edge}|", grid.t)
         dets = np.abs(det)
         i, j = np.unravel_index(np.argmin(dets), dets.shape)
-        normed = dets / np.maximum(threshold / EPS_REG, NORM_FLOOR)
+        normed = dets / np.maximum(norms, NORM_FLOOR)
         found.append(
             (float(dets[i, j]), (int(i), float(grid.t[j])), float(normed.min()), degenerate.any())
         )

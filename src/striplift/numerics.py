@@ -172,11 +172,11 @@ def require_finite(values, quantity, times, first=0):
     Axis 0 runs over curves first, first + 1, ..., axis 1 over times; any
     further axes are reduced.  The message names the quantity, curve and t.
     """
-    bad = ~np.isfinite(values).all(axis=tuple(range(2, np.ndim(values))))
-    if bad.any():
-        row, j = np.argwhere(bad)[0]
-        raise EvaluationError(f"{quantity} of curve {row + first} is not finite", t=float(times[j]))
-    return values
+    finite = np.isfinite(values)
+    if finite.all():  # one pass; reducing over the trailing axes is slower
+        return values
+    row, j = np.argwhere(~finite.all(axis=tuple(range(2, finite.ndim))))[0]
+    raise EvaluationError(f"{quantity} of curve {row + first} is not finite", t=float(times[j]))
 
 
 def solve2x2(col1, col2, rhs, location=None):

@@ -18,7 +18,8 @@ import numpy as np
 from .framework import Framework, _dump_json, format_rows
 from .geomcore import det2
 from .numerics import (
-    DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis
+    DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis,
+    require_finite,
 )
 from .statics import StressField, residual_report
 
@@ -86,6 +87,7 @@ def _stresses(fw: Framework, b, grid: Grid):
     sign (negative for e.g. projected cylinders and cone frustums).  The
     coupling is its least-squares fit over the grid, or 1 where the equation
     degenerates (straight strips).  Returns (lam0, lam1, mu0, coupling).
+    A non-finite stress or cross-equation term raises EvaluationError.
     """
     table = fw.grid_table(grid)
     edge = table.p[2] - table.p[1]
@@ -97,8 +99,10 @@ def _stresses(fw: Framework, b, grid: Grid):
     lam1_rate = -b.edge_acc1 / b.edge_tan1 * lam1
     lhs = lam1_rate * b.tan0_tan1 + lam1 * b.tan0_acc1
     rhs = -mu0 * b.edge_tan0
+    require_finite(np.stack([lam0, lam1, mu0, lhs, rhs], axis=-1)[None],
+                   "one-strip stress or cross-equation term", grid.t)
     denom = float(lhs @ lhs)
-    ref = float(np.max(np.abs(rhs))) + NORM_FLOOR
+    ref = np.max(np.abs(rhs)) + NORM_FLOOR  # squared as a numpy float: inf, not OverflowError
     coupling = 1.0 if denom <= (1e-12 * ref) ** 2 * lhs.size else float((lhs @ rhs) / denom)
     return lam0, lam1, mu0, coupling
 
@@ -118,11 +122,15 @@ def liftability_criterion(fw: Framework) -> np.ndarray:
     products (floored at EPS_REG of their norm bounds, see _floored_scale).
     """
     _require_onestrip(fw)
-    return _criterion(*_strip_data(fw, fw.grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # _criterion reports it
+        return _criterion(*_strip_data(fw, fw.grid), fw.grid.t)
 
 
-def _criterion(b, nb):
-    """liftability_criterion from the strip brackets b and norms nb."""
+def _criterion(b, nb, t):
+    """liftability_criterion from the strip brackets b and norms nb at the times t.
+
+    A non-finite residual raises EvaluationError at its first t.
+    """
     jj = b.tan0_acc0 * b.tan1_acc1  # [tan0, acc0][tan1, acc1]
     p1 = jj * b.edge_tan0 * (2.0 * b.edge_acc1 - b.tan0_tan1)
     p2 = jj * b.edge_tan1 * (2.0 * b.edge_acc0 - b.tan0_tan1)
@@ -139,7 +147,8 @@ def _criterion(b, nb):
         bc_b * nb["tan0"] * nb["acc0"] * nb["tan1"] * nb["jerk1"],
         bc_b * nb["tan1"] * nb["acc1"] * nb["tan0"] * nb["jerk0"],
     )
-    return residual / _floored_scale((p1, p2, p3, p4), bounds)
+    return require_finite((residual / _floored_scale((p1, p2, p3, p4), bounds))[None],
+                          "one-strip criterion", t)[0]
 
 
 @dataclass(frozen=True)
@@ -196,32 +205,33 @@ def onestrip_verify(fw: Framework, tol: float = DEFAULT_TOL) -> OneStripReport:
     """
     _require_onestrip(fw)
     grid = fw.grid
-    b, nb = _strip_data(fw, grid)
-    lam0, lam1, mu0, sigma = _stresses(fw, b, grid)
-    criterion = _criterion(b, nb)
+    with np.errstate(over="ignore", invalid="ignore"):  # the gates in these steps report it
+        b, nb = _strip_data(fw, grid)
+        lam0, lam1, mu0, sigma = _stresses(fw, b, grid)
+        criterion = _criterion(b, nb, grid.t)
+        lam0_dot = fd_derivative(lam0, grid.h)
+        lam1_eq = sigma * lam1
+        lam1_eq_dot = fd_derivative(lam1_eq, grid.h)
+        residuals = (
+            _system_residual(b, nb, (lam0, "tan0_acc0"), (-mu0, "edge_tan0")),
+            _system_residual(
+                b, nb, (lam1_eq_dot, "tan0_tan1"), (lam1_eq, "tan0_acc1"), (mu0, "edge_tan0")
+            ),
+            _system_residual(b, nb, (lam0_dot, "edge_tan0"), (lam0, "edge_acc0")),
+            _system_residual(b, nb, (lam1_eq_dot, "edge_tan1"), (lam1_eq, "edge_acc1")),
+        )
+        ratio0 = -b.edge_tan0[0] * b.tan1_acc1[0]
+        denom0 = b.edge_tan1[0] * b.tan0_acc0[0]
+        sign = int(np.sign(ratio0 * denom0)) if denom0 * ratio0 != 0 else 0
+    require_finite(np.stack(residuals, axis=-1)[None], "one-strip balance residual", grid.t)
     criterion_max = float(np.abs(criterion).max())
     verdict = bool(criterion_max < tol)
-
-    lam0_dot = fd_derivative(lam0, grid.h)
-    lam1_eq = sigma * lam1
-    lam1_eq_dot = fd_derivative(lam1_eq, grid.h)
-    residuals = (
-        _system_residual(b, nb, (lam0, "tan0_acc0"), (-mu0, "edge_tan0")),
-        _system_residual(
-            b, nb, (lam1_eq_dot, "tan0_tan1"), (lam1_eq, "tan0_acc1"), (mu0, "edge_tan0")
-        ),
-        _system_residual(b, nb, (lam0_dot, "edge_tan0"), (lam0, "edge_acc0")),
-        _system_residual(b, nb, (lam1_eq_dot, "edge_tan1"), (lam1_eq, "edge_acc1")),
-    )
 
     equilibrium_max = None
     if verdict:
         stress = assemble_stress(fw, lam0, sigma * lam1, mu0)
         equilibrium_max = residual_report(fw, stress).max_normalized
 
-    ratio0 = -b.edge_tan0[0] * b.tan1_acc1[0]
-    denom0 = b.edge_tan1[0] * b.tan0_acc0[0]
-    sign = int(np.sign(ratio0 * denom0)) if denom0 * ratio0 != 0 else 0
     return OneStripReport(
         grid=grid,
         lambda0=lam0,

@@ -14,7 +14,7 @@ from .errors import NotConjugateError, StripLiftError
 from .framework import AnalyticSurface3D, Framework
 from .geomcore import det2, regularity_report
 from .lifting import SampledLifting, strip_defects
-from .numerics import DEFAULT_TOL, NORM_FLOOR, Grid, require_basis
+from .numerics import DEFAULT_TOL, NORM_FLOOR, Grid, require_basis, require_finite
 from .statics import StressField
 
 
@@ -64,7 +64,8 @@ def _height_stress(proj: ProjectedSurface):
     Returns (lam, mu): lam rows for curves z_indices[1:-1] and mu rows for
     z_indices[:-1].  The bases (edge_i, tan_i) and (edge_{i-1}, tan_i) are
     checked curve by curve in that order; the first degenerate one raises
-    DegenerateBasisError.
+    DegenerateBasisError.  A non-finite row, or a denominator that overflows,
+    raises EvaluationError naming the curve and t.
     """
     lo, grid = proj.z_indices[0], proj.grid
     table = proj.surface.grid_table(grid)
@@ -78,15 +79,22 @@ def _height_stress(proj: ProjectedSurface):
         [f"det(edge_{i}, tan_{i})", f"det(edge_{i - 1}, tan_{i})"]
         for i in range(lo, lo + len(edge))
     ]
-    dets = require_basis(np.stack([edge, edge_prev], 1), tan[:, None], labels, grid.t)
-    b, c_bar = dets[:, 0], dets[1:, 1]
-    g = det2(edge, acc)
-    j = det2(tan, acc)
-    mu = (g * z1[:-1] - b * z2[:-1] - j * (z[1:] - z[:-1])) / b**2
-    a = det2(edge[:-1], edge[1:])
-    b, z_mid = b[1:], z[1:-1]
-    lam = a * z1[1:-1] / (b * c_bar) + (z_mid - z[:-2]) / c_bar - (z[2:] - z_mid) / b
-    return lam, mu
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        dets = require_basis(np.stack([edge, edge_prev], 1), tan[:, None], labels, grid.t)
+        b, c_bar = dets[:, 0], dets[1:, 1]
+        g = det2(edge, acc)
+        j = det2(tan, acc)
+        b_sq = b**2
+        mu = (g * z1[:-1] - b * z2[:-1] - j * (z[1:] - z[:-1])) / b_sq
+        a = det2(edge[:-1], edge[1:])
+        b, z_mid = b[1:], z[1:-1]
+        b_c_bar = b * c_bar
+        lam = a * z1[1:-1] / b_c_bar + (z_mid - z[:-2]) / c_bar - (z[2:] - z_mid) / b
+    # a finite numerator over an overflowed denominator reads 0: check both
+    require_finite(b_sq, "squared det(edge_i, tan_i)", grid.t, first=lo)
+    require_finite(mu, "induced mu", grid.t, first=lo)
+    require_finite(b_c_bar, "det(edge_i, tan_i) * det(edge_{i-1}, tan_i)", grid.t, first=lo + 1)
+    return require_finite(lam, "induced lambda", grid.t, first=lo + 1), mu
 
 
 def induced_stress(

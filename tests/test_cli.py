@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import striplift as sl
-from striplift import framework, geomcore
+from striplift import cli, framework, geomcore
 from striplift.cli import main
 from striplift.statics import load_stress, save_stress
 
@@ -318,15 +318,15 @@ class TestNonFinite:
 
     @pytest.fixture
     def magnified(self, docs, tmp_path):
-        """The demo framework with every x and y coefficient times a factor."""
-        def write(factor):
-            doc = json.loads(docs[1]["framework"].read_text())
+        """A document (the demo framework by default) with every x and y coefficient times a factor."""
+        def write(factor, kind="framework"):
+            doc = json.loads(docs[1][kind].read_text())
             for curve in doc["curves"]:
                 for axis in (curve["x"], curve["y"]):
                     axis["poly"] = [factor * c for c in axis["poly"]]
                     for term in axis.get("trig", []):
                         term["amp"] *= factor
-            path = tmp_path / f"magnified_{factor:g}.json"
+            path = tmp_path / f"magnified_{kind}_{factor:g}.json"
             path.write_text(json.dumps(doc))
             return path
 
@@ -350,6 +350,34 @@ class TestNonFinite:
         stdout, err = capsys.readouterr()
         assert "nan" not in stdout
         assert "invalid input: strip defect of curve 0 is not finite at t=0.0" in err
+
+    @pytest.mark.parametrize("command, kind", [
+        ("validate", "surface"), ("validate", "framework"), ("solve", "framework"),
+    ])
+    def test_overflowing_regularity_determinants_exit_2(self, magnified, capsys, command, kind):
+        argv = [command, "--input", str(magnified(1e200, kind))]
+        assert main(argv + (["--lambda0", "1,1,1,1"] if command == "solve" else [])) == 2
+        out, err = capsys.readouterr()
+        assert "nan" not in out and "inf" not in out
+        assert "invalid input: det(tangent, forward edge) of curve 0 is not finite at t=0.0" in err
+
+    def test_overflowing_induced_stress_exit_2(self, magnified, tmp_path, capsys):
+        # b**2 overflows while the numerators stay finite: mu would read 0, not nan
+        prefix = tmp_path / "proj"
+        assert main(["project", "--input", str(magnified(1e150, "surface")), "--output", str(prefix)]) == 2
+        assert not (tmp_path / "proj.stress.json").exists()
+        out, err = capsys.readouterr()
+        assert "nan" not in out and "inf" not in out and "induced stress" not in out
+        assert "invalid input: squared det(edge_i, tan_i) of curve -1 is not finite at t=0.0" in err
+
+    def test_overflowing_onestrip_criterion_exit_2(self, magnified, tmp_path, capsys):
+        out_path = tmp_path / "strip.json"
+        argv = ["onestrip", "--input", str(magnified(1e150, "onestrip")), "--output", str(out_path)]
+        assert main(argv) == 2
+        assert not out_path.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid input: one-strip criterion of curve 0 is not finite at t=0.0" in err
 
     def test_overflowing_lifting_dump_stencils_exit_2(self, docs, tmp_path, capsys):
         _, p = docs
@@ -376,6 +404,32 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert "--mu-minus1: coefficient table contains non-finite entries" in err
         assert "JSON" not in err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_share_no_parsed_state(self, docs, monkeypatch):
+        _, p = docs
+        seeds = []
+        real = cli.random_paths
+
+        def recording(*args, seed, **kwargs):
+            seeds.append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "random_paths", recording)
+        argv = ["check", "--input", str(p["framework"]), "--stress", str(p["stress"])]
+        assert main([*argv, "--seed", "3"]) == 0
+        assert main(argv) == 0
+        assert seeds == [3, 0]
+
+    def test_usage_error_then_valid_call(self, docs, capsys):
+        _, p = docs
+        assert main(["validate", "--input", str(p["framework"]), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(["validate", "--input", str(p["framework"])]) == 0
 
 
 class TestProject:

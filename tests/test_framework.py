@@ -1,8 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import striplift as sl
 from striplift.errors import SchemaError
@@ -15,6 +18,8 @@ from striplift.framework import (
     save_framework,
     shifted,
 )
+
+from conftest import PROPERTY
 
 
 def make_line(slope_y=0.0, offset_y=0.0):
@@ -44,6 +49,95 @@ class TestCoordFunction:
             single = cf.derivatives(float(t), order=3)
             for k in range(4):
                 assert batch[k][j] == pytest.approx(single[k], rel=1e-15)
+
+
+def reference_derivatives(cf, t, order=3):
+    """The per-order evaluation the jet kernel replaced: value and first `order` derivatives.
+
+    Order k of a trig term is amp * freq**k * sin(freq t + phase + k pi/2),
+    a sine per order, term and time; the polynomial part differentiates the
+    coefficients and runs Horner per order.
+    """
+    t = np.asarray(t, dtype=float)
+    out = []
+    coeffs = np.array(cf.poly)
+    with np.errstate(over="ignore"):
+        for k in range(order + 1):
+            val = np.zeros_like(t)
+            for c in coeffs[::-1]:
+                val = val * t + c
+            for amp, freq, phase in cf.trig:
+                val = val + amp * np.float64(freq) ** k * np.sin(freq * t + phase + k * math.pi / 2)
+            out.append(val)
+            coeffs = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else np.zeros(0)
+    return out
+
+
+def term_scale(cf, t, order):
+    """Sum of the absolute terms of derivative `order` at the times t."""
+    poly = sum(
+        abs(c) * math.perm(j, order) * np.abs(t) ** (j - order)
+        for j, c in enumerate(cf.poly) if j >= order
+    )
+    return poly + sum(abs(amp) * abs(freq) ** order for amp, freq, _ in cf.trig)
+
+
+# a few shared frequencies (zero and negative ones among them) and distinct draws
+FREQUENCIES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 3.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def coord_functions(draw):
+    """Polynomial degree 0..8 plus 0..16 sine terms."""
+    poly = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9))
+    trig = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), FREQUENCIES, st.floats(-math.pi, math.pi)),
+                         max_size=16))
+    return CoordFunction(tuple(poly), tuple(trig))
+
+
+@PROPERTY
+@given(coord_functions())
+def test_kernel_matches_the_reference_and_the_symbolic_oracle(cf):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+    exact = sympy.Rational  # the exact binary value of each float coefficient
+    expr = sum(exact(c) * x**j for j, c in enumerate(cf.poly)) + sum(
+        exact(a) * sympy.sin(exact(f) * x + exact(p)) for a, f, p in cf.trig
+    )
+    ts = np.linspace(0.0, 1.0, 5)
+    got, want = cf.derivatives(ts, order=3), reference_derivatives(cf, ts, order=3)
+    for k in range(4):
+        oracle = np.array([float(sympy.diff(expr, x, k).evalf(30, subs={x: exact(tj)})) for tj in ts])
+        tol = 8 * np.finfo(float).eps * term_scale(cf, ts, k)
+        assert np.all(np.abs(got[k] - oracle) <= tol)
+        assert np.all(np.abs(got[k] - want[k]) <= tol)
+
+
+@pytest.mark.parametrize("name, kwargs, distinct", [
+    ("perturbed2d", {"n": 1}, 2),
+    ("perturbed2d", {"n": 6}, 2),
+    ("translational3d", {}, 4),
+])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_tabulate_evaluates_one_sin_and_cos_per_distinct_frequency(monkeypatch, name, kwargs,
+                                                                   distinct, order):
+    # the work is per distinct frequency and time, whatever the order and curve count
+    obj = sl.builtin(name, **kwargs)
+    times = np.linspace(0.0, obj.T, 33)
+    obj.tabulate(times, order)  # the coefficient tables are packed once, on first use
+    counts = Counter()
+
+    def counted(fn):
+        def wrapper(x, *args, **kwargs):
+            counts[fn.__name__] += np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "sin", counted(np.sin))
+    monkeypatch.setattr(np, "cos", counted(np.cos))
+    obj.tabulate(times, order)
+    assert counts == {"sin": distinct * times.size, "cos": distinct * times.size}
 
 
 class TestJets:
