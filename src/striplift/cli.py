@@ -8,7 +8,6 @@ Exit codes: 0 success / check passed, 1 check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -266,14 +265,7 @@ def cmd_demo(args) -> int:
     raise SchemaError(f"unknown demo {name!r}")
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    Parsing keeps no state between calls: each parse_args returns a fresh
-    namespace, and each subcommand's `fn` reads its callees as module
-    globals when it runs.
-    """
     top = argparse.ArgumentParser(
         prog="striplift",
         description="Self-stresses, liftings, and projections of semi-discrete planar frameworks",

@@ -71,83 +71,68 @@ class CoordFunction:
         """Values of the function and its first `order` derivatives at t.
 
         t may be a scalar or an ndarray; returns a list of arrays (or floats)
-        of length order+1.  Evaluated by the jet kernel of `_Coefficients`.
+        of length order+1, evaluated by the jet kernel `_Coefficients.jets`.
         """
         t = np.asarray(t, dtype=float)
-        rows = self._coefficients.jets(t.reshape(-1), order)[:, 0, :, 0]
+        rows = _Coefficients([(self,)]).jets(t.reshape(-1), order)[:, 0, :, 0]
         return [row.reshape(t.shape) if t.ndim else float(row[0]) for row in rows]
 
     def value(self, t):
         return self.derivatives(t, order=0)[0]
 
-    @cached_property
-    def _coefficients(self):
-        return _Coefficients([(self,)])
-
 
 class _Coefficients:
-    """Coefficient tables of curves of one dimension, zero-padded to one shape.
+    """Coefficient tables of curves of one dimension, axes (curve, coord, ...).
 
-    Axes (curve, coord, ...): `poly`; per trig slot `freq`, `cos_sin` =
-    (amp cos phase, amp sin phase) and `row`, the row of the frequency in
-    `distinct` (len(distinct), a row of zeros in `jets`, for empty slots).
+    `poly` is zero-padded; per trig slot, `freq`, (a, b) = amp (cos, sin) phase
+    and `row`, the frequency's row among the distinct ones (past them if empty).
     """
 
     def __init__(self, curves):
-        coords = [cf for curve in curves for cf in curve]
-        shape = (len(curves), len(curves[0]))
+        coords, shape = [cf for cv in curves for cf in cv], (len(curves), len(curves[0]))
         degree, slots = max(len(cf.poly) for cf in coords), max(len(cf.trig) for cf in coords)
-        self.poly = np.array([cf.poly + (0.0,) * (degree - len(cf.poly)) for cf in coords])
-        self.poly = self.poly.reshape(shape + (degree,))
+        poly = np.array([cf.poly + (0.0,) * (degree - len(cf.poly)) for cf in coords])
         rows = {}  # distinct frequency -> row; a dict, as np.unique imports numpy.ma
         terms = [[(a, f, p, rows.setdefault(f, len(rows))) for a, f, p in cf.trig] for cf in coords]
         trig = np.array([row + [(0.0, 0.0, 0.0, len(rows))] * (slots - len(row)) for row in terms])
         amp, self.freq, phase, row = np.moveaxis(trig.reshape(shape + (slots, 4)), -1, 0)
-        self.cos_sin, self.row = (amp * np.cos(phase), amp * np.sin(phase)), row.astype(np.intp)
-        self.distinct = np.array(list(rows), dtype=float)
+        self.a, self.b, self.row = amp * np.cos(phase), amp * np.sin(phase), row.astype(np.intp)
+        self.poly, self.distinct = poly.reshape(shape + (degree,)), np.array(list(rows), dtype=float)
 
     def jets(self, t: np.ndarray, order: int) -> np.ndarray:
         """Values and first `order` derivatives at the 1-d times t, (order+1, curve, time, coord).
 
-        One S = sin(f t) and C = cos(f t) per distinct frequency and time;
-        with (a, b) = (amp cos phase, amp sin phase), order k of a term is
-        (-1)^(k//2) f^k times P = a S + b C (k even) or Q = -b S + a C (k
-        odd), the quarter turn phase + k pi/2 as an exact sign swap.  Even,
-        then odd orders are summed time-contiguous, a Horner pass over the
-        padded polynomial rows and then the trig slots in order, elementwise
-        only: a curve alone is bit-identical to the same curve in a batch.
-        Overflow gives inf or nan without a warning; callers check it.
+        One sin(f t) and cos(f t) per distinct frequency f.  Order k of a trig
+        term is (-1)^(k//2) f^k (a sin + b cos) for even k, (a cos - b sin) for
+        odd k: the quarter turns are exact sign swaps.  Horner over the padded
+        polynomial rows, then the trig slots in order, elementwise only, so a
+        curve alone is bit-identical to the same curve in a batch.  Overflow
+        gives inf or nan without a warning; callers check it.
         """
         curves, dim, degree = self.poly.shape
-        out = np.empty((order + 1, curves, t.size, dim))
-        coef = np.zeros((order + 1,) + self.poly.shape)  # derivative k of the polynomial
+        acc = np.zeros((order + 1, curves, dim, t.size))  # time-contiguous
+        coef = np.zeros((order + 1,) + self.poly.shape)  # coef[k]: derivative k, zero-padded
         coef[0] = self.poly
         for k in range(1, min(order, degree - 1) + 1):
             coef[k, ..., :-k] = coef[k - 1, ..., 1 : degree - k + 1] * np.arange(1, degree - k + 1)
-        sin, cos = np.zeros((2, self.distinct.size + 1, t.size))
         k = np.arange(order + 1)[:, None, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.sin(np.multiply.outer(self.distinct, t), out=sin[:-1])
-            np.cos(np.multiply.outer(self.distinct, t), out=cos[:-1])
-            scale = (1 - 2 * (k // 2 % 2)) * self.freq**k
-            a, b = self.cos_sin
-            base, term = np.empty((2, curves, dim, t.size))
-            buffer = np.empty((order // 2 + 1, curves, dim, t.size))
-            for parity, (u, v) in enumerate(((a, b), (-b, a))[: order + 1]):
-                orders, work = slice(parity, order + 1, 2), buffer[: (order - parity) // 2 + 1]
-                work[...] = coef[orders, ..., -1:]
-                for j in range(degree - 2, -1, -1):
-                    work *= t
-                    work += coef[orders, ..., j : j + 1]
-                for m in range(self.row.shape[-1]):  # base = u S + v C, P or Q of slot m
-                    np.take(sin, self.row[..., m], axis=0, out=base, mode="clip")
-                    base *= u[..., m, None]
-                    np.take(cos, self.row[..., m], axis=0, out=term, mode="clip")
-                    base += np.multiply(term, v[..., m, None], out=term)
-                    for work_k, scale_k in zip(work, scale[orders, ..., m, None]):
-                        work_k += np.multiply(scale_k, base, out=term)
-                out[orders] = work.transpose(0, 1, 3, 2)
-        return out
+            sin, cos = (np.vstack([fn(np.multiply.outer(self.distinct, t)), np.zeros(t.size)])
+                        for fn in (np.sin, np.cos))
+            for c in np.moveaxis(coef, -1, 0)[::-1]:
+                acc *= t
+                acc += c[..., None]
+            scale = ((1 - 2 * (k // 2 % 2)) * self.freq**k)[..., None]
+            for m, row in enumerate(np.moveaxis(self.row, -1, 0)):
+                s, c, a, b = sin[row], cos[row], self.a[..., m, None], self.b[..., m, None]
+                even = a * s
+                even += b * c
+                c *= a  # c, s become a cos, b sin: odd = a cos - b sin
+                c -= np.multiply(s, b, out=s)
+                for k, acc_k in enumerate(acc):  # s is free: the product buffer
+                    acc_k += np.multiply(scale[k, ..., m, :], c if k % 2 else even, out=s)
+            s = c = even = None  # freed before the (order, curve, time, coord) copy
+        return np.ascontiguousarray(acc.transpose(0, 1, 3, 2))
 
 
 def combine(cf1: CoordFunction, s1: float, cf2: CoordFunction, s2: float) -> CoordFunction:
@@ -208,12 +193,8 @@ class AnalyticCurve:
 
     def jet(self, t) -> CurveJet:
         t = np.asarray(t, dtype=float)
-        table = self._coefficients.jets(t.reshape(-1), 3)
+        table = _Coefficients([self.coords]).jets(t.reshape(-1), 3)
         return CurveJet(*table.reshape((4,) + t.shape + (self.dim,)))
-
-    @cached_property
-    def _coefficients(self):
-        return _Coefficients([self.coords])
 
 
 class _IndexedCurves:
@@ -234,7 +215,7 @@ class _IndexedCurves:
         self._tables = {}
 
     @cached_property
-    def _coefficients(self):
+    def _coefficients(self):  # packed once: the curves are immutable
         return _Coefficients([c.coords for c in self._curves])
 
     @property
@@ -254,10 +235,8 @@ class _IndexedCurves:
         """Values and first `order` derivatives of every curve at every time.
 
         Shape (order+1, n+3, len(times), dim): derivative order, curve (row
-        i+1 holds curve i), time, coordinate.  The curves' coefficient tables
-        are packed once per container for the jet kernel.  Raises
-        EvaluationError at the first curve and time where an entry is not
-        finite.
+        i+1 holds curve i), time, coordinate.  Raises EvaluationError at the
+        first curve and time where an entry is not finite.
         """
         times = np.asarray(times, dtype=float)
         table = self._coefficients.jets(times, order)

@@ -52,20 +52,22 @@ def _strip_data(fw: Framework, grid: Grid):
     return SimpleNamespace(**brackets), norms
 
 
-def _floored_scale(term_magnitudes, term_bounds):
+def _floored_scale(term_magnitudes, term_bounds, t):
     """max |term|, floored at EPS_REG times the a-priori magnitude bounds.
 
     Determinants that vanish identically (circular strips, translates) only
     evaluate to rounding noise; treating products below EPS_REG of their
     norm-product bound as numerically zero keeps the normalization from
-    dividing noise by noise.
+    dividing noise by noise.  A bound that overflows raises EvaluationError
+    at its first time t: a finite residual over an inf scale would read 0.
     """
     scale = np.max(np.abs(np.stack(term_magnitudes)), axis=0)
     floor = EPS_REG * np.sum(np.stack(term_bounds), axis=0)
-    return np.maximum(scale, np.maximum(floor, NORM_FLOOR))
+    scale = np.maximum(scale, np.maximum(floor, NORM_FLOOR))
+    return require_finite(scale[None], "one-strip normalization scale", t)[0]
 
 
-def _system_residual(b, nb, *terms):
+def _system_residual(b, nb, t, *terms):
     """Normalized sum of the terms coef * [u, v], each given as (coef, "u_v").
 
     The terms are added in order; term magnitudes and their a-priori bounds
@@ -73,7 +75,7 @@ def _system_residual(b, nb, *terms):
     """
     values = [coef * getattr(b, name) for coef, name in terms]
     bounds = [np.abs(coef) * nb[u] * nb[v] for coef, name in terms for u, v in [name.split("_")]]
-    return sum(values[1:], values[0]) / _floored_scale(values, bounds)
+    return sum(values[1:], values[0]) / _floored_scale(values, bounds, t)
 
 
 def _stresses(fw: Framework, b, grid: Grid):
@@ -147,7 +149,7 @@ def _criterion(b, nb, t):
         bc_b * nb["tan0"] * nb["acc0"] * nb["tan1"] * nb["jerk1"],
         bc_b * nb["tan1"] * nb["acc1"] * nb["tan0"] * nb["jerk0"],
     )
-    return require_finite((residual / _floored_scale((p1, p2, p3, p4), bounds))[None],
+    return require_finite((residual / _floored_scale((p1, p2, p3, p4), bounds, t))[None],
                           "one-strip criterion", t)[0]
 
 
@@ -213,12 +215,12 @@ def onestrip_verify(fw: Framework, tol: float = DEFAULT_TOL) -> OneStripReport:
         lam1_eq = sigma * lam1
         lam1_eq_dot = fd_derivative(lam1_eq, grid.h)
         residuals = (
-            _system_residual(b, nb, (lam0, "tan0_acc0"), (-mu0, "edge_tan0")),
+            _system_residual(b, nb, grid.t, (lam0, "tan0_acc0"), (-mu0, "edge_tan0")),
             _system_residual(
-                b, nb, (lam1_eq_dot, "tan0_tan1"), (lam1_eq, "tan0_acc1"), (mu0, "edge_tan0")
+                b, nb, grid.t, (lam1_eq_dot, "tan0_tan1"), (lam1_eq, "tan0_acc1"), (mu0, "edge_tan0")
             ),
-            _system_residual(b, nb, (lam0_dot, "edge_tan0"), (lam0, "edge_acc0")),
-            _system_residual(b, nb, (lam1_eq_dot, "edge_tan1"), (lam1_eq, "edge_acc1")),
+            _system_residual(b, nb, grid.t, (lam0_dot, "edge_tan0"), (lam0, "edge_acc0")),
+            _system_residual(b, nb, grid.t, (lam1_eq_dot, "edge_tan1"), (lam1_eq, "edge_acc1")),
         )
         ratio0 = -b.edge_tan0[0] * b.tan1_acc1[0]
         denom0 = b.edge_tan1[0] * b.tan0_acc0[0]

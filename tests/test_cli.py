@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import striplift as sl
-from striplift import cli, framework, geomcore
+from striplift import framework, geomcore
 from striplift.cli import main
 from striplift.statics import load_stress, save_stress
 
@@ -370,14 +370,21 @@ class TestNonFinite:
         assert "nan" not in out and "inf" not in out and "induced stress" not in out
         assert "invalid input: squared det(edge_i, tan_i) of curve -1 is not finite at t=0.0" in err
 
-    def test_overflowing_onestrip_criterion_exit_2(self, magnified, tmp_path, capsys):
+    def test_overflowing_onestrip_exit_2(self, magnified, tmp_path, capsys):
         out_path = tmp_path / "strip.json"
         argv = ["onestrip", "--input", str(magnified(1e150, "onestrip")), "--output", str(out_path)]
         assert main(argv) == 2
         assert not out_path.exists()
         out, err = capsys.readouterr()
         assert out == ""
-        assert "invalid input: one-strip criterion of curve 0 is not finite at t=0.0" in err
+        assert "invalid input: one-strip normalization scale of curve 0 is not finite at t=0.0" in err
+
+    def test_overflowing_onestrip_scale_exit_2(self, magnified, capsys):
+        # the norm bounds overflow while the products stay finite: the criterion would read 0
+        assert main(["onestrip", "--input", str(magnified(3.8e38, "onestrip"))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid input: one-strip normalization scale of curve 0 is not finite at t=0.0" in err
 
     def test_overflowing_lifting_dump_stencils_exit_2(self, docs, tmp_path, capsys):
         _, p = docs
@@ -404,32 +411,6 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert "--mu-minus1: coefficient table contains non-finite entries" in err
         assert "JSON" not in err
-
-
-class TestParser:
-    def test_built_once_per_process(self):
-        assert cli._parser() is cli._parser()
-
-    def test_calls_share_no_parsed_state(self, docs, monkeypatch):
-        _, p = docs
-        seeds = []
-        real = cli.random_paths
-
-        def recording(*args, seed, **kwargs):
-            seeds.append(seed)
-            return real(*args, seed=seed, **kwargs)
-
-        monkeypatch.setattr(cli, "random_paths", recording)
-        argv = ["check", "--input", str(p["framework"]), "--stress", str(p["stress"])]
-        assert main([*argv, "--seed", "3"]) == 0
-        assert main(argv) == 0
-        assert seeds == [3, 0]
-
-    def test_usage_error_then_valid_call(self, docs, capsys):
-        _, p = docs
-        assert main(["validate", "--input", str(p["framework"]), "--seed", "1"]) == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-        assert main(["validate", "--input", str(p["framework"])]) == 0
 
 
 class TestProject:
