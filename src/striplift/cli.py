@@ -178,16 +178,17 @@ def cmd_project(args) -> int:
     worst, where = developability_report(proj)
     print(f"developability defect max {worst:.6e} at {where}")
     out = Path(args.output) if args.output else None
-    if out is not None:
-        _write(_with(out, ".framework.json"), save_framework(proj.framework))
-    full_cover = list(proj.z_indices) == list(proj.framework.curve_indices)
-    if not full_cover:
+    if list(proj.z_indices) != list(proj.framework.curve_indices):
         print("heights cover only part of the curves; no stress document written")
+        if out is not None:
+            _write(_with(out, ".framework.json"), save_framework(proj.framework))
         return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
+    # a refused induced stress raises before either file is written
     stress = induced_stress(proj, conjugacy_tol=args.tol)
     res = residual_report(proj.framework, stress)
     print("induced stress " + res.summary())
     if out is not None:
+        _write(_with(out, ".framework.json"), save_framework(proj.framework))
         _write(_with(out, ".stress.json"), save_stress(stress))
     return EXIT_OK if res.max_normalized < args.tol else EXIT_CHECK_FAILED
 

@@ -2,8 +2,9 @@
 
 Quadrature is composite Simpson on uniform nodes, and one scale-free guard
 judges every 2x2 basis.  The per-point classic RK4 march and Cramer solve
-(ode_march, solve2x2) build the tests' reference solver; statics marches RK4
-as step matrices.  Everything here is a pure function of its inputs.
+(ode_march, solve2x2) build the tests' reference solver; statics marches the
+same RK4 scheme as one scalar recurrence per curve.  Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -148,21 +149,31 @@ def basis_guard(col1, col2):
 
 
 def require_basis(col1, col2, label, t):
-    """basis_guard that raises at the first degenerate pair; returns det.
+    """basis_guard that raises at the first failing pair; returns det.
 
     The last leading axis runs over the parameter values t; `label` names
     the pair, or is a nested list of names indexed by the other leading axes.
-    The first degenerate pair in C order raises DegenerateBasisError at
-    location (name, t).
+    The first pair in C order whose det, then whose threshold, is not finite
+    raises EvaluationError naming it and t; then the first degenerate pair
+    raises DegenerateBasisError at location (name, t).
     """
-    det, threshold, degenerate = basis_guard(col1, col2)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        det, threshold, degenerate = basis_guard(col1, col2)
+
+    def first(failed):
+        index = np.unravel_index(np.argmax(failed), failed.shape)
+        name = label
+        for k in index[:-1]:
+            name = name[k]
+        return index, name, float(t[index[-1]])
+
+    for values, quantity in ((det, "{}"), (threshold, "degeneracy threshold of {}")):
+        if not np.isfinite(values).all():
+            _, name, at = first(~np.isfinite(values))
+            raise EvaluationError(f"{quantity.format(name)} is not finite", t=at)
     if degenerate.any():
-        first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
-        for k in first[:-1]:
-            label = label[k]
-        raise DegenerateBasisError(
-            float(det[first]), float(threshold[first]), location=(label, float(t[first[-1]]))
-        )
+        index, name, at = first(degenerate)
+        raise DegenerateBasisError(float(det[index]), float(threshold[index]), location=(name, at))
     return det
 
 

@@ -22,7 +22,7 @@ from .errors import DegenerateBasisError, DivergenceError, EvaluationError, Sche
 from .framework import (
     CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
 )
-from .geomcore import balance_vectors
+from .geomcore import balance_vectors, det2
 from .numerics import (
     NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples, require_finite
 )
@@ -231,39 +231,25 @@ def _boundary_samples(spec, times: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot interpret edge stress specification {spec!r}")
 
 
-def _sweep(vectors, lam, mu_prev):
-    """Sweep the balance over curves 0..n in increasing i.
-
-    vectors are tangent, acceleration, forward and backward edge and the
-    Cramer determinant of (tangent, forward edge), and lam the curve
-    stresses, each with the curve axis first; mu_prev is mu_{-1}.  Trailing
-    axes broadcast.  Returns the rates of lam_0..lam_n and mu_0..mu_n, as lists.
-    """
-    rates, mus = [], []
-    for d1, d2, f, b, det, lam_i in zip(*vectors, lam):
-        r0 = -lam_i * d2[..., 0] + mu_prev * b[..., 0]
-        r1 = -lam_i * d2[..., 1] + mu_prev * b[..., 1]
-        rates.append((r0 * f[..., 1] - r1 * f[..., 0]) / det)
-        mu_prev = (d1[..., 0] * r1 - d1[..., 1] * r0) / det
-        mus.append(mu_prev)
-    return rates, mus
-
-
 def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) -> StressField:
     """March the equilibrium system forward in t to construct a stress.
 
     lambda0 prescribes the curve stresses at t = 0 (one value per curve
     0..n); mu_minus1 the first boundary edge stress as a function of t (a
-    callable, a CoordFunction, or a constant).  The balance at curve i gives
-    the growth rate of lam_i and the edge stress mu_i from mu_{i-1}, swept in
-    increasing i.  The system is linear, so one sweep over unit columns gives
-    its generator B(t) on y = [lam; 1] at the grid nodes and half steps, and
-    classic RK4 is one step matrix per step, applied by one matrix-vector
-    product.  A lambda0 whose guard 1e12 * max(1, |lambda0|) overflows is a
-    ValueError.  In march order, stage by stage, an input |lam| above that
+    callable, a CoordFunction, or a constant).  By Cramer's rule on the basis
+    (tangent, forward edge) the balance at curve i reads
+
+        lam_dot_i = alpha_i lam_i + beta_i mu_{i-1},  mu_i = gamma_i lam_i + delta_i mu_{i-1},
+
+    so the system is lower triangular and is marched curve by curve: classic
+    RK4 on curve i, fed with mu_{i-1} at the four stage inputs of every step,
+    is the scalar recurrence lam_i[j+1] = P_j lam_i[j] + Q_j, and mu_i at the
+    stage inputs feeds curve i + 1.  A lambda0 whose guard
+    1e12 * max(1, |lambda0|) overflows is a ValueError.  At the first step and
+    stage in march order where any curve fails, an input |lam| above that
     guard raises DivergenceError, a degenerate basis at the stage time
-    DegenerateBasisError, a non-finite derivative EvaluationError.  The
-    output includes the induced edge stress mu_n.
+    DegenerateBasisError at its first curve, a non-finite derivative
+    EvaluationError.  The output includes the induced edge stress mu_n.
     """
     grid = grid or fw.grid
     lam0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -277,62 +263,58 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
                          "so that its divergence guard 1e12 * max|lambda0| is finite")
 
     # the nodes, then the half steps by the float operations of numerics.ode_march;
-    # positions, tangents and accelerations of every curve at those times
-    N, m = grid.N, fw.n + 2
-    times = np.concatenate([grid.t, grid.t[:-1] + 0.5 * grid.h])
+    # stage s of step j reads time row rows[s, j]
+    N, h = grid.N, grid.h
+    times = np.concatenate([grid.t, grid.t[:-1] + 0.5 * h])
+    mids = np.arange(N + 1, 2 * N + 1)
+    rows = np.stack([mids - N - 1, mids, mids, mids - N])
     table = np.concatenate([list(fw.grid_table(grid))[:3], fw.tabulate(times[N + 1:], 2)], axis=2)
     tan, acc, fwd, bwd = balance_vectors(table)
-    det, threshold, degenerate = basis_guard(tan, fwd)
-    # no division by a degenerate or zero determinant: its rates read NaN
-    vectors = (tan, acc, fwd, bwd, np.where(degenerate | (det == 0), np.nan, det))
-    mu = np.zeros((m, times.size))  # mu_{-1} of the columns of [lam; 1]
-    mu[-1] = _boundary_samples(mu_minus1, times)
-    mu[-1, ~np.isfinite(mu[-1])] = np.nan
-    # lam' = (B @ [lam; 1])[:n+1]: column k <= n is the rate for lam = e_k and
-    # mu_{-1} = 0, column n+1 the rate for lam = 0 and the given mu_{-1}
-    B = np.zeros((times.size, m, m))
-    B[:, :-1] = np.transpose(_sweep(vectors, np.eye(m)[:-1, :, None], mu)[0], (2, 0, 1))
-    # classic RK4 as matrices: maps[s - 2, j] takes y_j to the input of stage
-    # s = 2, 3, 4 of step j, maps[3, j] takes it to y_{j+1}
-    h, eye = grid.h, np.eye(m)
-    maps = np.empty((4, N, m, m))
-    maps[3] = K = B[:N]  # K1 = B(t_j), then K2, K3, K4 in place
-    for s, (c, B_s, w) in enumerate(((0.5 * h, B[N + 1:], 2.0), (0.5 * h, B[N + 1:], 2.0),
-                                     (h, B[1:N + 1], 1.0))):
-        np.multiply(c, K, out=maps[s])
-        maps[s] += eye  # I + h/2 K1, I + h/2 K2, I + h K3
-        K = np.matmul(B_s, maps[s], out=K if s else None)
-        maps[3] += w * K
-    maps[3] *= h / 6.0
-    maps[3] += eye  # I + h/6 (K1 + 2 K2 + 2 K3 + K4)
-    # stage s of step j fails where its derivative is not finite (a degenerate basis included)
-    failed = ~np.isfinite(maps).all(axis=(2, 3)).T
-    growth = np.max([np.abs(a).sum(axis=-1).max(axis=-1) for a in maps], axis=0)  # |maps|_inf
-    reach = np.concatenate([[0.0], np.cumsum(np.log2(np.fmax(growth, 1.0)))])
+    lam = np.empty((fw.n + 1, N + 1))
+    mu = np.empty((fw.n + 2, N + 1))
+    diverged = np.zeros((4, N), dtype=bool)
+    failed = np.zeros((4, N), dtype=bool)
+    # inf and NaN only spread forward in j and to higher i: failures are located after the march
+    with np.errstate(all="ignore"):
+        det, threshold, degenerate = basis_guard(tan, fwd)
+        divisor = np.where(degenerate | (det == 0), np.nan, det)  # no division by either
+        alpha, beta = -det2(acc, fwd) / divisor, det2(bwd, fwd) / divisor
+        gamma, delta = -det2(tan, acc) / divisor, det2(tan, bwd) / divisor
+        mu_prev = _boundary_samples(mu_minus1, times)
+        mu[0] = mu_prev[:N + 1]
+        mu_prev = mu_prev[rows]  # mu_{i-1} at the stage inputs
+        for i, y in enumerate(lam0.tolist()):
+            # the input of stage s of step j is Y[s, 0] * lam_i[j] + Y[s, 1],
+            # its rate K[s, 0] * lam_i[j] + K[s, 1]
+            a, b = alpha[i, rows], beta[i, rows]
+            Y, K = np.zeros((2, 4, 2, N))
+            Y[0, 0] = 1.0
+            for s in range(4):
+                K[s] = a[s] * Y[s]
+                K[s, 1] += b[s] * mu_prev[s]
+                if s < 3:
+                    Y[s + 1] = (0.5 * h, 0.5 * h, h)[s] * K[s]
+                    Y[s + 1, 0] += 1.0
+            P, Q = (h / 6.0) * (K[0] + 2.0 * K[1] + 2.0 * K[2] + K[3])
+            steps = [y]
+            for p, q in zip((P + 1.0).tolist(), Q.tolist()):
+                y = p * y + q
+                steps.append(y)
+            lam[i] = steps
+            inputs = Y[:, 0] * lam[i, :-1] + Y[:, 1]
+            diverged |= np.abs(inputs) > guard
+            failed |= ~np.isfinite(K[:, 0] * lam[i, :-1] + K[:, 1])
+            mu_prev = gamma[i, rows] * inputs + delta[i, rows] * mu_prev
+            mu[i + 1] = gamma[i, :N + 1] * lam[i] + delta[i, :N + 1] * mu[i]
 
-    y = np.empty((N + 1, m))
-    y[0] = [*lam0, 1.0]
-    j0 = 0
-    while j0 < N:
-        # |y| grows by at most 2**1000 between checks, so a diverging march cannot overflow
-        budget = reach[j0] + 1000.0 - np.log2(np.abs(y[j0]).max())
-        j1 = min(N, max(j0 + 1, int(np.searchsorted(reach, budget, side="right")) - 1))
-        for step, y_j, y_next in zip(maps[3, j0:j1], y[j0:j1], y[j0 + 1:]):
-            np.dot(step, y_j, out=y_next)
-        inputs = np.concatenate([y[None, j0:j1], (maps[:3, j0:j1] @ y[j0:j1, :, None])[..., 0]])
-        diverged = (np.abs(inputs[..., :-1]).max(axis=-1) > guard).T
-        if (diverged | failed[j0:j1]).any():
-            j, s = divmod(int(np.argmax(diverged | failed[j0:j1])), 4)
-            k = j0 + j + (0, N + 1, N + 1, 1)[s]  # the time row stage s reads
-            t = float(times[k])
-            if diverged[j, s]:
-                raise DivergenceError(f"curve stress exceeded {guard:.3e} at t={t:.6g}")
-            if degenerate[:, k].any():
-                i = int(np.argmax(degenerate[:, k]))
-                raise DegenerateBasisError(float(det[i, k]), float(threshold[i, k]), (i, t))
-            raise EvaluationError("derivative is not finite", t=t, stage=s + 1)
-        j0 = j1
-
-    lam = y[:, :-1].T
-    _, mus = _sweep([v[:, :N + 1] for v in vectors], lam, mu[-1, :N + 1])
-    return StressField(grid, lam, np.vstack([mu[-1, :N + 1], *mus]))
+    if (diverged | failed).any():
+        j, s = divmod(int(np.argmax((diverged | failed).T)), 4)
+        k = rows[s, j]
+        t = float(times[k])
+        if diverged[s, j]:
+            raise DivergenceError(f"curve stress exceeded {guard:.3e} at t={t:.6g}")
+        if degenerate[:, k].any():
+            i = int(np.argmax(degenerate[:, k]))
+            raise DegenerateBasisError(float(det[i, k]), float(threshold[i, k]), (i, t))
+        raise EvaluationError("derivative is not finite", t=t, stage=s + 1)
+    return StressField(grid, lam, mu)

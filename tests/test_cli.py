@@ -366,6 +366,7 @@ class TestNonFinite:
         prefix = tmp_path / "proj"
         assert main(["project", "--input", str(magnified(1e150, "surface")), "--output", str(prefix)]) == 2
         assert not (tmp_path / "proj.stress.json").exists()
+        assert not (tmp_path / "proj.framework.json").exists()
         out, err = capsys.readouterr()
         assert "nan" not in out and "inf" not in out and "induced stress" not in out
         assert "invalid input: squared det(edge_i, tan_i) of curve -1 is not finite at t=0.0" in err
@@ -378,6 +379,17 @@ class TestNonFinite:
         out, err = capsys.readouterr()
         assert out == ""
         assert "invalid input: one-strip normalization scale of curve 0 is not finite at t=0.0" in err
+
+    @pytest.mark.parametrize("factor", [1e160, 1e200, 1e300])
+    def test_overflowing_onestrip_determinant_exit_2(self, magnified, tmp_path, capsys, factor):
+        # det(edge_0, tan_0) and its threshold overflow: not finite, not degenerate
+        out_path = tmp_path / "strip.json"
+        argv = ["onestrip", "--input", str(magnified(factor, "onestrip")), "--output", str(out_path)]
+        assert main(argv) == 2
+        assert not out_path.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid input: det(edge_0, tan_0) is not finite at t=0.0" in err
 
     def test_overflowing_onestrip_scale_exit_2(self, magnified, capsys):
         # the norm bounds overflow while the products stay finite: the criterion would read 0
