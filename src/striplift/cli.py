@@ -2,7 +2,8 @@
 
 Subcommands: validate, solve, check, lift, project, onestrip, demo.
 Exit codes: 0 success / check passed, 1 check failed, 2 invalid input,
-3 numerical degeneracy.
+3 numerical degeneracy, 4 internal error (a fault of the program, reported
+in one line without a traceback).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -266,71 +268,74 @@ def cmd_demo(args) -> int:
     raise SchemaError(f"unknown demo {name!r}")
 
 
-def _parser() -> argparse.ArgumentParser:
+_FLAGS = {
+    "--input": dict(required=True, metavar="PATH", help="input document path"),
+    "--stress": dict(required=True, metavar="PATH", help="stress document path"),
+    "--grid": dict(type=int, default=None, metavar="N",
+                   help="override the grid panel count (even, >= 16)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
+                  help="tolerance override (default 1e-6)"),
+    "--output": dict(default=None, metavar="PATH", help="output path"),
+    "--format": dict(help="output file format"),
+    "--seed": dict(type=int, default=0, metavar="S"),
+    "--force": dict(action="store_true", help="lift even when the residual gate fails"),
+    "--reproducible": dict(action="store_true",
+                           help="omit timestamps for byte-identical outputs"),
+    "--lambda0": dict(required=True,
+                      help="comma-separated curve stresses at t=0, one per curve 0..n"),
+    "--mu-minus1": dict(default="0",
+                        help="prescribed first boundary edge stress: a number or a "
+                             'coordinate object like {"poly": [0, 1], "trig": []}'),
+    "name": dict(help="translational3d | cylinder-strip3d | circles2d | perturbed2d"),
+}
+
+_STRESS_GRID = dict(help="the stress document's panel count N; any other value is rejected")
+
+# (name, function, help, flags, overrides): an override updates a flag's settings
+_COMMANDS = (
+    ("validate", cmd_validate, "schema and regularity check", ("--input", "--grid"), {}),
+    ("solve", cmd_solve, "march a stress from initial data",
+     ("--input", "--grid", "--output", "--lambda0", "--mu-minus1"), {}),
+    ("check", cmd_check, "equilibrium residual and path-independence spread",
+     ("--input", "--stress", "--grid", "--tol", "--seed", "--output"), {"--grid": _STRESS_GRID}),
+    ("lift", cmd_lift, "build the lifted surface of a self-stress",
+     ("--input", "--stress", "--grid", "--tol", "--force", "--format", "--reproducible", "--output"),
+     {"--format": dict(choices=("obj", "json"), default="obj"), "--output": dict(required=True),
+      "--grid": _STRESS_GRID}),
+    ("project", cmd_project, "project a spatial surface and induce its stress",
+     ("--input", "--grid", "--tol", "--output"), {}),
+    ("onestrip", cmd_onestrip, "one-strip liftability analysis (n=1)",
+     ("--input", "--grid", "--tol", "--format", "--output"),
+     {"--format": dict(choices=("json", "csv"), default="json")}),
+    ("demo", cmd_demo, "write a built-in scenario bundle",
+     ("--tol", "--seed", "--reproducible", "--output", "name"), {}),
+)
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser of `argv`.  It lists every command, so help, usage and errors
+    read as with every flag built; only the command argparse dispatches to,
+    the first token of `argv` that names one, gets its flags and its -h."""
     top = argparse.ArgumentParser(
         prog="striplift",
         description="Self-stresses, liftings, and projections of semi-discrete planar frameworks",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    flags = {
-        "input": dict(required=True, metavar="PATH", help="input document path"),
-        "stress": dict(required=True, metavar="PATH", help="stress document path"),
-        "grid": dict(type=int, default=None, metavar="N",
-                     help="override the grid panel count (even, >= 16)"),
-        "tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
-                    help="tolerance override (default 1e-6)"),
-        "output": dict(default=None, metavar="PATH", help="output path"),
-        "format": dict(help="output file format"),
-        "seed": dict(type=int, default=0, metavar="S"),
-        "force": dict(action="store_true", help="lift even when the residual gate fails"),
-        "reproducible": dict(action="store_true",
-                             help="omit timestamps for byte-identical outputs"),
-    }
-
-    def command(name, fn, help, names, **overrides):
-        """Subparser `name` with the flags `names`; overrides update a flag's settings."""
-        p = sub.add_parser(name, help=help)
-        for flag in names:
-            p.add_argument(f"--{flag}", **{**flags[flag], **overrides.get(flag, {})})
+    names = [command[0] for command in _COMMANDS]
+    invoked = next((token for token in argv if token in names), None)
+    for name, fn, help, flags, overrides in _COMMANDS:
+        p = sub.add_parser(name, help=help, add_help=name == invoked)
         p.set_defaults(fn=fn)
-        return p
-
-    command("validate", cmd_validate, "schema and regularity check", ("input", "grid"))
-
-    p = command("solve", cmd_solve, "march a stress from initial data", ("input", "grid", "output"))
-    p.add_argument("--lambda0", required=True,
-                   help="comma-separated curve stresses at t=0, one per curve 0..n")
-    p.add_argument("--mu-minus1", default="0", dest="mu_minus1",
-                   help="prescribed first boundary edge stress: a number or a "
-                        'coordinate object like {"poly": [0, 1], "trig": []}')
-
-    stress_grid = dict(help="the stress document's panel count N; any other value is rejected")
-    command("check", cmd_check, "equilibrium residual and path-independence spread",
-            ("input", "stress", "grid", "tol", "seed", "output"), grid=stress_grid)
-
-    command("lift", cmd_lift, "build the lifted surface of a self-stress",
-            ("input", "stress", "grid", "tol", "force", "format", "reproducible", "output"),
-            format=dict(choices=("obj", "json"), default="obj"), output=dict(required=True),
-            grid=stress_grid)
-
-    command("project", cmd_project, "project a spatial surface and induce its stress",
-            ("input", "grid", "tol", "output"))
-
-    command("onestrip", cmd_onestrip, "one-strip liftability analysis (n=1)",
-            ("input", "grid", "tol", "format", "output"),
-            format=dict(choices=("json", "csv"), default="json"))
-
-    p = command("demo", cmd_demo, "write a built-in scenario bundle",
-                ("tol", "seed", "reproducible", "output"))
-    p.add_argument("name", help="translational3d | cylinder-strip3d | circles2d | perturbed2d")
-
+        if name == invoked:
+            for flag in flags:
+                p.add_argument(flag, **{**_FLAGS[flag], **overrides.get(flag, {})})
     return top
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
         return exc.code
     grid = getattr(args, "grid", None)
@@ -354,6 +359,10 @@ def main(argv=None) -> int:
     except (GridAlignmentError, StripLiftError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -362,7 +362,7 @@ def document_numbers(doc: dict, *keys):
         want, ok = _NUMBER_RULES[key]
         value = doc.get(key)
         if isinstance(value, bool) or not ok(value):
-            raise SchemaError(f"{key} must be {want}, got {value!r}", field=key)
+            raise SchemaError(f"{key} must be {want}, got {json.dumps(value)}", field=key)
         values.append(value)
     return values
 
@@ -462,7 +462,8 @@ def framework_from_doc(doc, grid_panels: int | None = None):
     for k, entry in enumerate(entries):
         index = entry.get("index") if isinstance(entry, dict) else None
         if type(index) is not int:  # a bool is not an index
-            raise SchemaError(f"needs an integer index, got {index!r}", field=f"curves[{k}]")
+            raise SchemaError(f"needs an integer index, got {json.dumps(index)}",
+                              field=f"curves[{k}]")
     entries = sorted(entries, key=lambda e: e["index"])
     if len(entries) != n + 3:
         raise SchemaError(

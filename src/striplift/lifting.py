@@ -10,6 +10,7 @@ third coordinate produces a surface whose strips are all developable.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -346,10 +347,13 @@ def load_lifting(text: str) -> SampledLifting:
         raise SchemaError("embedded framework must be planar", field="framework")
     for key, value, own in (("T", T, fw.T), ("n", n, fw.n)):
         if value != own:
-            raise SchemaError(f"{value!r} differs from the embedded framework's {own!r}", field=key)
+            raise SchemaError(
+                f"{json.dumps(value)} differs from the embedded framework's {json.dumps(own)}", field=key
+            )
     path_dependent = doc.get("path_dependent", False)
     if not isinstance(path_dependent, bool):
-        raise SchemaError(f"must be true or false, got {path_dependent!r}", field="path_dependent")
+        raise SchemaError(f"must be true or false, got {json.dumps(path_dependent)}",
+                          field="path_dependent")
     grid = Grid(float(T), N)
     z = document_rows(doc, "z")
     try:

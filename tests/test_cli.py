@@ -1,14 +1,32 @@
+import argparse
 import ast
 import inspect
+import io
 import json
+import re
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import striplift as sl
-from striplift import framework, geomcore
-from striplift.cli import main
+from striplift import cli, framework, geomcore
+from striplift.cli import (
+    cmd_check,
+    cmd_demo,
+    cmd_lift,
+    cmd_onestrip,
+    cmd_project,
+    cmd_solve,
+    cmd_validate,
+    main,
+)
+from striplift.numerics import DEFAULT_TOL
 from striplift.statics import load_stress, save_stress
 
 
@@ -283,6 +301,16 @@ class TestLift:
         assert json.loads(out.read_text())["path_dependent"] is True
 
 
+def _magnify(doc, factor):
+    """A framework or surface document with every x and y coefficient times a factor."""
+    for curve in doc["curves"]:
+        for axis in (curve["x"], curve["y"]):
+            axis["poly"] = [factor * c for c in axis["poly"]]
+            for term in axis.get("trig", []):
+                term["amp"] *= factor
+    return doc
+
+
 class TestNonFinite:
     """Overflow ends in exit 2 naming where it arose, and no file is written."""
 
@@ -320,12 +348,7 @@ class TestNonFinite:
     def magnified(self, docs, tmp_path):
         """A document (the demo framework by default) with every x and y coefficient times a factor."""
         def write(factor, kind="framework"):
-            doc = json.loads(docs[1][kind].read_text())
-            for curve in doc["curves"]:
-                for axis in (curve["x"], curve["y"]):
-                    axis["poly"] = [factor * c for c in axis["poly"]]
-                    for term in axis.get("trig", []):
-                        term["amp"] *= factor
+            doc = _magnify(json.loads(docs[1][kind].read_text()), factor)
             path = tmp_path / f"magnified_{kind}_{factor:g}.json"
             path.write_text(json.dumps(doc))
             return path
@@ -683,3 +706,245 @@ class TestRegularityScans:
         tree = ast.parse(inspect.getsource(framework))
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "geomcore" not in imported
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser with every flag of every command, built on each call: the oracle of `cli._parser`."""
+    top = argparse.ArgumentParser(
+        prog="striplift",
+        description="Self-stresses, liftings, and projections of semi-discrete planar frameworks",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    flags = {
+        "input": dict(required=True, metavar="PATH", help="input document path"),
+        "stress": dict(required=True, metavar="PATH", help="stress document path"),
+        "grid": dict(type=int, default=None, metavar="N",
+                     help="override the grid panel count (even, >= 16)"),
+        "tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
+                    help="tolerance override (default 1e-6)"),
+        "output": dict(default=None, metavar="PATH", help="output path"),
+        "format": dict(help="output file format"),
+        "seed": dict(type=int, default=0, metavar="S"),
+        "force": dict(action="store_true", help="lift even when the residual gate fails"),
+        "reproducible": dict(action="store_true",
+                             help="omit timestamps for byte-identical outputs"),
+    }
+
+    def command(name, fn, help, names, **overrides):
+        """Subparser `name` with the flags `names`; overrides update a flag's settings."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **{**flags[flag], **overrides.get(flag, {})})
+        p.set_defaults(fn=fn)
+        return p
+
+    command("validate", cmd_validate, "schema and regularity check", ("input", "grid"))
+
+    p = command("solve", cmd_solve, "march a stress from initial data", ("input", "grid", "output"))
+    p.add_argument("--lambda0", required=True,
+                   help="comma-separated curve stresses at t=0, one per curve 0..n")
+    p.add_argument("--mu-minus1", default="0", dest="mu_minus1",
+                   help="prescribed first boundary edge stress: a number or a "
+                        'coordinate object like {"poly": [0, 1], "trig": []}')
+
+    stress_grid = dict(help="the stress document's panel count N; any other value is rejected")
+    command("check", cmd_check, "equilibrium residual and path-independence spread",
+            ("input", "stress", "grid", "tol", "seed", "output"), grid=stress_grid)
+
+    command("lift", cmd_lift, "build the lifted surface of a self-stress",
+            ("input", "stress", "grid", "tol", "force", "format", "reproducible", "output"),
+            format=dict(choices=("obj", "json"), default="obj"), output=dict(required=True),
+            grid=stress_grid)
+
+    command("project", cmd_project, "project a spatial surface and induce its stress",
+            ("input", "grid", "tol", "output"))
+
+    command("onestrip", cmd_onestrip, "one-strip liftability analysis (n=1)",
+            ("input", "grid", "tol", "format", "output"),
+            format=dict(choices=("json", "csv"), default="json"))
+
+    p = command("demo", cmd_demo, "write a built-in scenario bundle",
+                ("tol", "seed", "reproducible", "output"))
+    p.add_argument("name", help="translational3d | cylinder-strip3d | circles2d | perturbed2d")
+
+    return top
+
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of `main(argv)`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+_COMMAND_NAMES = ("validate", "solve", "check", "lift", "project", "onestrip", "demo")
+
+
+class TestParser:
+    """One command's flags per call, with the usage, help and errors of the full parser."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["--he"], ["bogus"], ["bogus", "solve"], ["--", "solve"],
+            ["--foo", "solve", "--input", "x", "--lambda0", "1"],
+            *([name, "-h"] for name in _COMMAND_NAMES),
+            *([name] for name in _COMMAND_NAMES),
+            ["solve", "--input", "x"], ["lift", "--input", "x", "--stress", "s"],
+            ["lift", "--format", "x"], ["solve", "--input", "x", "--lambda0", "1", "extra"],
+            ["demo", "a", "b"], ["check", "--bogus"], ["validate", "--lambda0", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_main_matches_the_full_parser(self, monkeypatch, argv):
+        ours = _outcome(argv)
+        monkeypatch.setattr(cli, "_parser", lambda argv: reference_parser())
+        assert ours == _outcome(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--input", "a", "--grid", "64"],
+            ["solve", "--input", "a", "--lambda0", "1,2", "--mu-minus1", "0.5", "--output", "o"],
+            ["solve", "--input", "a", "--lambda0", "1"],
+            ["check", "--input", "a", "--stress", "s", "--seed", "3", "--tol", "1e-3"],
+            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--format", "json", "--force"],
+            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--reproducible"],
+            ["project", "--input", "a", "--output", "o"],
+            ["onestrip", "--input", "a", "--format", "csv"],
+            ["demo", "circles2d", "--reproducible", "--seed", "2"],
+            ["demo", "solve"],
+        ],
+        ids=" ".join,
+    )
+    def test_namespace_matches_the_full_parser(self, argv):
+        assert cli._parser(argv).parse_args(argv) == reference_parser().parse_args(argv)
+
+    def test_only_the_invoked_command_gets_flags(self, docs, tmp_path, monkeypatch):
+        _, p = docs
+        calls = []
+        add = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        argv = ["solve", "--input", str(p["circle1"]), "--lambda0", "1",
+                "--output", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+        # --input --grid --output --lambda0 --mu-minus1, no positional, and -h of striplift and solve
+        assert len(calls) <= 5 + 0 + 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4_in_one_line(self, docs, monkeypatch, capsys):
+        _, p = docs
+
+        def broken(fw):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "regularity_report", broken)
+        assert main(["validate", "--input", str(p["framework"])]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["internal error: ZeroDivisionError: float division by zero"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, docs, monkeypatch, exc):
+        _, p = docs
+
+        def interrupted(fw):
+            raise exc()
+
+        monkeypatch.setattr(cli, "regularity_report", interrupted)
+        with pytest.raises(exc):
+            main(["validate", "--input", str(p["framework"])])
+
+
+# every command that reads a document of the kind, {mutant} standing for the document
+_FUZZ_COMMANDS = {
+    "framework": (
+        ["validate", "--input", "{mutant}"],
+        ["solve", "--input", "{mutant}", "--lambda0", "1,1,1,1", "--output", "{out}.json"],
+        ["check", "--input", "{mutant}", "--stress", "{stress}", "--output", "{out}.json"],
+        ["lift", "--input", "{mutant}", "--stress", "{stress}", "--output", "{out}.obj"],
+        ["onestrip", "--input", "{mutant}", "--output", "{out}.json"],
+    ),
+    "stress": (
+        ["check", "--input", "{framework}", "--stress", "{mutant}", "--output", "{out}.json"],
+        ["lift", "--input", "{framework}", "--stress", "{mutant}", "--output", "{out}.obj"],
+    ),
+    "surface": (
+        ["validate", "--input", "{mutant}"],
+        ["project", "--input", "{mutant}", "--output", "{out}"],
+    ),
+    "lifting": (
+        ["project", "--input", "{mutant}", "--output", "{out}"],
+    ),
+    "onestrip": (
+        ["validate", "--input", "{mutant}"],
+        ["solve", "--input", "{mutant}", "--lambda0", "1,1", "--output", "{out}.json"],
+        ["onestrip", "--input", "{mutant}", "--output", "{out}.json"],
+    ),
+}
+_FUZZ_VALUES = (None, True, 1e308, -1e308, 1e200, "x", [], {}, 0, -1, 1e-320, 3.5)
+_DELETE = "<delete>"
+_NON_VALUES = re.compile(r"\b(nan|inf|None)\b")
+
+
+def _fuzz(kind, doc, paths):
+    """Run every command reading `doc` in place of the `kind` document; judge each outcome."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / "mutant.json"
+        mutant.write_text(json.dumps(doc))
+        for argv in _FUZZ_COMMANDS[kind]:
+            argv = [a.format(mutant=mutant, out=Path(tmp) / "out", **paths) for a in argv]
+            code, out, err = _outcome(argv)
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert "Traceback" not in out + err, argv
+            assert not _NON_VALUES.search(out + err), (argv, out, err)
+            written = [f for f in Path(tmp).iterdir() if f != mutant]
+            if code in (2, 3):  # exit 1 may still write its report
+                assert written == [], (argv, err)
+            for f in written:
+                f.unlink()
+
+
+class TestFuzz:
+    """Malformed documents end in a documented exit code, a clean message and no stray file."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_single_field_mutation(self, docs, data):
+        _, p = docs
+        kind = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+        doc = node = json.loads(p[kind].read_text())
+        key = data.draw(st.sampled_from(sorted(node)))
+        # descend three times in four, so deep fields are reached as well as top-level ones
+        while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.integers(0, 3)):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        value = data.draw(st.sampled_from((*_FUZZ_VALUES, _DELETE)))
+        if value == _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        _fuzz(kind, doc, p)
+
+    @pytest.mark.parametrize(
+        "kind, factor",
+        [(kind, factor) for kind in ("framework", "surface", "onestrip") for factor in (1e100, 1e160)]
+        + [("onestrip", 3.8e38)],
+    )
+    def test_whole_document_scaling(self, docs, kind, factor):
+        _, p = docs
+        _fuzz(kind, _magnify(json.loads(p[kind].read_text()), factor), p)
