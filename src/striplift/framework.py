@@ -105,23 +105,26 @@ class _Coefficients:
         One sin(f t) and cos(f t) per distinct frequency f.  Order k of a trig
         term is (-1)^(k//2) f^k (a sin + b cos) for even k, (a cos - b sin) for
         odd k: the quarter turns are exact sign swaps.  Horner over the padded
-        polynomial rows, then the trig slots in order, elementwise only, so a
-        curve alone is bit-identical to the same curve in a batch.  Overflow
-        gives inf or nan without a warning; callers check it.
+        polynomial rows of the orders below the padded degree (the higher ones
+        stay +0.0), then the trig slots in order, elementwise only, so a curve
+        alone is bit-identical to the same curve in a batch.  Overflow gives
+        inf or nan without a warning; callers check it.
         """
         curves, dim, degree = self.poly.shape
         acc = np.zeros((order + 1, curves, dim, t.size))  # time-contiguous
-        coef = np.zeros((order + 1,) + self.poly.shape)  # coef[k]: derivative k, zero-padded
+        live = min(order, degree - 1) + 1  # orders with a nonzero polynomial row
+        coef = np.zeros((live,) + self.poly.shape)  # coef[k]: derivative k, zero-padded
         coef[0] = self.poly
-        for k in range(1, min(order, degree - 1) + 1):
+        for k in range(1, live):
             coef[k, ..., :-k] = coef[k - 1, ..., 1 : degree - k + 1] * np.arange(1, degree - k + 1)
         k = np.arange(order + 1)[:, None, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
             sin, cos = (np.vstack([fn(np.multiply.outer(self.distinct, t)), np.zeros(t.size)])
                         for fn in (np.sin, np.cos))
+            horner = acc[:live]
             for c in np.moveaxis(coef, -1, 0)[::-1]:
-                acc *= t
-                acc += c[..., None]
+                horner *= t
+                horner += c[..., None]
             scale = ((1 - 2 * (k // 2 % 2)) * self.freq**k)[..., None]
             for m, row in enumerate(np.moveaxis(self.row, -1, 0)):
                 s, c, a, b = sin[row], cos[row], self.a[..., m, None], self.b[..., m, None]

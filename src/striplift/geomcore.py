@@ -20,6 +20,19 @@ def det2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def norm(v):
+    """Euclidean length of planar or spatial vectors along the last axis.
+
+    Bit-identical to np.linalg.norm(v, axis=-1), which squares, adds in
+    coordinate order and takes the root too, minus its generic reduction.
+    """
+    v = np.asarray(v, dtype=float)
+    squares = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+    if v.shape[-1] == 3:
+        squares += v[..., 2] * v[..., 2]
+    return np.sqrt(squares)
+
+
 def det3(a, b, c):
     """Scalar triple product of three spatial vectors."""
     a = np.asarray(a, dtype=float)

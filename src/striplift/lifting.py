@@ -29,7 +29,7 @@ from .framework import (
     _dump_json,
     parse_document,
 )
-from .geomcore import det2, det3
+from .geomcore import det2, det3, norm
 from .numerics import (
     DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples,
     require_finite,
@@ -124,15 +124,20 @@ def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> fl
     return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
 
 
-def _jump_sums(weights, base, tangent, target) -> np.ndarray:
-    """Running sums of the jump terms weights[i] * det2(tangent[i], target - base[i]).
+def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
+    """Sums of the jump terms weights[i] * det2(tangent[i], target[k] - base[i]).
 
     base and tangent hold one point per jump i; target is (curves, N+1, 2).
-    Entry m is the sum over jumps i < m, added in order from zero, so it has
-    shape (len(weights)+1, curves, N+1).
+    Row k sums the jumps i < k, or every jump with every_row set.  Each jump
+    is added in curve order from 0.0 into the rows that read it, as a running
+    sum over jumps would, so memory stays at one (curves, N+1) table.
     """
-    terms = weights[:, None, None] * det2(tangent[:, None, None], target - base[:, None, None])
-    return np.cumsum(np.concatenate([np.zeros((1,) + target.shape[:-1]), terms]), axis=0)
+    sums = np.zeros(target.shape[:-1])
+    x, y = target[..., 0], target[..., 1]
+    for i, (w, (bx, by), (tx, ty)) in enumerate(zip(weights.tolist(), base.tolist(), tangent.tolist())):
+        rows = slice(0 if every_row else i + 1, None)
+        sums[rows] += w * (tx * (y[rows] - by) - ty * (x[rows] - bx))  # det2, coordinate-wise
+    return sums
 
 
 def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
@@ -148,13 +153,12 @@ def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     table = fw.grid_table(grid)
     prev, target = table.p[:-2], table.p[1:-1]  # curves k-1 and k, k = 0..n
     mu = stress.mu[:-1]  # mu_{k-1}
-    k = np.arange(fw.n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
         edge = target - prev
         px, py, q = cumulative_samples(
             np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
         )
-        z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)[k, k]
+        z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)
         return require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
 
 
@@ -243,7 +247,6 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
         raise ValueError("strip defects need at least two curves")
     table = surface.grid_table(grid or surface.grid)
     a1, b1 = table.d1[:-1], table.d1[1:]
-    norm = lambda v: np.linalg.norm(v, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
         ruling = table.p[1:] - table.p[:-1]
         defects = det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
@@ -282,7 +285,7 @@ def reversal_affine_defect(
     z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress))[::-1]
     table = fw.grid_table(stress.grid)
     curves = table.p[1:-1]
-    affine = _jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves)[-1]
+    affine = _jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves, every_row=True)
     return float(np.abs(z_fwd - z_rev - affine).max())
 
 

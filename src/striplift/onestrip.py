@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .framework import Framework, _dump_json, format_rows
-from .geomcore import det2
+from .geomcore import det2, norm
 from .numerics import (
     DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis,
     require_finite,
@@ -48,7 +48,7 @@ def _strip_data(fw: Framework, grid: Grid):
         "tan0_acc0", "tan0_acc1", "tan1_acc1", "tan0_jerk0", "tan1_jerk1",
     )
     brackets = {name: det2(*(vectors[v] for v in name.split("_"))) for name in pairs}
-    norms = {name: np.linalg.norm(v, axis=-1) for name, v in vectors.items()}
+    norms = {name: norm(v) for name, v in vectors.items()}
     return SimpleNamespace(**brackets), norms
 
 

@@ -8,11 +8,13 @@ the admission test: the induced stress is only meaningful when it holds.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NotConjugateError, StripLiftError
 from .framework import AnalyticSurface3D, Framework
-from .geomcore import det2, regularity_report
+from .geomcore import det2, norm, regularity_report
 from .lifting import SampledLifting, strip_defects
 from .numerics import DEFAULT_TOL, NORM_FLOOR, Grid, require_basis, require_finite
 from .statics import StressField
@@ -34,6 +36,13 @@ class ProjectedSurface:
         self.grid = framework.grid if isinstance(surface, AnalyticSurface3D) else surface.grid
         self.z_indices = list(surface.curve_indices)
 
+    @cached_property
+    def strip_defects(self) -> np.ndarray:
+        """`strip_defects` of the surface on the projection grid, computed once, read-only."""
+        defects = strip_defects(self.surface, self.grid)
+        defects.flags.writeable = False
+        return defects
+
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
     """Split off the height coordinate; the planar part must be regular."""
@@ -53,7 +62,7 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
 
 def developability_report(proj: ProjectedSurface):
     """Worst normalized strip defect over all data and its first location."""
-    rows = np.abs(strip_defects(proj.surface, proj.grid))
+    rows = np.abs(proj.strip_defects)
     k, j = np.unravel_index(np.argmax(rows), rows.shape)
     return float(rows[k, j]), (proj.z_indices[k], float(proj.grid.t[j]))
 
@@ -142,7 +151,7 @@ def plane_fit_distance(points: np.ndarray) -> float:
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     normal = vt[-1]
     dist = np.abs(centered @ normal).max()
-    diameter = 2.0 * np.linalg.norm(centered, axis=1).max()
+    diameter = 2.0 * norm(centered).max()
     return float(dist / max(diameter, NORM_FLOOR))
 
 

@@ -22,7 +22,7 @@ from .errors import DegenerateBasisError, DivergenceError, EvaluationError, Sche
 from .framework import (
     CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
 )
-from .geomcore import balance_vectors, det2
+from .geomcore import balance_vectors, det2, norm
 from .numerics import (
     NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples, require_finite
 )
@@ -163,11 +163,10 @@ def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
     _check_compatible(fw, stress)
     grid = stress.grid
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        terms = _force_terms(fw, stress)
-        t1, t2, t3, t4 = terms
+        t1, t2, t3, t4 = _force_terms(fw, stress)
         res = t1 + t2 + t3 - t4
-        scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
-        normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
+        scale = np.maximum(np.maximum(np.maximum(norm(t1), norm(t2)), norm(t3)), norm(t4))
+        normed = norm(res) / np.maximum(scale, NORM_FLOOR)
     require_finite(normed, "normalized residual", grid.t)
     # a finite residual over an infinite scale reads 0, which no gate should trust
     require_finite(scale, "force scale", grid.t)
@@ -210,12 +209,12 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     the two ruling force families separately), so stresses whose ruling
     forces cancel pairwise still get a physical scale.
     """
+    _check_compatible(fw, stress)
     grid = stress.grid
     ja, jb = grid.node_index(a), grid.node_index(b)
     tan, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
-    norm = lambda v: np.linalg.norm(v[i], axis=-1)
-    tension = np.abs(stress.lam_at(i)) * norm(tan)
-    ruling = np.abs(stress.mu_at(i)) * norm(fwd) + np.abs(stress.mu_at(i - 1)) * norm(bwd)
+    tension = np.abs(stress.lam_at(i)) * norm(tan[i])
+    ruling = np.abs(stress.mu_at(i)) * norm(fwd[i]) + np.abs(stress.mu_at(i - 1)) * norm(bwd[i])
     span = grid.t[jb] - grid.t[ja]
     return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
 

@@ -1,3 +1,6 @@
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -17,6 +20,38 @@ def frameworks(draw, ns=st.integers(1, 6), amplitudes=st.floats(0.0, 0.2),
     fw = sl.builtin("perturbed2d", n=n, seed=seed, amplitude=amplitude)
     grid = sl.Grid(fw.T, draw(panels))
     return sl.Framework(fw.T, n, [fw.curve(i) for i in fw.curve_indices], grid), seed
+
+
+BUILTINS = ("translational3d", "cylinder-strip3d", "circles2d", "perturbed2d")
+
+
+@lru_cache(maxsize=None)
+def builtin_stressed(name):
+    """A built-in framework and a stress on it: the induced stress of a projected
+    surface, or the stress solved from lambda0 = 1 and mu_{-1} = 0."""
+    obj = sl.builtin(name)
+    if isinstance(obj, sl.AnalyticSurface3D):
+        proj = sl.project(obj)
+        return proj.framework, sl.induced_stress(proj)
+    return obj, sl.solve_stress(obj, np.ones(obj.n + 1), 0.0)
+
+
+@st.composite
+def stressed_frameworks(draw, ns=st.integers(0, 6)):
+    """A built-in or generated framework with a stress, one mu row of it maybe scaled by 1.01.
+
+    Generated frameworks (see `frameworks`) carry the stress solved from a
+    seeded lambda0 in [0.5, 2] and a constant mu_{-1} in [-0.1, 0.1].
+    """
+    if draw(st.booleans()):
+        fw, stress = builtin_stressed(draw(st.sampled_from(BUILTINS)))
+    else:
+        fw, seed = draw(frameworks(ns=ns))
+        rng = np.random.default_rng(seed)
+        stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+    if draw(st.booleans()):
+        stress = mu_scaled(stress, draw(st.integers(-1, fw.n)), 1.01)
+    return fw, stress
 
 
 @pytest.fixture(scope="session")

@@ -783,6 +783,31 @@ def _outcome(argv):
 _COMMAND_NAMES = ("validate", "solve", "check", "lift", "project", "onestrip", "demo")
 
 
+
+class TestDevelopabilityPasses:
+    """A projection judges its strips once, however many checks read the defects."""
+
+    @pytest.mark.parametrize("argv, judged", [
+        (["project", "--input", "{surface}", "--output", "{out}"], ["AnalyticSurface3D"]),
+        # the demo's lifting is judged too, for its conjugacy residual
+        (["demo", "translational3d", "--output", "{out}", "--reproducible"],
+         ["AnalyticSurface3D", "SampledLifting"]),
+    ])
+    def test_one_strip_defect_pass_per_surface(self, docs, tmp_path, monkeypatch, argv, judged):
+        _, p = docs
+        calls = []
+        defects = sl.lifting.strip_defects
+
+        def counted(surface, *args, **kwargs):
+            calls.append(type(surface).__name__)
+            return defects(surface, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("striplift") and getattr(module, "strip_defects", None) is defects:
+                monkeypatch.setattr(module, "strip_defects", counted)
+        assert main([a.format(**p, out=tmp_path / "out") for a in argv]) == 0
+        assert calls == judged
+
 class TestParser:
     """One command's flags per call, with the usage, help and errors of the full parser."""
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import striplift as sl
@@ -12,6 +12,7 @@ from striplift.errors import SchemaError
 from striplift.framework import (
     AnalyticCurve,
     CoordFunction,
+    _Coefficients,
     combine,
     load_framework,
     reparametrized,
@@ -111,6 +112,63 @@ def test_kernel_matches_the_reference_and_the_symbolic_oracle(cf):
         tol = 8 * np.finfo(float).eps * term_scale(cf, ts, k)
         assert np.all(np.abs(got[k] - oracle) <= tol)
         assert np.all(np.abs(got[k] - want[k]) <= tol)
+
+
+def reference_jets(coefs, t, order):
+    """_Coefficients.jets with Horner over every order, the all-zero polynomial rows too."""
+    curves, dim, degree = coefs.poly.shape
+    acc = np.zeros((order + 1, curves, dim, t.size))
+    coef = np.zeros((order + 1,) + coefs.poly.shape)
+    coef[0] = coefs.poly
+    for k in range(1, min(order, degree - 1) + 1):
+        coef[k, ..., :-k] = coef[k - 1, ..., 1 : degree - k + 1] * np.arange(1, degree - k + 1)
+    k = np.arange(order + 1)[:, None, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin, cos = (np.vstack([fn(np.multiply.outer(coefs.distinct, t)), np.zeros(t.size)])
+                    for fn in (np.sin, np.cos))
+        for c in np.moveaxis(coef, -1, 0)[::-1]:
+            acc *= t
+            acc += c[..., None]
+        scale = ((1 - 2 * (k // 2 % 2)) * coefs.freq**k)[..., None]
+        for m, row in enumerate(np.moveaxis(coefs.row, -1, 0)):
+            s, c, a, b = sin[row], cos[row], coefs.a[..., m, None], coefs.b[..., m, None]
+            even = a * s
+            even += b * c
+            c *= a
+            c -= np.multiply(s, b, out=s)
+            for k, acc_k in enumerate(acc):
+                acc_k += np.multiply(scale[k, ..., m, :], c if k % 2 else even, out=s)
+    return np.ascontiguousarray(acc.transpose(0, 1, 3, 2))
+
+
+COEFFICIENTS = st.floats(-2.0, 2.0)
+TRIG_TERMS = st.lists(st.tuples(COEFFICIENTS, FREQUENCIES, st.floats(-math.pi, math.pi)),
+                      min_size=1, max_size=4)
+ROWS = {
+    "polynomial": st.builds(lambda p: CoordFunction(tuple(p)),
+                            st.lists(COEFFICIENTS, min_size=1, max_size=9)),
+    "trig": st.builds(lambda trig: CoordFunction((0.0,), tuple(trig)), TRIG_TERMS),
+    "degree 8": st.builds(lambda p, trig: CoordFunction(tuple(p), tuple(trig)),
+                          st.lists(COEFFICIENTS, min_size=9, max_size=9),
+                          st.lists(st.tuples(COEFFICIENTS, FREQUENCIES, COEFFICIENTS), max_size=2)),
+}
+MIXED_ROW = st.one_of(*ROWS.values(), coord_functions())
+
+
+@st.composite
+def coefficient_tables(draw):
+    """1..3 curves of dimension 2 or 3, all rows of one kind or each of any kind."""
+    row = draw(st.sampled_from(list(ROWS.values()) + [MIXED_ROW]))
+    dim = draw(st.sampled_from([2, 3]))
+    return [tuple(draw(row) for _ in range(dim)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coefficient_tables(), st.integers(0, 5),
+       st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
+def test_jets_are_bit_identical_to_the_reference(curves, order, times):
+    coefs, t = _Coefficients(curves), np.array(times)
+    assert coefs.jets(t, order).tobytes() == reference_jets(coefs, t, order).tobytes()
 
 
 @pytest.mark.parametrize("name, kwargs, distinct", [

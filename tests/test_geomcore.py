@@ -2,11 +2,50 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import striplift as sl
-from striplift.geomcore import det2, det3, gp_residual
+from striplift.geomcore import det2, det3, gp_residual, norm
 from striplift.numerics import basis_guard
 from striplift.onestrip import _strip_data
+
+
+def reference_norm(v):
+    """The generic norm the kernels used before geomcore.norm."""
+    return np.linalg.norm(v, axis=-1)
+
+
+VECTORS = st.sampled_from([2, 3]).flatmap(
+    lambda dim: arrays(
+        float,
+        st.tuples(st.integers(0, 3), st.integers(0, 4)).map(lambda shape: shape + (dim,)),
+        elements=st.one_of(st.floats(allow_nan=False), st.sampled_from([1e200, -1e200, -0.0])),
+    )
+)
+
+
+class TestNorm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(VECTORS)
+    def test_bit_identical_to_the_generic_norm(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = norm(v), reference_norm(v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflow_reads_inf_like_the_generic_norm(self, dim):
+        v = np.full((4, dim), 1e200) * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+        with np.errstate(over="ignore"):
+            got, want = norm(v), reference_norm(v)
+        assert np.all(got == np.inf)
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_vectors(self):
+        assert norm((3.0, 4.0)) == 5.0
+        assert norm((2.0, 3.0, 6.0)) == 7.0
 
 
 class TestDet2:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,10 +21,11 @@ from striplift.lifting import (
     load_lifting,
     lpath,
     save_lifting,
+    strip_defects,
 )
-from striplift.numerics import integrate_samples
+from striplift.numerics import NORM_FLOOR, cumulative_samples, integrate_samples
 
-from conftest import PROPERTY, frameworks, mu_scaled, twisted_surface
+from conftest import PROPERTY, frameworks, mu_scaled, stressed_frameworks, twisted_surface
 
 
 def zero_stress(fw):
@@ -54,6 +56,96 @@ def reference_height(fw, stress, p, path):
             integrand = stress.mu_at(i - 1) * det2(edge, target[None, :] - prev.p)
             total -= integrate_samples(integrand, grid.h, j0, j1)
     return float(total)
+
+
+def reference_jump_sums(weights, base, tangent, target):
+    """Every running sum of the jump terms, as one (jumps+1, curves, N+1) tensor."""
+    terms = weights[:, None, None] * det2(tangent[:, None, None], target - base[:, None, None])
+    return np.cumsum(np.concatenate([np.zeros((1,) + target.shape[:-1]), terms]), axis=0)
+
+
+def reference_height_profiles(fw, stress):
+    """Axis-path heights with the jump sums read off the diagonal of the tensor."""
+    grid = stress.grid
+    table = fw.grid_table(grid)
+    prev, target = table.p[:-2], table.p[1:-1]
+    mu = stress.mu[:-1]
+    k = np.arange(fw.n + 1)
+    edge = target - prev
+    px, py, q = cumulative_samples(
+        np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
+    )
+    z = reference_jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)[k, k]
+    return z - (px * target[..., 1] - py * target[..., 0] - q)
+
+
+def reference_reversal_affine_defect(fw, stress):
+    """reversal_affine_defect without its gate, from the reference heights and jump sums."""
+    z_fwd = reference_height_profiles(fw, stress)
+    z_rev = reference_height_profiles(sl.reversed_framework(fw), sl.reversed_stress(stress))[::-1]
+    table = fw.grid_table(stress.grid)
+    curves = table.p[1:-1]
+    affine = reference_jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves)[-1]
+    return float(np.abs(z_fwd - z_rev - affine).max())
+
+
+def reference_strip_defects(surface, grid=None):
+    """strip_defects with the generic norm."""
+    table = surface.grid_table(grid or surface.grid)
+    a1, b1 = table.d1[:-1], table.d1[1:]
+    norm = lambda v: np.linalg.norm(v, axis=-1)
+    ruling = table.p[1:] - table.p[:-1]
+    return sl.det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+
+
+def reference_plane_fit_distance(points):
+    """plane_fit_distance with the generic norm."""
+    centered = points - points.mean(axis=0)
+    normal = np.linalg.svd(centered, full_matrices=False)[2][-1]
+    diameter = 2.0 * np.linalg.norm(centered, axis=1).max()
+    return float(np.abs(centered @ normal).max() / max(diameter, NORM_FLOOR))
+
+
+@PROPERTY
+@given(stressed_frameworks())
+def test_height_kernels_are_bit_identical_to_the_reference(drawn):
+    fw, stress = drawn
+    assert _height_profiles(fw, stress).tobytes() == reference_height_profiles(fw, stress).tobytes()
+    # the gate is the residual report's, checked on its own; tol=inf lets every stress through
+    defect = sl.reversal_affine_defect(fw, stress, tol=np.inf)
+    assert defect == reference_reversal_affine_defect(fw, stress)
+
+
+ANALYTIC = ("translational3d", "cylinder-strip3d", "twisted")
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(ANALYTIC), stressed_frameworks(ns=st.integers(1, 6))))
+def test_strip_defects_are_bit_identical_to_the_reference(drawn):
+    if drawn in ANALYTIC:
+        surface = twisted_surface() if drawn == "twisted" else sl.builtin(drawn)
+    else:
+        surface = sl.build_lifting(*drawn, force=True)
+        first, last = surface.grid_table().p[[0, -1]]
+        assert sl.boundary_planarity(surface) == (
+            reference_plane_fit_distance(first), reference_plane_fit_distance(last)
+        )
+    assert strip_defects(surface).tobytes() == reference_strip_defects(surface).tobytes()
+
+
+def test_height_memory_is_linear_in_the_curve_count():
+    # one (n+1, N+1) table per quantity, no (n, n+1, N+1) jump tensor: ~7 MB here
+    fw = sl.builtin("perturbed2d", n=64, seed=3, amplitude=0.005)
+    grid = sl.Grid(fw.T, 1024)
+    stress = sl.solve_stress(fw, 1.0 + 0.5 * np.arange(65), 0.01, grid)
+    fw.grid_table(grid)
+    tracemalloc.start()
+    try:
+        _height_profiles(fw, stress)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 class TestIncreasingPath:

@@ -1,9 +1,57 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import striplift as sl
+from striplift import onestrip
 from striplift.errors import DegenerateBasisError
 from striplift.framework import AnalyticCurve, CoordFunction, reparametrized
+
+from conftest import PROPERTY, frameworks
+
+
+def reference_strip_data(fw, grid):
+    """onestrip._strip_data with the generic norm."""
+    table = fw.grid_table(grid)
+    (f0, f1), (tan0, tan1), (acc0, acc1), (jerk0, jerk1) = (field[1:3] for field in table)
+    vectors = {
+        "edge": f1 - f0, "tan0": tan0, "tan1": tan1,
+        "acc0": acc0, "acc1": acc1, "jerk0": jerk0, "jerk1": jerk1,
+    }
+    pairs = (
+        "edge_tan0", "edge_tan1", "edge_acc0", "edge_acc1", "tan0_tan1",
+        "tan0_acc0", "tan0_acc1", "tan1_acc1", "tan0_jerk0", "tan1_jerk1",
+    )
+    brackets = {name: sl.det2(*(vectors[v] for v in name.split("_"))) for name in pairs}
+    norms = {name: np.linalg.norm(v, axis=-1) for name, v in vectors.items()}
+    return SimpleNamespace(**brackets), norms
+
+
+def one_strip_builtin(name):
+    if name == "cylinder-strip3d":
+        return sl.project(sl.builtin(name)).framework
+    if name == "circles2d":
+        return sl.builtin(name, n=1)
+    return sl.builtin("perturbed2d", seed=4, amplitude=0.08)
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(["cylinder-strip3d", "circles2d", "perturbed2d"]),
+                 frameworks(ns=st.just(1))))
+def test_verify_is_bit_identical_to_the_reference(drawn):
+    fw = one_strip_builtin(drawn) if isinstance(drawn, str) else drawn[0]
+    got = sl.onestrip_verify(fw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(onestrip, "_strip_data", reference_strip_data)
+        want = sl.onestrip_verify(fw)
+    for name in ("lambda0", "lambda1", "mu0", "criterion"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.array(got.system_residuals).tobytes() == np.array(want.system_residuals).tobytes()
+    for name in ("criterion_max", "verdict", "coupling", "coupling_sign", "equilibrium_max"):
+        assert getattr(got, name) == getattr(want, name)
 
 
 class TestStresses:

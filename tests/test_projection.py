@@ -185,6 +185,16 @@ class TestInducedStress:
             sl.induced_stress(proj)
         assert err.value.worst_defect > 1e-2
 
+    def test_refuses_non_conjugate_after_a_report(self):
+        # the strip defects are computed once per projection, and still gate
+        proj = sl.project(twisted_surface())
+        worst, where = sl.developability_report(proj)
+        with pytest.raises(NotConjugateError) as err:
+            sl.induced_stress(proj)
+        assert err.value.worst_defect == worst > 1e-2
+        assert proj.strip_defects is proj.strip_defects
+        assert not proj.strip_defects.flags.writeable
+
     def test_round_trip_lifting_conjugate(self, translational, cylinder):
         for _, proj, stress in (translational, cylinder):
             lifted = sl.build_lifting(proj.framework, stress)

@@ -17,9 +17,11 @@ from striplift.errors import (
     GridAlignmentError,
     SchemaError,
 )
+from striplift.geomcore import balance_vectors
+from striplift.numerics import NORM_FLOOR
 from striplift.statics import load_stress, save_stress, segment_force_scale
 
-from conftest import mu_minus1_fn, mu_scaled
+from conftest import PROPERTY, mu_minus1_fn, mu_scaled, stressed_frameworks
 
 
 def zero_stress(fw):
@@ -227,6 +229,47 @@ class TestResidualReport:
         assert np.allclose(rep3.normalized, rep.normalized, atol=2e-12)
 
 
+def reference_residual_report(fw, stress):
+    """The residual kernel before geomcore.norm: generic norms and one max over the
+    stacked term norms.  Returns (residual, normalized, argmax flat index)."""
+    terms = statics._force_terms(fw, stress)
+    t1, t2, t3, t4 = terms
+    res = t1 + t2 + t3 - t4
+    scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
+    normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
+    return res, normed, int(np.argmax(normed))
+
+
+def reference_segment_force_scale(fw, stress, i, a, b):
+    """segment_force_scale with the generic norm."""
+    grid = stress.grid
+    ja, jb = grid.node_index(a), grid.node_index(b)
+    tan, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
+    norm = lambda v: np.linalg.norm(v[i], axis=-1)
+    tension = np.abs(stress.lam_at(i)) * norm(tan)
+    ruling = np.abs(stress.mu_at(i)) * norm(fwd) + np.abs(stress.mu_at(i - 1)) * norm(bwd)
+    span = grid.t[jb] - grid.t[ja]
+    return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
+
+
+@PROPERTY
+@given(stressed_frameworks(), st.data())
+def test_residual_kernels_are_bit_identical_to_the_reference(drawn, data):
+    fw, stress = drawn
+    report = sl.residual_report(fw, stress)
+    res, normed, flat = reference_residual_report(fw, stress)
+    assert report.residual.tobytes() == res.tobytes()
+    assert report.normalized.tobytes() == normed.tobytes()
+    i, j = divmod(flat, stress.grid.N + 1)
+    assert report.argmax == (i, float(stress.grid.t[j]))
+    assert report.max_normalized == normed[i, j]
+    i = data.draw(st.integers(0, fw.n))
+    ja, jb = sorted(data.draw(st.lists(st.integers(0, stress.grid.N), min_size=2, max_size=2)))
+    a, b = stress.grid.t[ja], stress.grid.t[jb]
+    got = segment_force_scale(fw, stress, i, a, b)
+    assert got == reference_segment_force_scale(fw, stress, i, a, b)
+
+
 class TestForceLoad:
     def test_empty_segment(self, translational):
         _, proj, stress = translational
@@ -271,6 +314,18 @@ class TestForceLoad:
         _, proj, stress = translational
         with pytest.raises(GridAlignmentError):
             sl.force_load(proj.framework, stress, 0, 0.0, 0.1234567)
+
+    def test_scale_refuses_what_the_load_refuses(self):
+        # a stress over [0, 2T], or for fewer curves, judges no segment of the framework
+        fw = sl.builtin("circles2d", n=1)
+        grid = sl.Grid(2.0 * fw.T, 64)
+        long = sl.StressField(grid, np.ones((2, 65)), np.ones((3, 65)))
+        fewer = sl.solve_stress(fw, [1.0, 1.0], 0.0)
+        wider = sl.builtin("circles2d", n=2)
+        for stress, frame, i, match in ((long, fw, 0, "does not span"), (fewer, wider, 2, "n=1")):
+            for judge in (sl.force_load, segment_force_scale):
+                with pytest.raises(ValueError, match=match):
+                    judge(frame, stress, i, 0.0, frame.T)
 
 
 class TestSolveStress:

@@ -1,0 +1,66 @@
+"""Time and peak traced memory, by strip count n, of the kernels whose work grows with n.
+
+    PYTHONPATH=src python3 tools/scaling.py
+
+Each case is the perturbed2d framework (seed 3, amplitude 0.005) on N = 1024
+panels with the stress marched from lambda0 = 1, 1.5, 2, ... and a
+trigonometric CoordFunction mu_{-1}.  The kernels:
+
+- solve_stress: the march (`solve`)
+- residual_report: the equilibrium residual (`check`, and the gate of `lift`)
+- height_scale: the axis-path height profiles (`check`)
+- build_lifting: the residual gate plus the height profiles (`lift`)
+
+The time is the best of 5 calls on one framework, so its grid table is cached
+after the first.  The memory is the tracemalloc peak of one call on a fresh
+framework: for solve_stress the grid table is included, as the march builds
+it; the other kernels read a table built before tracing starts, as `check`
+and `lift` share one.  Run it with PYTHONPATH pointing at another checkout's
+src to compare two versions on the same host.
+"""
+
+import time
+import tracemalloc
+
+import numpy as np
+
+import striplift as sl
+
+NS, N = (4, 16, 32, 64), 1024
+MU = sl.CoordFunction((0.01, -0.003), ((0.02, 2.0, 0.7),))
+KERNELS = {
+    "solve_stress": lambda fw, stress: sl.solve_stress(fw, stress.lam[:, 0], MU, stress.grid),
+    "residual_report": sl.residual_report,
+    "height_scale": sl.height_scale,
+    "build_lifting": sl.build_lifting,
+}
+
+
+def framework(n):
+    """A fresh perturbed2d framework: no grid table built yet."""
+    return sl.builtin("perturbed2d", n=n, seed=3, amplitude=0.005)
+
+
+def main():
+    grid = sl.Grid(framework(1).T, N)
+    stresses = {n: sl.solve_stress(framework(n), 1.0 + 0.5 * np.arange(n + 1), MU, grid) for n in NS}
+    print(f"{'kernel':<16} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8}")
+    for name, kernel in KERNELS.items():
+        for n, stress in stresses.items():
+            fw, best = framework(n), float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                kernel(fw, stress)
+                best = min(best, time.perf_counter() - start)
+            fw = framework(n)
+            if name != "solve_stress":
+                fw.grid_table(grid)
+            tracemalloc.start()
+            kernel(fw, stress)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(f"{name:<16} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
+
+
+if __name__ == "__main__":
+    main()
