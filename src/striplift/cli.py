@@ -36,13 +36,13 @@ from .framework import (
 )
 from .geomcore import regularity_report
 from .lifting import (
+    _gated_lifting,
+    _random_spread,
     build_lifting,
     conjugacy_residual,
     export_obj,
     height_scale,
     load_lifting,
-    path_independence_spread,
-    random_paths,
     save_lifting,
 )
 from .numerics import DEFAULT_TOL
@@ -132,8 +132,7 @@ def cmd_check(args) -> int:
     fw, stress = _load_stressed(args)
     res = residual_report(fw, stress)
     print(res.summary())
-    paths = random_paths(fw.n, fw.T, stress.grid, count=20, seed=args.seed)
-    spread = path_independence_spread(fw, stress, (fw.n, fw.T), paths)
+    spread = _random_spread(fw, stress, count=20, seed=args.seed)
     scale = height_scale(fw, stress)
     print(
         f"height spread over 20 paths to ({fw.n}, T): {spread:.6e} "
@@ -222,7 +221,7 @@ def cmd_demo(args) -> int:
         stress = induced_stress(proj, conjugacy_tol=args.tol)
         _write(_with(prefix, ".stress.json"), save_stress(stress))
         res = residual_report(proj.framework, stress)
-        lifted = build_lifting(proj.framework, stress, tol=args.tol)
+        lifted = _gated_lifting(proj.framework, stress, res, tol=args.tol)
         _write(
             _with(prefix, ".lifting.obj"),
             export_obj(lifted, reproducible=args.reproducible),
@@ -312,21 +311,26 @@ _COMMANDS = (
 )
 
 
+def _invoked_parser(invoked=False, **kwargs):
+    """The parser_class of the subcommands: a parser for the invoked command, None for the rest."""
+    return argparse.ArgumentParser(**kwargs) if invoked else None
+
+
 def _parser(argv) -> argparse.ArgumentParser:
     """The parser of `argv`.  It lists every command, so help, usage and errors
-    read as with every flag built; only the command argparse dispatches to,
-    the first token of `argv` that names one, gets its flags and its -h."""
+    read as with every parser built; only the command argparse dispatches to,
+    the first token of `argv` that names one, gets a parser with its flags."""
     top = argparse.ArgumentParser(
         prog="striplift",
         description="Self-stresses, liftings, and projections of semi-discrete planar frameworks",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_invoked_parser)
     names = [command[0] for command in _COMMANDS]
     invoked = next((token for token in argv if token in names), None)
     for name, fn, help, flags, overrides in _COMMANDS:
-        p = sub.add_parser(name, help=help, add_help=name == invoked)
-        p.set_defaults(fn=fn)
-        if name == invoked:
+        p = sub.add_parser(name, help=help, invoked=name == invoked)
+        if p is not None:
+            p.set_defaults(fn=fn)
             for flag in flags:
                 p.add_argument(flag, **{**_FLAGS[flag], **overrides.get(flag, {})})
     return top
@@ -344,6 +348,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     if getattr(args, "tol", DEFAULT_TOL) <= 0:
         print("error: --tol must be positive", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         return args.fn(args)

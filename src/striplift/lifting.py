@@ -5,6 +5,11 @@ increasing path: jumps from curve to curve contribute tension determinants,
 the stretches along a curve contribute integrals of the ruling forces.  For a
 self-stress the value does not depend on the path, and attaching it as a
 third coordinate produces a surface whose strips are all developable.
+
+One kernel walks paths given as a table of grid-node indices, one row per
+path.  `height` and `path_independence_spread` validate IncreasingPath
+objects and hand it their nodes; the spread of `check` draws its random
+paths straight into the table.
 """
 
 from __future__ import annotations
@@ -68,24 +73,56 @@ def lpath(k: int, s: float) -> IncreasingPath:
     return IncreasingPath(k, s, (0.0,) * (k + 1) + (s,))
 
 
+def _random_nodes(k: int, js: int, count: int, seed: int) -> np.ndarray:
+    """Node table of `count` seeded random increasing paths to curve k, node js.
+
+    Row m holds node 0, the k sorted jump nodes of path m in 0..js, and js.
+    Each row is one `integers` call and one sort: a batched draw would tie the
+    nodes to how numpy buffers it.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = np.full((count, k + 2), js)
+    nodes[:, 0] = 0
+    for row in nodes:
+        row[1:-1] = np.sort(rng.integers(0, js + 1, size=k))
+    return nodes
+
+
 def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
     """Seeded random increasing paths to (k, s) with grid-aligned jumps."""
-    rng = np.random.default_rng(seed)
-    js = grid.node_index(s)
-    paths = []
-    for _ in range(count):
-        jumps = np.sort(rng.integers(0, js + 1, size=k))
-        gamma = (0.0,) + tuple(grid.t[j] for j in jumps) + (s,)
-        paths.append(IncreasingPath(k, s, gamma))
-    return paths
+    nodes = _random_nodes(k, grid.node_index(s), count, seed)
+    t = grid.t.tolist()
+    return [IncreasingPath(k, s, (0.0, *(t[j] for j in row[1:-1]), s)) for row in nodes.tolist()]
+
+
+def _node_heights(fw: Framework, stress: StressField, k: int, s: float, nodes) -> np.ndarray:
+    """Heights of the framework point (k, s) along the paths of a node table.
+
+    Row m of the (paths, k+2) integer table holds node 0, the node where path
+    m jumps off each curve 0..k-1, and the node of s.  Curve integrals use the
+    fourth-order node rules on the grid table.
+    """
+    h, table = stress.grid.h, fw.grid_table(stress.grid)
+    target = table.p[k + 1, nodes[0, -1]]  # every path ends at the node of s
+    on = np.arange(k), nodes[:, 1:-1]  # path m jumps off curve i at node nodes[m, i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
+        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
+        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
+        # jump terms summed in curve order from 0.0, then one integral per run along a curve
+        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps], axis=1)[:, -1].tolist()
+        for m, row in enumerate(nodes.tolist()):
+            for i, (j0, j1) in enumerate(zip(row, row[1:])):
+                if j1 > j0:
+                    heights[m] -= integrate_samples(integrands[i], h, j0, j1)
+    return require_finite(np.array(heights)[None, None], "height", [s], first=k)[0, 0]
 
 
 def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
     """Heights of the framework point p = (k, s) along each path, from the grid table.
 
-    Path nodes are grid nodes; curve integrals use the fourth-order node rules.
-    The first bad path raises ValueError (other target), IndexError (k outside
-    0..n) or GridAlignmentError (off-grid node).
+    Path nodes are grid nodes.  The first bad path raises ValueError (other
+    target), IndexError (k outside 0..n) or GridAlignmentError (off-grid node).
     """
     k, s = p
     grid, idx = stress.grid, []
@@ -95,19 +132,7 @@ def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
         if not 0 <= k <= fw.n:
             raise IndexError(f"target curve {k} outside 0..{fw.n}")
         idx.append([grid.node_index(g) for g in path.gamma])
-    idx, table = np.array(idx), fw.grid_table(grid)
-    target = table.p[k + 1, idx[0, -1]]  # every path ends at the node of s
-    on = np.arange(k), idx[:, 1:-1]  # path m jumps off curve i at node idx[m, i + 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
-        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
-        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
-        # jump terms summed in curve order from 0.0, then one integral per run along a curve
-        heights = np.cumsum(np.c_[np.zeros(len(paths)), jumps], axis=1)[:, -1]
-        for m, js in enumerate(idx):
-            for i in np.flatnonzero(js[1:] > js[:-1]):
-                heights[m] -= integrate_samples(integrands[i], grid.h, js[i], js[i + 1])
-    return require_finite(heights[None, None], "height", [s], first=k)[0, 0]
+    return _node_heights(fw, stress, k, s, np.array(idx))
 
 
 def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
@@ -115,13 +140,28 @@ def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float
     return float(_path_heights(fw, stress, p, [path])[0])
 
 
+def _spread(heights: np.ndarray, p) -> float:
+    """Largest minus smallest height to the point p, which must be finite."""
+    values = heights.tolist()
+    spread = max(values) - min(values)  # python floats overflow to inf without a warning
+    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
+
+
 def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> float:
     """Largest pairwise height difference among paths to the same point."""
     if len(paths) < 2:
         raise ValueError("need at least two paths to measure a spread")
-    values = _path_heights(fw, stress, p, paths).tolist()
-    spread = max(values) - min(values)  # python floats overflow to inf without a warning
-    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
+    return _spread(_path_heights(fw, stress, p, paths), p)
+
+
+def _random_spread(fw: Framework, stress: StressField, count: int, seed: int) -> float:
+    """The spread of `check`: path_independence_spread to (n, T) over
+    random_paths(n, T, stress.grid, count, seed), walked as a node table."""
+    if count < 2:
+        raise ValueError("need at least two paths to measure a spread")
+    p = fw.n, fw.T
+    nodes = _random_nodes(fw.n, stress.grid.node_index(fw.T), count, seed)
+    return _spread(_node_heights(fw, stress, *p, nodes), p)
 
 
 def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
@@ -224,7 +264,12 @@ def build_lifting(
     (NotSelfStressedError carries the report).  With force=True the surface
     is built anyway from the axis-path heights and labeled path-dependent.
     """
-    report = residual_report(fw, stress)
+    return _gated_lifting(fw, stress, residual_report(fw, stress), tol, force)
+
+
+def _gated_lifting(fw: Framework, stress: StressField, report, tol: float,
+                   force: bool = False) -> SampledLifting:
+    """build_lifting behind a residual report the caller has computed."""
     path_dependent = False
     if not report.max_normalized < tol:  # fails closed
         if not force:

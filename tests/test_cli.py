@@ -249,6 +249,31 @@ class TestCheck:
         )
         assert code == 1
 
+    def test_negative_seed_exit_2_before_any_output(self, docs, tmp_path, capsys):
+        _, p = docs
+        argv = ["check", "--input", str(p["framework"]), "--stress", str(p["stress"]),
+                "--seed", "-1", "--output", str(tmp_path / "check.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_spread_builds_no_path_objects(self, docs, monkeypatch, capsys):
+        # the twenty paths are drawn and walked as a node table
+        _, p = docs
+        built = []
+        init = sl.IncreasingPath.__post_init__
+
+        def counted(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(sl.IncreasingPath, "__post_init__", counted)
+        assert main(["check", "--input", str(p["framework"]), "--stress", str(p["stress"])]) == 0
+        assert "height spread over 20 paths" in capsys.readouterr().out
+        assert built == []
+
 
 class TestLift:
     def test_obj_output(self, docs, tmp_path):
@@ -621,6 +646,29 @@ class TestDemo:
         fw = sl.builtin("perturbed2d", seed=5)
         assert text == sl.save_framework(fw)
 
+    def test_negative_seed_exit_2_before_any_output(self, tmp_path, capsys):
+        assert main(["demo", "perturbed2d", "--output", str(tmp_path / "p"), "--seed", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["translational3d", "cylinder-strip3d"])
+    def test_one_residual_report_per_demo(self, tmp_path, monkeypatch, name):
+        # the report printed by the demo is the one its lifting gate reads
+        calls = []
+        report = sl.statics.residual_report
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return report(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("striplift") and getattr(module, "residual_report", None) is report:
+                monkeypatch.setattr(module, "residual_report", counted)
+        assert main(["demo", name, "--output", str(tmp_path / "d"), "--reproducible"]) == 0
+        assert len(calls) == 1
+
 
 def _corrupt(doc, path, value):
     *parents, last = path
@@ -825,6 +873,7 @@ class TestParser:
             ["solve", "--input", "x"], ["lift", "--input", "x", "--stress", "s"],
             ["lift", "--format", "x"], ["solve", "--input", "x", "--lambda0", "1", "extra"],
             ["demo", "a", "b"], ["check", "--bogus"], ["validate", "--lambda0", "1"],
+            ["check", "--input", "a", "--stress", "s", "--seed", "-1"],
         ],
         ids=" ".join,
     )
@@ -867,6 +916,30 @@ class TestParser:
         assert main(argv) == 0
         # --input --grid --output --lambda0 --mu-minus1, no positional, and -h of striplift and solve
         assert len(calls) <= 5 + 0 + 2
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            *(([name, "-h"], 2) for name in _COMMAND_NAMES),
+            (["check", "--input", "{framework}", "--stress", "{stress}"], 2),
+            (["demo", "circles2d", "--output", "{out}"], 2),
+            (["-h"], 1), (["bogus"], 1), ([], 1),
+        ],
+        ids=lambda v: (" ".join(v) or "no argv") if isinstance(v, list) else f"{v} parsers",
+    )
+    def test_one_parser_per_invoked_command(self, docs, tmp_path, monkeypatch, capsys, argv, parsers):
+        # the top-level parser, plus the parser of the command argparse dispatches to
+        _, p = docs
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        main([a.format(**p, out=tmp_path / "out") for a in argv])
+        assert len(built) == parsers
 
 
 class TestInternalError:

@@ -17,6 +17,7 @@ from striplift.lifting import (
     SampledLifting,
     _height_profiles,
     _path_heights,
+    _random_spread,
     export_obj,
     load_lifting,
     lpath,
@@ -56,6 +57,18 @@ def reference_height(fw, stress, p, path):
             integrand = stress.mu_at(i - 1) * det2(edge, target[None, :] - prev.p)
             total -= integrate_samples(integrand, grid.h, j0, j1)
     return float(total)
+
+
+def reference_random_paths(k, s, grid, count, seed=0):
+    """random_paths as one IncreasingPath per seeded draw of grid-node times."""
+    rng = np.random.default_rng(seed)
+    js = grid.node_index(s)
+    paths = []
+    for _ in range(count):
+        jumps = np.sort(rng.integers(0, js + 1, size=k))
+        gamma = (0.0,) + tuple(grid.t[j] for j in jumps) + (s,)
+        paths.append(sl.IncreasingPath(k, s, gamma))
+    return paths
 
 
 def reference_jump_sums(weights, base, tangent, target):
@@ -272,6 +285,22 @@ def test_path_heights_are_the_reference_heights(drawn, data):
     single = [sl.height(fw, stress, (k, s), path) for path in paths]
     assert _path_heights(fw, stress, (k, s), paths).tobytes() == want.tobytes()
     assert np.array(single).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(frameworks(ns=st.integers(0, 7)), st.integers(2, 20), st.integers(0, 2**32 - 1), st.data())
+def test_node_table_paths_are_the_reference_paths(drawn, count, seed, data):
+    fw, fw_seed = drawn
+    grid = fw.grid
+    for k in range(fw.n + 1):  # odd and even jump counts, 0 included
+        s = float(grid.t[data.draw(st.integers(0, grid.N))])
+        want = [path.gamma for path in reference_random_paths(k, s, grid, count, seed)]
+        assert [path.gamma for path in sl.random_paths(k, s, grid, count, seed)] == want
+    rng = np.random.default_rng(fw_seed)
+    stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+    paths = reference_random_paths(fw.n, fw.T, grid, count, seed)
+    want = sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths)
+    assert np.float64(_random_spread(fw, stress, count, seed)).tobytes() == np.float64(want).tobytes()
 
 
 def test_spread_reads_no_point_jets(monkeypatch, translational):

@@ -10,6 +10,8 @@ trigonometric CoordFunction mu_{-1}.  The kernels:
 - residual_report: the equilibrium residual (`check`, and the gate of `lift`)
 - height_scale: the axis-path height profiles (`check`)
 - build_lifting: the residual gate plus the height profiles (`lift`)
+- random_spread: the height spread over 20 seeded random paths to (n, T),
+  drawn and walked as a node table (`check`); O(20 (n+1)) quadrature calls
 
 The time is the best of 5 calls on one framework, so its grid table is cached
 after the first.  The memory is the tracemalloc peak of one call on a fresh
@@ -25,6 +27,7 @@ import tracemalloc
 import numpy as np
 
 import striplift as sl
+from striplift.lifting import _random_spread
 
 NS, N = (4, 16, 32, 64), 1024
 MU = sl.CoordFunction((0.01, -0.003), ((0.02, 2.0, 0.7),))
@@ -33,6 +36,7 @@ KERNELS = {
     "residual_report": sl.residual_report,
     "height_scale": sl.height_scale,
     "build_lifting": sl.build_lifting,
+    "random_spread": lambda fw, stress: _random_spread(fw, stress, count=20, seed=0),
 }
 
 
