@@ -37,11 +37,10 @@ from .framework import (
 from .geomcore import regularity_report
 from .lifting import (
     _gated_lifting,
-    _random_spread,
+    _scale_and_spread,
     build_lifting,
     conjugacy_residual,
     export_obj,
-    height_scale,
     load_lifting,
     save_lifting,
 )
@@ -132,10 +131,9 @@ def cmd_check(args) -> int:
     fw, stress = _load_stressed(args)
     res = residual_report(fw, stress)
     print(res.summary())
-    spread = _random_spread(fw, stress, count=20, seed=args.seed)
-    scale = height_scale(fw, stress)
+    scale, spread, paths = _scale_and_spread(fw, stress)
     print(
-        f"height spread over 20 paths to ({fw.n}, T): {spread:.6e} "
+        f"height spread over all paths to ({fw.n}, T): {spread:.6e} "
         f"(height scale {scale:.6e})"
     )
     if args.output:
@@ -143,6 +141,7 @@ def cmd_check(args) -> int:
             "residual_max": res.max_normalized,
             "residual_argmax": list(res.argmax),
             "spread": spread,
+            "spread_paths": paths,
             "height_scale": scale,
             "tolerance": args.tol,
         }

@@ -6,10 +6,11 @@ the stretches along a curve contribute integrals of the ruling forces.  For a
 self-stress the value does not depend on the path, and attaching it as a
 third coordinate produces a surface whose strips are all developable.
 
-One kernel walks paths given as a table of grid-node indices, one row per
-path.  `height` and `path_independence_spread` validate IncreasingPath
-objects and hand it their nodes; the spread of `check` draws its random
-paths straight into the table.
+`height` and `path_independence_spread` walk their IncreasingPaths as one
+table of grid-node indices, one row per path.  The spread of `check` walks
+no path: it is the exact spread over every increasing path to (n, T), two
+prefix max/min recursions over the same prefix integrals as the height
+profiles.
 """
 
 from __future__ import annotations
@@ -73,55 +74,24 @@ def lpath(k: int, s: float) -> IncreasingPath:
     return IncreasingPath(k, s, (0.0,) * (k + 1) + (s,))
 
 
-def _random_nodes(k: int, js: int, count: int, seed: int) -> np.ndarray:
-    """Node table of `count` seeded random increasing paths to curve k, node js.
-
-    Row m holds node 0, the k sorted jump nodes of path m in 0..js, and js.
-    Each row is one `integers` call and one sort: a batched draw would tie the
-    nodes to how numpy buffers it.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = np.full((count, k + 2), js)
-    nodes[:, 0] = 0
-    for row in nodes:
-        row[1:-1] = np.sort(rng.integers(0, js + 1, size=k))
-    return nodes
-
-
 def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
-    """Seeded random increasing paths to (k, s) with grid-aligned jumps."""
-    nodes = _random_nodes(k, grid.node_index(s), count, seed)
-    t = grid.t.tolist()
-    return [IncreasingPath(k, s, (0.0, *(t[j] for j in row[1:-1]), s)) for row in nodes.tolist()]
+    """Seeded random increasing paths to (k, s) with grid-aligned jumps.
 
-
-def _node_heights(fw: Framework, stress: StressField, k: int, s: float, nodes) -> np.ndarray:
-    """Heights of the framework point (k, s) along the paths of a node table.
-
-    Row m of the (paths, k+2) integer table holds node 0, the node where path
-    m jumps off each curve 0..k-1, and the node of s.  Curve integrals use the
-    fourth-order node rules on the grid table.
+    Each path is one `integers` draw of its k jump nodes in 0..node(s), sorted.
     """
-    h, table = stress.grid.h, fw.grid_table(stress.grid)
-    target = table.p[k + 1, nodes[0, -1]]  # every path ends at the node of s
-    on = np.arange(k), nodes[:, 1:-1]  # path m jumps off curve i at node nodes[m, i + 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
-        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
-        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
-        # jump terms summed in curve order from 0.0, then one integral per run along a curve
-        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps], axis=1)[:, -1].tolist()
-        for m, row in enumerate(nodes.tolist()):
-            for i, (j0, j1) in enumerate(zip(row, row[1:])):
-                if j1 > j0:
-                    heights[m] -= integrate_samples(integrands[i], h, j0, j1)
-    return require_finite(np.array(heights)[None, None], "height", [s], first=k)[0, 0]
+    rng, js, t = np.random.default_rng(seed), grid.node_index(s), grid.t.tolist()
+    paths = []
+    for _ in range(count):
+        jumps = np.sort(rng.integers(0, js + 1, size=k)).tolist()
+        paths.append(IncreasingPath(k, s, (0.0, *(t[j] for j in jumps), s)))
+    return paths
 
 
 def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
     """Heights of the framework point p = (k, s) along each path, from the grid table.
 
-    Path nodes are grid nodes.  The first bad path raises ValueError (other
+    Path nodes are grid nodes, and curve integrals use the fourth-order node
+    rules on the grid table.  The first bad path raises ValueError (other
     target), IndexError (k outside 0..n) or GridAlignmentError (off-grid node).
     """
     k, s = p
@@ -132,7 +102,21 @@ def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
         if not 0 <= k <= fw.n:
             raise IndexError(f"target curve {k} outside 0..{fw.n}")
         idx.append([grid.node_index(g) for g in path.gamma])
-    return _node_heights(fw, stress, k, s, np.array(idx))
+    # row m: node 0, the node where path m jumps off each curve 0..k-1, the node of s
+    nodes, table = np.array(idx), fw.grid_table(grid)
+    target = table.p[k + 1, nodes[0, -1]]
+    on = np.arange(k), nodes[:, 1:-1]  # path m jumps off curve i at node nodes[m, i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
+        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
+        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
+        # jump terms summed in curve order from 0.0, then one integral per run along a curve
+        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps], axis=1)[:, -1].tolist()
+        for m, row in enumerate(nodes.tolist()):
+            for i, (j0, j1) in enumerate(zip(row, row[1:])):
+                if j1 > j0:
+                    heights[m] -= integrate_samples(integrands[i], grid.h, j0, j1)
+    return require_finite(np.array(heights)[None, None], "height", [s], first=k)[0, 0]
 
 
 def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
@@ -140,28 +124,13 @@ def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float
     return float(_path_heights(fw, stress, p, [path])[0])
 
 
-def _spread(heights: np.ndarray, p) -> float:
-    """Largest minus smallest height to the point p, which must be finite."""
-    values = heights.tolist()
-    spread = max(values) - min(values)  # python floats overflow to inf without a warning
-    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
-
-
 def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> float:
     """Largest pairwise height difference among paths to the same point."""
     if len(paths) < 2:
         raise ValueError("need at least two paths to measure a spread")
-    return _spread(_path_heights(fw, stress, p, paths), p)
-
-
-def _random_spread(fw: Framework, stress: StressField, count: int, seed: int) -> float:
-    """The spread of `check`: path_independence_spread to (n, T) over
-    random_paths(n, T, stress.grid, count, seed), walked as a node table."""
-    if count < 2:
-        raise ValueError("need at least two paths to measure a spread")
-    p = fw.n, fw.T
-    nodes = _random_nodes(fw.n, stress.grid.node_index(fw.T), count, seed)
-    return _spread(_node_heights(fw, stress, *p, nodes), p)
+    values = _path_heights(fw, stress, p, paths).tolist()
+    spread = max(values) - min(values)  # python floats overflow to inf without a warning
+    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
 
 
 def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
@@ -180,14 +149,15 @@ def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
     return sums
 
 
-def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
-    """Axis-path heights of curves 0..n at every grid node, shape (n+1, N+1).
+def _profile_parts(fw: Framework, stress: StressField):
+    """The grid table, three cumulative quadratures (px, py, q) and the
+    axis-path heights z of curves 0..n at every grid node, shape (n+1, N+1).
 
     The axis path to (k, t) jumps over curves 0..k-1 at parameter 0, then runs
     along curve k.  Splitting the integrand's target-dependent determinant by
-    bilinearity turns the per-node integrals into three cumulative
-    quadratures, so every profile matches `height` along `lpath` node for
-    node without a quadrature per node.
+    bilinearity turns the per-node integrals into the three quadratures, so
+    every profile matches `height` along `lpath` node for node without a
+    quadrature per node.
     """
     grid = stress.grid
     table = fw.grid_table(grid)
@@ -199,13 +169,53 @@ def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
             np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
         )
         z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)
-        return require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
+        z = require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
+    return table, (px, py, q), z
+
+
+def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
+    """Axis-path heights of curves 0..n at every grid node, shape (n+1, N+1)."""
+    return _profile_parts(fw, stress)[2]
+
+
+def _peak_scale(z: np.ndarray) -> float:
+    """max |z|, floored away from zero."""
+    return max(float(np.abs(z).max()), NORM_FLOOR)
 
 
 def height_scale(fw: Framework, stress: StressField) -> float:
     """max |height| over all curves and nodes, floored away from zero."""
-    peak = float(np.abs(_height_profiles(fw, stress)).max())
-    return max(peak, NORM_FLOOR)
+    return _peak_scale(_height_profiles(fw, stress))
+
+
+def _scale_and_spread(fw: Framework, stress: StressField):
+    """height_scale, the height spread over every increasing path to P = (n, T),
+    and the jump nodes of a highest and a lowest path, {"max": .., "min": ..}.
+
+    A run along curve i over nodes [j0, j1] integrates as C_i(j1) - C_i(j0),
+    C_i being the prefix integral towards P, read off the profile quadratures.
+    A path jumping off curve i at node j_i then has height
+    sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1}, and its extremes
+    over j_0 <= ... <= j_{n-1} are prefix max and min recursions, O(n N).
+    """
+    table, (px, py, q), z = _profile_parts(fw, stress)
+    n, target = fw.n, table.p[fw.n + 1, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
+        c = target[1] * px - target[0] * py - q
+        g = stress.lam[:n] * det2(table.d1[1 : n + 1], target - table.p[1 : n + 1]) - c[:-1] + c[1:]
+        hi, lo = [np.zeros(stress.grid.N + 1)], [np.zeros(stress.grid.N + 1)]  # no jump yet
+        for row in g:  # row i: the best path whose last jump, off curve i, is at node j
+            hi.append(row + np.maximum.accumulate(hi[-1]))
+            lo.append(row + np.minimum.accumulate(lo[-1]))
+        spread = float(hi[-1].max() - lo[-1].min())
+    require_finite([[spread]], "height spread", [fw.T], first=n)
+    paths = {}
+    for key, rows, pick in (("max", hi, np.argmax), ("min", lo, np.argmin)):
+        nodes = [stress.grid.N]
+        for row in rows[:0:-1]:  # back from the last jump: each jump is at or before the next
+            nodes.append(int(pick(row[: nodes[-1] + 1])))
+        paths[key] = nodes[:0:-1]
+    return _peak_scale(z), spread, paths
 
 
 class SampledLifting:

@@ -6,6 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import striplift as sl
+from striplift.numerics import cumulative_samples
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -36,19 +37,24 @@ def builtin_stressed(name):
     return obj, sl.solve_stress(obj, np.ones(obj.n + 1), 0.0)
 
 
+def generated_stressed(drawn):
+    """A generated framework with the stress solved from a lambda0 in [0.5, 2] and a
+    constant mu_{-1} in [-0.1, 0.1], both drawn from its seed."""
+    fw, seed = drawn
+    rng = np.random.default_rng(seed)
+    return fw, sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+
+
 @st.composite
 def stressed_frameworks(draw, ns=st.integers(0, 6)):
     """A built-in or generated framework with a stress, one mu row of it maybe scaled by 1.01.
 
-    Generated frameworks (see `frameworks`) carry the stress solved from a
-    seeded lambda0 in [0.5, 2] and a constant mu_{-1} in [-0.1, 0.1].
+    Generated frameworks (see `frameworks`) carry their `generated_stressed` stress.
     """
     if draw(st.booleans()):
         fw, stress = builtin_stressed(draw(st.sampled_from(BUILTINS)))
     else:
-        fw, seed = draw(frameworks(ns=ns))
-        rng = np.random.default_rng(seed)
-        stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+        fw, stress = generated_stressed(draw(frameworks(ns=ns)))
     if draw(st.booleans()):
         stress = mu_scaled(stress, draw(st.integers(-1, fw.n)), 1.01)
     return fw, stress
@@ -118,3 +124,30 @@ def mu_scaled(stress, edge_index, factor):
     mu = stress.mu.copy()
     mu[edge_index + 1] *= factor
     return sl.StressField(stress.grid, stress.lam.copy(), mu)
+
+
+def prefix_rule_heights(fw, stress, jumps):
+    """Heights to (n, T) along the paths whose jump nodes are the rows of `jumps`.
+
+    Row m holds the node where path m jumps off each curve 0..n-1.  A run along
+    curve i over nodes [j0, j1] integrates as the difference of the prefix
+    integrals (cumulative_samples) of its integrand towards the target.
+    """
+    grid, n = stress.grid, fw.n
+    jumps = np.asarray(jumps, dtype=int).reshape(len(jumps), n)
+    rows = np.c_[np.zeros(len(jumps), int), jumps, np.full(len(jumps), grid.N)]
+    target = fw.grid_jets(n, grid).p[-1]
+    heights = np.zeros(len(jumps))
+    for i in range(n + 1):
+        prev, cur = fw.grid_jets(i - 1, grid), fw.grid_jets(i, grid)
+        prefix = cumulative_samples(stress.mu_at(i - 1) * sl.det2(cur.p - prev.p, target - prev.p), grid.h)
+        heights -= prefix[rows[:, i + 1]] - prefix[rows[:, i]]
+        if i < n:
+            j = rows[:, i + 1]
+            heights += stress.lam_at(i)[j] * sl.det2(cur.d1[j], target - cur.p[j])
+    return heights
+
+
+def path_nodes(paths, grid):
+    """The jump nodes of IncreasingPaths, one row per path."""
+    return [[grid.node_index(g) for g in path.gamma[1:-1]] for path in paths]

@@ -29,6 +29,8 @@ from striplift.cli import (
 from striplift.numerics import DEFAULT_TOL
 from striplift.statics import load_stress, save_stress
 
+from conftest import path_nodes, prefix_rule_heights
+
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
@@ -260,7 +262,7 @@ class TestCheck:
         assert not list(tmp_path.iterdir())
 
     def test_spread_builds_no_path_objects(self, docs, monkeypatch, capsys):
-        # the twenty paths are drawn and walked as a node table
+        # the spread over every path is two recursions over node tables
         _, p = docs
         built = []
         init = sl.IncreasingPath.__post_init__
@@ -271,8 +273,35 @@ class TestCheck:
 
         monkeypatch.setattr(sl.IncreasingPath, "__post_init__", counted)
         assert main(["check", "--input", str(p["framework"]), "--stress", str(p["stress"])]) == 0
-        assert "height spread over 20 paths" in capsys.readouterr().out
+        assert "height spread over all paths to (3, T)" in capsys.readouterr().out
         assert built == []
+
+    def test_spread_paths_reach_the_extremes(self, docs, tmp_path):
+        _, p = docs
+        out = tmp_path / "check.json"
+        assert main(["check", "--input", str(p["framework"]), "--stress", str(p["stress"]),
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        fw, stress = sl.load_framework(p["framework"].read_text()), load_stress(p["stress"].read_text())
+        scale, spread, paths = report["height_scale"], report["spread"], report["spread_paths"]
+        top, bottom = prefix_rule_heights(fw, stress, [paths["max"], paths["min"]])
+        assert abs(top - bottom - spread) <= 1e-13 * scale
+        # 20 seeded paths and the axis path, under the same rule and under height's
+        sampled = sl.random_paths(fw.n, fw.T, stress.grid, 20, seed=0) + [sl.lpath(fw.n, fw.T)]
+        heights = prefix_rule_heights(fw, stress, path_nodes(sampled, stress.grid))
+        assert bottom <= heights.min() and heights.max() <= top
+        assert spread >= heights.max() - heights.min()
+        assert spread >= sl.path_independence_spread(fw, stress, (fw.n, fw.T), sampled)
+
+    def test_seed_changes_nothing(self, docs, tmp_path, capsys):
+        _, p = docs
+        texts = []
+        for seed in ("0", "3"):
+            out = tmp_path / f"check{seed}.json"
+            assert main(["check", "--input", str(p["framework"]), "--stress", str(p["bad_stress"]),
+                         "--seed", seed, "--output", str(out)]) == 1
+            texts.append((capsys.readouterr().out.replace(str(out), ""), out.read_text()))
+        assert texts[0] == texts[1]
 
 
 class TestLift:
@@ -380,14 +409,32 @@ class TestNonFinite:
 
         return write
 
-    @pytest.mark.parametrize("factor", [1e153, 3e153, 1e154])
+    @pytest.mark.parametrize("factor", [1e153, 3e153])
+    def test_finite_magnified_heights_keep_the_relative_spread(self, docs, magnified, tmp_path,
+                                                               capsys, factor):
+        # heights grow with factor**2 and peak at 2.7e306 and 2.4e307: finite, so the
+        # verdict and the spread over the height scale are those of the unscaled framework
+        _, p = docs
+        reports = []
+        for framework in (p["framework"], magnified(factor)):
+            out = tmp_path / "check.json"
+            assert main(["check", "--input", str(framework), "--stress", str(p["stress"]),
+                         "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert "inf" not in capsys.readouterr().out
+        plain, scaled_up = (report["spread"] / report["height_scale"] for report in reports)
+        assert f"{plain:.3e}" == "1.378e-11"
+        assert scaled_up == pytest.approx(plain, rel=1e-3)
+
+    @pytest.mark.parametrize("factor", [1e154, 2e154])
     def test_overflowing_path_heights_exit_2(self, docs, magnified, capsys, factor):
-        # the residual is scale-free and passes at 1.5e-8; the heights to (3, T) overflow
+        # the residual is scale-free and passes at 1.5e-8; the height profiles overflow
         _, p = docs
         assert main(["check", "--input", str(magnified(factor)), "--stress", str(p["stress"])]) == 2
         out, err = capsys.readouterr()
         assert "inf" not in out and "nan" not in out
-        assert "invalid input: height of curve 3 is not finite at t=1.6" in err
+        where = {1e154: "0.40625", 2e154: "0.13125"}[factor]
+        assert f"invalid input: height of curve 0 is not finite at t={where}" in err
 
     def test_overflowing_strip_defects_write_nothing(self, docs, magnified, tmp_path, capsys):
         _, p = docs

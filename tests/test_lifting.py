@@ -17,7 +17,7 @@ from striplift.lifting import (
     SampledLifting,
     _height_profiles,
     _path_heights,
-    _random_spread,
+    _scale_and_spread,
     export_obj,
     load_lifting,
     lpath,
@@ -26,7 +26,10 @@ from striplift.lifting import (
 )
 from striplift.numerics import NORM_FLOOR, cumulative_samples, integrate_samples
 
-from conftest import PROPERTY, frameworks, mu_scaled, stressed_frameworks, twisted_surface
+from conftest import (
+    BUILTINS, PROPERTY, builtin_stressed, frameworks, generated_stressed, mu_scaled, path_nodes,
+    prefix_rule_heights, stressed_frameworks, twisted_surface,
+)
 
 
 def zero_stress(fw):
@@ -123,7 +126,9 @@ def reference_plane_fit_distance(points):
 @given(stressed_frameworks())
 def test_height_kernels_are_bit_identical_to_the_reference(drawn):
     fw, stress = drawn
-    assert _height_profiles(fw, stress).tobytes() == reference_height_profiles(fw, stress).tobytes()
+    want = reference_height_profiles(fw, stress)
+    assert _height_profiles(fw, stress).tobytes() == want.tobytes()
+    assert _scale_and_spread(fw, stress)[0] == sl.height_scale(fw, stress)
     # the gate is the residual report's, checked on its own; tol=inf lets every stress through
     defect = sl.reversal_affine_defect(fw, stress, tol=np.inf)
     assert defect == reference_reversal_affine_defect(fw, stress)
@@ -290,17 +295,49 @@ def test_path_heights_are_the_reference_heights(drawn, data):
 @PROPERTY
 @given(frameworks(ns=st.integers(0, 7)), st.integers(2, 20), st.integers(0, 2**32 - 1), st.data())
 def test_node_table_paths_are_the_reference_paths(drawn, count, seed, data):
-    fw, fw_seed = drawn
+    fw, _ = drawn
     grid = fw.grid
     for k in range(fw.n + 1):  # odd and even jump counts, 0 included
         s = float(grid.t[data.draw(st.integers(0, grid.N))])
         want = [path.gamma for path in reference_random_paths(k, s, grid, count, seed)]
         assert [path.gamma for path in sl.random_paths(k, s, grid, count, seed)] == want
-    rng = np.random.default_rng(fw_seed)
-    stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
-    paths = reference_random_paths(fw.n, fw.T, grid, count, seed)
-    want = sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths)
-    assert np.float64(_random_spread(fw, stress, count, seed)).tobytes() == np.float64(want).tobytes()
+
+
+def coarse(fw, stress, panels=16):
+    """The framework and its stress sampled on `panels` panels over the same T."""
+    grid, step = sl.Grid(fw.T, panels), stress.grid.N // panels
+    curves = [fw.curve(i) for i in fw.curve_indices]
+    return (sl.Framework(fw.T, fw.n, curves, grid),
+            sl.StressField(grid, stress.lam[:, ::step].copy(), stress.mu[:, ::step].copy()))
+
+
+@PROPERTY
+@given(stressed_frameworks(), st.integers(0, 2**32 - 1))
+def test_spread_over_every_path_is_the_brute_force_spread(drawn, seed):
+    fw, stress = coarse(*drawn)
+    scale, spread, paths = _scale_and_spread(fw, stress)
+    every = list(itertools.combinations_with_replacement(range(stress.grid.N + 1), fw.n))
+    heights = prefix_rule_heights(fw, stress, every)
+    assert abs(spread - (heights.max() - heights.min())) <= 1e-13 * scale
+    top, bottom = prefix_rule_heights(fw, stress, [paths["max"], paths["min"]])
+    assert abs(top - heights.max()) <= 1e-13 * scale
+    assert abs(bottom - heights.min()) <= 1e-13 * scale
+    # 20 sampled paths under the same rule: the exact spread bounds theirs, up to
+    # the rounding that separates the kernel's sums from the brute force's
+    sampled = sl.random_paths(fw.n, fw.T, stress.grid, 20, seed)
+    heights = prefix_rule_heights(fw, stress, path_nodes(sampled, stress.grid))
+    assert spread >= heights.max() - heights.min() - 1e-13 * scale
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(BUILTINS).map(builtin_stressed), frameworks().map(generated_stressed)))
+def test_every_read_mu_row_times_1_01_fails_the_gate(drawn):
+    # the heights to (n, T) read edges -1..n-1; a zero row scaled stays the same stress
+    fw, stress = drawn
+    scale = sl.height_scale(fw, stress)
+    for edge in range(-1, fw.n):
+        if np.any(stress.mu[edge + 1]):
+            assert _scale_and_spread(fw, mu_scaled(stress, edge, 1.01))[1] > 1e-6 * scale
 
 
 def test_spread_reads_no_point_jets(monkeypatch, translational):

@@ -8,10 +8,10 @@ trigonometric CoordFunction mu_{-1}.  The kernels:
 
 - solve_stress: the march (`solve`)
 - residual_report: the equilibrium residual (`check`, and the gate of `lift`)
-- height_scale: the axis-path height profiles (`check`)
+- height_scale: the axis-path height profiles (`lift`'s heights)
 - build_lifting: the residual gate plus the height profiles (`lift`)
-- random_spread: the height spread over 20 seeded random paths to (n, T),
-  drawn and walked as a node table (`check`); O(20 (n+1)) quadrature calls
+- scale_and_spread: the height scale plus the exact height spread over every
+  increasing path to (n, T), two prefix max/min recursions (`check`)
 
 The time is the best of 5 calls on one framework, so its grid table is cached
 after the first.  The memory is the tracemalloc peak of one call on a fresh
@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 
 import striplift as sl
-from striplift.lifting import _random_spread
+from striplift.lifting import _scale_and_spread
 
 NS, N = (4, 16, 32, 64), 1024
 MU = sl.CoordFunction((0.01, -0.003), ((0.02, 2.0, 0.7),))
@@ -36,7 +36,7 @@ KERNELS = {
     "residual_report": sl.residual_report,
     "height_scale": sl.height_scale,
     "build_lifting": sl.build_lifting,
-    "random_spread": lambda fw, stress: _random_spread(fw, stress, count=20, seed=0),
+    "scale_and_spread": _scale_and_spread,
 }
 
 
