@@ -345,8 +345,8 @@ def main(argv=None) -> int:
     if grid is not None and (grid < 16 or grid % 2):
         print("error: --grid must be even and >= 16", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if getattr(args, "tol", DEFAULT_TOL) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", DEFAULT_TOL) < float("inf"):  # refuses nan too
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_BAD_INPUT
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be a non-negative integer", file=sys.stderr)

@@ -261,6 +261,26 @@ class TestCheck:
         assert err == "error: --seed must be a non-negative integer\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exit_2_before_any_output(self, tmp_path, capsys, tol):
+        # a circles2d stress whose mu row 1 is off by 1%: no tolerance may pass it
+        assert main(["demo", "circles2d", "--output", str(tmp_path / "c")]) == 0
+        stress = load_stress((tmp_path / "c.stress.json").read_text())
+        mu = stress.mu.copy()
+        mu[1] *= 1.01
+        (tmp_path / "bad.json").write_text(save_stress(sl.StressField(stress.grid, stress.lam, mu)))
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        fw = str(tmp_path / "c.framework.json")
+        for argv in (["check", "--input", fw, "--stress", str(tmp_path / "bad.json"),
+                      "--output", str(tmp_path / "check.json")],
+                     ["project", "--input", fw, "--output", str(tmp_path / "p")]):
+            assert main([*argv, "--tol", tol]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: --tol must be positive and finite\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_spread_builds_no_path_objects(self, docs, monkeypatch, capsys):
         # the spread over every path is two recursions over node tables
         _, p = docs

@@ -592,3 +592,89 @@ class TestRowFormatter:
     def test_json_refuses_a_non_finite_scalar(self):
         with pytest.raises(EvaluationError, match="residual_max"):
             _dump_json({"name": "x", "residual_max": float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# the row kernel value by value: certified digits, or "%" for the rest
+
+
+def kernel_lines(values, spec="%.17g"):
+    """One value per line through format_rows, and the same lines from `%` per value."""
+    ours = "".join(framework.format_rows(values.reshape(-1, 1), spec + "\n", "x")).split("\n")[:-1]
+    return ours, [spec % v for v in values.tolist()]
+
+
+def certified_share(values):
+    return framework._float_text(np.ravel(values), framework._text_tables())[-1].mean()
+
+
+def near_ties(rng, count):
+    """N / 2**j whose decimal expansion has 18 digits ending in 5: exact ties at 17 digits."""
+    ties = []
+    for j in range(3, 70):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        if lo < hi:
+            ties.append((rng.integers(lo, hi, count) | 1).astype(float) / 2.0**j)
+    return np.concatenate(ties)
+
+
+class TestRowKernel:
+    """format_rows value by value against format(x, ".17g") and "%d"."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(FLOATS, st.floats(allow_nan=False, allow_infinity=False, width=32),
+                              st.floats(min_value=-1e-300, max_value=1e-300)), max_size=40))
+    def test_writes_what_format_writes(self, xs):
+        ours, want = kernel_lines(np.array(xs, dtype=float))
+        assert ours == want
+
+    def test_sweep_of_a_million_values_matches_format(self):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)] + [2.0**k for k in range(-1074, 1024)])
+        powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        ties = near_ties(rng, 1000)
+        sweep = [
+            bits[np.isfinite(bits)],
+            powers[np.isfinite(powers)],
+            rng.integers(-2**63, 2**63, size=150_000, dtype=np.int64).astype(float),
+            (rng.integers(0, 2**63, size=150_000, dtype=np.int64) >> rng.integers(0, 63, 150_000)).astype(float),
+            rng.integers(0, 2**52, size=20_000, dtype=np.int64).view(np.float64),  # subnormals
+            rng.integers(-2**20, 2**20, size=100_000) / 2.0 ** rng.integers(0, 60, 100_000),
+            rng.normal(size=150_000) * 10.0 ** rng.integers(-12, 12, 150_000),
+            np.round(rng.normal(size=50_000), 3),
+            np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+            ties, -ties * 2.0**-200,
+        ]
+        values = np.concatenate(sweep)
+        assert len(values) >= 10**6
+        ours, want = kernel_lines(values)
+        assert ours == want
+        assert certified_share(ties) == 0  # exact ties are left to "%"
+
+    def test_writes_what_percent_d_writes(self):
+        rng = np.random.default_rng(21)
+        tens = 10 ** np.arange(19)
+        ints = np.concatenate([rng.integers(-2**63, 2**63, size=50_000, dtype=np.int64),
+                               tens, tens - 1, -tens, [0, 2**63 - 1, -2**63]])
+        ours, want = kernel_lines(ints, "%d")
+        assert ours == want
+
+    def test_roundtrip_sized_values_take_the_certified_path(self):
+        # the vertices, heights and stress rows one `roundtrip` op writes, at N = 2048
+        surface = sl.builtin("translational3d")
+        proj = sl.project(surface, sl.Grid(surface.T, 2048))
+        stress = sl.induced_stress(proj)
+        lifted = sl.build_lifting(proj.framework, stress)
+        values = [lifted.grid_table().p, lifted.z, stress.lam, stress.mu]
+        assert certified_share(np.concatenate([np.ravel(v) for v in values])) >= 0.99
+
+    def test_six_digit_face_indices_match_the_per_float_writer(self):
+        base = sl.builtin("circles2d", n=48)
+        grid = sl.Grid(base.T, 2048)
+        fw = sl.Framework(base.T, base.n, [base.curve(i) for i in range(-1, base.n + 2)], grid)
+        z = np.random.default_rng(6).normal(size=(fw.n + 1, grid.N + 1))
+        surface = SampledLifting(fw, z, grid)
+        body = _body(export_obj(surface, reproducible=True))
+        assert body == per_float_obj_body(surface)
+        assert body[-1].startswith("f 98351 ")  # (n + 1) * (N + 1) = 100401 vertices

@@ -228,6 +228,13 @@ class TestVerify:
         assert lines[0] == "t,criterion_residual"
         assert len(lines) == report.grid.N + 2
 
+    def test_csv_matches_the_per_float_writer(self, cylinder):
+        _, proj, _ = cylinder
+        report = sl.onestrip_verify(proj.framework)
+        rows = zip(report.grid.t.tolist(), np.asarray(report.criterion).tolist())
+        want = "".join(f"{format(t, '.17g')},{format(c, '.17g')}\n" for t, c in rows)
+        assert report.to_csv() == "t,criterion_residual\n" + want
+
     def test_assembled_sign_matters(self, cylinder):
         # without the balancing ratio the positive pair violates equilibrium
         _, proj, _ = cylinder

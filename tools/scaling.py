@@ -1,4 +1,4 @@
-"""Time and peak traced memory, by strip count n, of the kernels whose work grows with n.
+"""Time and peak traced memory, by strip count n, of the kernels and writers that grow with n.
 
     PYTHONPATH=src python3 tools/scaling.py
 
@@ -12,6 +12,15 @@ trigonometric CoordFunction mu_{-1}.  The kernels:
 - build_lifting: the residual gate plus the height profiles (`lift`)
 - scale_and_spread: the height scale plus the exact height spread over every
   increasing path to (n, T), two prefix max/min recursions (`check`)
+
+and the writers, timed on the same cases with the lifted surface built once:
+
+- save_stress: the stress document (`solve`, `project`)
+- export_obj: the OBJ of the lifted surface (`lift --format obj`)
+
+A writer's row also gives the time per number written: every float of
+`lam` and `mu` for save_stress, every vertex coordinate and face index for
+export_obj.
 
 The time is the best of 5 calls on one framework, so its grid table is cached
 after the first.  The memory is the tracemalloc peak of one call on a fresh
@@ -37,6 +46,12 @@ KERNELS = {
     "height_scale": sl.height_scale,
     "build_lifting": sl.build_lifting,
     "scale_and_spread": _scale_and_spread,
+}
+WRITERS = {  # name: (writer of (surface, stress), count of numbers it writes)
+    "save_stress": (lambda surface, stress: sl.save_stress(stress),
+                    lambda surface, stress: stress.lam.size + stress.mu.size),
+    "export_obj": (lambda surface, stress: sl.export_obj(surface, reproducible=True),
+                   lambda surface, stress: 3 * surface.z.size + 4 * (len(surface.z) - 1) * N),
 }
 
 
@@ -64,6 +79,20 @@ def main():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             print(f"{name:<16} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
+    print(f"\n{'writer':<16} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8} {'ns/number':>10}")
+    for name, (writer, count) in WRITERS.items():
+        for n, stress in stresses.items():
+            surface, best = sl.build_lifting(framework(n), stress), float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                writer(surface, stress)
+                best = min(best, time.perf_counter() - start)
+            tracemalloc.start()
+            writer(surface, stress)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            per = best / count(surface, stress) * 1e9
+            print(f"{name:<16} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f} {per:>10.0f}")
 
 
 if __name__ == "__main__":
