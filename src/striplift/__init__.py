@@ -61,8 +61,6 @@ from .numerics import (
     cumulative_samples,
     fd_derivative,
     integrate_samples,
-    ode_march,
-    solve2x2,
 )
 from .onestrip import (
     OneStripReport,

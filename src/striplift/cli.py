@@ -56,22 +56,33 @@ EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
 
 
+def _os_error(verb, path, exc: OSError) -> SchemaError:
+    """A path the user named cannot be used: one line, exit 2."""
+    where = f" ({exc.filename})" if exc.filename not in (None, str(path)) else ""
+    return SchemaError(f"cannot {verb} {path}: {exc.strerror or exc}{where}")
+
+
 def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise SchemaError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return p.read_text()
+    except OSError as exc:
+        raise _os_error("read", path, exc) from None
 
 
 def _with(prefix: Path, ext: str) -> Path:
     return prefix.parent / (prefix.name + ext)
 
 
-def _write(path: Path, text: str, quiet=False):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    if not quiet:
-        print(f"wrote {path}")
+def _write(path: Path, text: str):
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # files written before this one stay
+        raise _os_error("write", path, exc) from None
+    print(f"wrote {path}")
 
 
 def _load_planar(args) -> Framework:
@@ -182,7 +193,7 @@ def cmd_project(args) -> int:
         print("heights cover only part of the curves; no stress document written")
         if out is not None:
             _write(_with(out, ".framework.json"), save_framework(proj.framework))
-        return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
+        return EXIT_OK if worst < args.tol else EXIT_CHECK_FAILED
     # a refused induced stress raises before either file is written
     stress = induced_stress(proj, conjugacy_tol=args.tol)
     res = residual_report(proj.framework, stress)

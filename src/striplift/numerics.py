@@ -1,10 +1,11 @@
 """Deterministic numerical kernels shared by the whole package.
 
 Quadrature is composite Simpson on uniform nodes, and one scale-free guard
-judges every 2x2 basis.  The per-point classic RK4 march and Cramer solve
-(ode_march, solve2x2) build the tests' reference solver; statics marches the
-same RK4 scheme as one scalar recurrence per curve.  Everything here is a
-pure function of its inputs.
+judges every 2x2 basis; statics marches classic RK4 as one scalar recurrence
+per curve.  The per-point RK4 march and Cramer solve (ode_march, solve2x2)
+have no caller in the package and are not exported: they stay for the tests'
+reference solver and the benchmark's tracer.  Everything here is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class Grid:
                 f"t={t!r} is not a grid node (T={self.T}, N={self.N})"
             )
         return j
-
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(self.T, self.N * factor)
 
 
 def _startup_weights(h: float) -> np.ndarray:

@@ -123,7 +123,7 @@ def induced_stress(
             "(surfaces sampled from liftings only support the interior diagnostic)"
         )
     worst, where = developability_report(proj)
-    if worst > conjugacy_tol:
+    if not worst < conjugacy_tol:
         raise NotConjugateError(worst, conjugacy_tol, location=where)
     lam, mu = _height_stress(proj)
     return StressField(proj.grid, lam, mu)

@@ -134,7 +134,8 @@ def force_vector(fw: Framework, stress: StressField, i: int, t: float) -> np.nda
     """Tension force lam_i(t) * tangent_i(t); t must be a grid node."""
     _check_compatible(fw, stress)
     j = stress.grid.node_index(t)
-    return stress.lam_at(i)[j] * fw.jet(i, stress.grid.t[j]).d1
+    lam = stress.lam_at(i)  # raises for an i outside 0..n, which would wrap a table row
+    return lam[j] * fw.grid_table(stress.grid).d1[i + 1, j]
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,8 @@ def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -
         raise ValueError(f"segment out of order: a={a} > b={b}")
     end = force_vector(fw, stress, i, grid.t[jb])
     start = force_vector(fw, stress, i, grid.t[ja])
-    _, _, t3, t4 = _force_terms(fw, stress)
-    ruling = t3[i] - t4[i]
+    _, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
+    ruling = stress.mu_at(i)[:, None] * fwd[i] - stress.mu_at(i - 1)[:, None] * bwd[i]
     integral = np.array(
         [integrate_samples(ruling[:, c], grid.h, ja, jb) for c in range(2)]
     )

@@ -592,6 +592,19 @@ class TestProject:
         assert "developability defect max 7.17" in capsys.readouterr().out
 
 
+    def test_lifting_dump_defect_equal_to_the_tolerance_fails(self, docs, tmp_path, capsys):
+        # every gate passes strictly below its tolerance
+        _, p = docs
+        lifting = tmp_path / "l.json"
+        assert main(["lift", "--input", str(p["framework"]), "--stress", str(p["stress"]),
+                     "--format", "json", "--output", str(lifting)]) == 0
+        worst, _ = sl.developability_report(sl.project(sl.load_lifting(lifting.read_text())))
+        assert main(["project", "--input", str(lifting), "--tol", repr(worst)]) == 1
+        above = repr(float(np.nextafter(worst, np.inf)))
+        assert main(["project", "--input", str(lifting), "--tol", above]) == 0
+        assert f"developability defect max {worst:.6e}" in capsys.readouterr().out
+
+
 class TestLiftingDump:
     """A lifting dump must agree with its embedded framework."""
 
@@ -1033,6 +1046,43 @@ class TestInternalError:
         monkeypatch.setattr(cli, "regularity_report", interrupted)
         with pytest.raises(exc):
             main(["validate", "--input", str(p["framework"])])
+
+
+class TestUnusablePath:
+    """A path the system cannot read or write is invalid input: exit 2 in one line."""
+
+    def _refused(self, capsys, argv, path, verb="write"):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"invalid input: cannot {verb} {path}: "), err
+
+    def test_check_output_is_a_directory(self, docs, tmp_path, capsys):
+        _, p = docs
+        argv = ["check", "--input", str(p["framework"]), "--stress", str(p["stress"]),
+                "--output", str(tmp_path)]
+        self._refused(capsys, argv, tmp_path)
+
+    def test_lift_output_under_a_regular_file(self, docs, tmp_path, capsys):
+        _, p = docs
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "x.obj"
+        argv = ["lift", "--input", str(p["framework"]), "--stress", str(p["stress"]),
+                "--output", str(out)]
+        self._refused(capsys, argv, out)
+
+    def test_demo_prefix_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        argv = ["demo", "circles2d", "--output", str(tmp_path / "f" / "c")]
+        self._refused(capsys, argv, tmp_path / "f" / "c.framework.json")
+
+    def test_unreadable_input(self, docs, monkeypatch, capsys):
+        _, p = docs
+
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refused)
+        self._refused(capsys, ["validate", "--input", str(p["framework"])], p["framework"], "read")
 
 
 # every command that reads a document of the kind, {mutant} standing for the document

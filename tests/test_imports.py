@@ -22,6 +22,11 @@ def imported_names(tree):
             yield from (a.asname or a.name for a in node.names)
 
 
+def test_march_oracle_stays_out_of_the_exports():
+    # the per-point march and solve serve the tests' reference solver only
+    assert not {"ode_march", "solve2x2"} & set(dir(striplift))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text())

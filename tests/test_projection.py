@@ -195,6 +195,14 @@ class TestInducedStress:
         assert proj.strip_defects is proj.strip_defects
         assert not proj.strip_defects.flags.writeable
 
+    def test_defect_equal_to_the_tolerance_is_refused(self):
+        # every gate passes strictly below its tolerance
+        proj = sl.project(twisted_surface())
+        worst, _ = sl.developability_report(proj)
+        with pytest.raises(NotConjugateError):
+            sl.induced_stress(proj, conjugacy_tol=worst)
+        sl.induced_stress(proj, conjugacy_tol=float(np.nextafter(worst, np.inf)))
+
     def test_round_trip_lifting_conjugate(self, translational, cylinder):
         for _, proj, stress in (translational, cylinder):
             lifted = sl.build_lifting(proj.framework, stress)

@@ -18,7 +18,7 @@ from striplift.errors import (
     SchemaError,
 )
 from striplift.geomcore import balance_vectors
-from striplift.numerics import NORM_FLOOR
+from striplift.numerics import NORM_FLOOR, ode_march, solve2x2
 from striplift.statics import load_stress, save_stress, segment_force_scale
 
 from conftest import PROPERTY, mu_minus1_fn, mu_scaled, stressed_frameworks
@@ -48,7 +48,7 @@ def reference_solve_stress(fw, lambda0, mu_fn, grid=None):
             edge_fwd = jets[i + 2].p - cur.p
             edge_bwd = cur.p - jets[i].p
             rhs = -lam[i] * cur.d2 + mu_prev * edge_bwd
-            lam_dot[i], mu[i] = sl.solve2x2(cur.d1, edge_fwd, rhs, location=(i, float(t)))
+            lam_dot[i], mu[i] = solve2x2(cur.d1, edge_fwd, rhs, location=(i, float(t)))
             mu_prev = mu[i]
         return lam_dot, mu
 
@@ -57,7 +57,7 @@ def reference_solve_stress(fw, lambda0, mu_fn, grid=None):
             raise DivergenceError(f"curve stress exceeded {guard:.3e}")
         return sweep(t, lam)[0]
 
-    lam_samples = sl.ode_march(deriv, lam0, grid).T
+    lam_samples = ode_march(deriv, lam0, grid).T
     mu_samples = np.empty((fw.n + 2, grid.N + 1))
     for j, t in enumerate(grid.t):
         mu_samples[0, j] = mu_fn(t)
@@ -326,6 +326,53 @@ class TestForceLoad:
             for judge in (sl.force_load, segment_force_scale):
                 with pytest.raises(ValueError, match=match):
                     judge(frame, stress, i, 0.0, frame.T)
+
+
+def reference_force_vector(fw, stress, i, t):
+    """force_vector from the point jet of curve i."""
+    statics._check_compatible(fw, stress)
+    j = stress.grid.node_index(t)
+    return stress.lam_at(i)[j] * fw.jet(i, stress.grid.t[j]).d1
+
+
+def reference_force_load(fw, stress, i, a, b):
+    """force_load from point jets at the cut ends and the ruling terms of every curve."""
+    statics._check_compatible(fw, stress)
+    grid = stress.grid
+    ja, jb = grid.node_index(a), grid.node_index(b)
+    if ja > jb:
+        raise ValueError(f"segment out of order: a={a} > b={b}")
+    end = reference_force_vector(fw, stress, i, grid.t[jb])
+    start = reference_force_vector(fw, stress, i, grid.t[ja])
+    _, _, t3, t4 = statics._force_terms(fw, stress)
+    ruling = t3[i] - t4[i]
+    integral = np.array(
+        [sl.integrate_samples(ruling[:, c], grid.h, ja, jb) for c in range(2)]
+    )
+    return end - start + integral
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stressed_frameworks(), st.data())
+def test_force_loads_are_bit_identical_to_the_point_jet_forms(drawn, data):
+    fw, stress = drawn
+    grid = stress.grid
+    ja, jb = sorted(data.draw(st.lists(st.integers(0, grid.N), min_size=2, max_size=2)))
+    a, b = grid.t[ja], grid.t[jb]
+    for i in range(fw.n + 1):
+        got, want = sl.force_vector(fw, stress, i, b), reference_force_vector(fw, stress, i, b)
+        assert got.tobytes() == want.tobytes()
+        got, want = sl.force_load(fw, stress, i, a, b), reference_force_load(fw, stress, i, a, b)
+        assert got.tobytes() == want.tobytes()
+    # the grid table has rows for curves -1..n+1: only the index check refuses these
+    for i in (-1, fw.n + 1):
+        for form, reference, args in ((sl.force_vector, reference_force_vector, (b,)),
+                                      (sl.force_load, reference_force_load, (a, b))):
+            with pytest.raises(IndexError) as want:
+                reference(fw, stress, i, *args)
+            with pytest.raises(IndexError) as got:
+                form(fw, stress, i, *args)
+            assert str(got.value) == str(want.value)
 
 
 class TestSolveStress:
