@@ -4,7 +4,9 @@ Every point (k, s) of the parameter domain gets a height by walking an
 increasing path from (0, 0): jumping from curve i to i+1 at parameter g
 contributes a tension determinant, running along a curve integrates the
 ruling force density.  The value depends on the chosen path unless the
-stress is a self-stress, in which case every path agrees.
+stress is a self-stress, in which case every path agrees.  The lifted
+surface is built from the axis-path heights with the same prefix integrals,
+so the axis path and the lifted node print the same number, bit for bit.
 """
 
 import striplift as sl

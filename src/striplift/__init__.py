@@ -60,7 +60,6 @@ from .numerics import (
     Grid,
     cumulative_samples,
     fd_derivative,
-    integrate_samples,
 )
 from .onestrip import (
     OneStripReport,

@@ -65,7 +65,7 @@ def _os_error(verb, path, exc: OSError) -> SchemaError:
 def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise SchemaError(f"no such file: {path}")
+        raise SchemaError(f"{'not a file' if p.exists() else 'no such file'}: {path}")
     try:
         return p.read_text()
     except OSError as exc:

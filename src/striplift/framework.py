@@ -167,12 +167,13 @@ class CurveJet:
     """Position and first three exact derivatives at one parameter value.
 
     Each field has shape (dim,) for scalar t or (len(t), dim) for array t.
+    A lifted surface's table has no d3 (None).
     """
 
     p: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray
+    d3: np.ndarray | None
 
     def __iter__(self):
         return iter((self.p, self.d1, self.d2, self.d3))
@@ -261,12 +262,6 @@ class _IndexedCurves:
         """Jets of curve i at all grid nodes: row i+1 of grid_table."""
         self.curve(i)
         return CurveJet(*(field[i + 1] for field in self.grid_table(grid)))
-
-    def delta(self, i: int, t):
-        """Forward difference f_{i+1}(t) - f_i(t)."""
-        if i > self.n:
-            raise IndexError(f"delta needs curve {i + 1}, curves end at {self.n + 1}")
-        return self.jet(i + 1, t).p - self.jet(i, t).p
 
     def _check_param(self, t):
         t = np.asarray(t)

@@ -6,11 +6,12 @@ the stretches along a curve contribute integrals of the ruling forces.  For a
 self-stress the value does not depend on the path, and attaching it as a
 third coordinate produces a surface whose strips are all developable.
 
-`height` and `path_independence_spread` walk their IncreasingPaths as one
-table of grid-node indices, one row per path.  The spread of `check` walks
-no path: it is the exact spread over every increasing path to (n, T), two
-prefix max/min recursions over the same prefix integrals as the height
-profiles.
+Every run along a curve integrates as a difference of prefix integrals
+(`_prefix_integrals`), so `height` along `lpath` is the lifting's profile bit
+for bit.  `height` and `path_independence_spread` walk their IncreasingPaths
+as one table of grid-node indices, one row per path.  The spread of `check`
+walks no path: it is the exact spread over every increasing path to (n, T),
+two prefix max/min recursions over the same prefix integrals.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .framework import (
 )
 from .geomcore import det2, det3, norm
 from .numerics import (
-    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, integrate_samples,
-    require_finite,
+    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_finite,
 )
 from .statics import StressField, residual_report
 
@@ -87,12 +87,27 @@ def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
     return paths
 
 
+def _prefix_integrals(table: CurveJet, stress: StressField, k: int) -> np.ndarray:
+    """Prefix quadratures (px, py, q) of curves 0..k, shape (3, k+1, N+1).
+
+    A run along curve i towards the target P integrates
+    mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}).  Split by bilinearity, its
+    integral over nodes [0, j] is C_i(j) = P_y px_i(j) - P_x py_i(j) - q_i(j),
+    and over [j0, j1] it is C_i(j1) - C_i(j0).
+    """
+    prev, cur = table.p[: k + 1], table.p[1 : k + 2]  # curves i-1 and i, i = 0..k
+    edge, mu = cur - prev, stress.mu[: k + 1]  # mu_{i-1}
+    return cumulative_samples(
+        np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), stress.grid.h
+    )
+
+
 def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
     """Heights of the framework point p = (k, s) along each path, from the grid table.
 
-    Path nodes are grid nodes, and curve integrals use the fourth-order node
-    rules on the grid table.  The first bad path raises ValueError (other
-    target), IndexError (k outside 0..n) or GridAlignmentError (off-grid node).
+    Path nodes are grid nodes; a run along curve i is C_i(end) - C_i(start).
+    The first bad path raises ValueError (other target), IndexError (k
+    outside 0..n) or GridAlignmentError (off-grid node).
     """
     k, s = p
     grid, idx = stress.grid, []
@@ -108,15 +123,12 @@ def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
     on = np.arange(k), nodes[:, 1:-1]  # path m jumps off curve i at node nodes[m, i + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
         jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
-        prev = table.p[: k + 1]  # integrand i is mu_{i-1} * det2(f_i - f_{i-1}, target - f_{i-1})
-        integrands = stress.mu[: k + 1] * det2(table.p[1 : k + 2] - prev, target - prev)
-        # jump terms summed in curve order from 0.0, then one integral per run along a curve
-        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps], axis=1)[:, -1].tolist()
-        for m, row in enumerate(nodes.tolist()):
-            for i, (j0, j1) in enumerate(zip(row, row[1:])):
-                if j1 > j0:
-                    heights[m] -= integrate_samples(integrands[i], grid.h, j0, j1)
-    return require_finite(np.array(heights)[None, None], "height", [s], first=k)[0, 0]
+        ends = np.stack([nodes[:, :-1], nodes[:, 1:]])  # where each run along curve i starts and ends
+        px, py, q = _prefix_integrals(table, stress, k)[:, np.arange(k + 1), ends]
+        c = target[1] * px - target[0] * py - q
+        # jump terms summed in curve order from 0.0, then each run C_i(start) - C_i(end) in curve order
+        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps, c[0] - c[1]], axis=1)[:, -1]
+    return require_finite(heights[None, None], "height", [s], first=k)[0, 0]
 
 
 def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
@@ -150,24 +162,18 @@ def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
 
 
 def _profile_parts(fw: Framework, stress: StressField):
-    """The grid table, three cumulative quadratures (px, py, q) and the
-    axis-path heights z of curves 0..n at every grid node, shape (n+1, N+1).
+    """The grid table, the prefix integrals (px, py, q) of curves 0..n and
+    their axis-path heights z at every grid node, shape (n+1, N+1).
 
-    The axis path to (k, t) jumps over curves 0..k-1 at parameter 0, then runs
-    along curve k.  Splitting the integrand's target-dependent determinant by
-    bilinearity turns the per-node integrals into the three quadratures, so
-    every profile matches `height` along `lpath` node for node without a
-    quadrature per node.
+    The axis path to (k, t_j) jumps over curves 0..k-1 at parameter 0, then
+    runs along curve k: its height is the jump sum minus C_k(j) towards
+    P = (k, t_j), for every node at once.
     """
     grid = stress.grid
     table = fw.grid_table(grid)
-    prev, target = table.p[:-2], table.p[1:-1]  # curves k-1 and k, k = 0..n
-    mu = stress.mu[:-1]  # mu_{k-1}
+    target = table.p[1:-1]  # curve k, k = 0..n
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        edge = target - prev
-        px, py, q = cumulative_samples(
-            np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), grid.h
-        )
+        px, py, q = _prefix_integrals(table, stress, fw.n)
         z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)
         z = require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
     return table, (px, py, q), z
@@ -192,9 +198,8 @@ def _scale_and_spread(fw: Framework, stress: StressField):
     """height_scale, the height spread over every increasing path to P = (n, T),
     and the jump nodes of a highest and a lowest path, {"max": .., "min": ..}.
 
-    A run along curve i over nodes [j0, j1] integrates as C_i(j1) - C_i(j0),
-    C_i being the prefix integral towards P, read off the profile quadratures.
-    A path jumping off curve i at node j_i then has height
+    With C_i the prefix integral towards P, a path jumping off curve i at
+    node j_i has height
     sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1}, and its extremes
     over j_0 <= ... <= j_{n-1} are prefix max and min recursions, O(n N).
     """
@@ -238,8 +243,7 @@ class SampledLifting:
         with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
             self.z_d1 = fd_derivative(z, grid.h)
             self.z_d2 = fd_derivative(self.z_d1, grid.h)
-            self.z_d3 = fd_derivative(self.z_d2, grid.h)
-        require_finite(np.stack([self.z_d1, self.z_d2, self.z_d3], -1), "height derivative", grid.t)
+        require_finite(np.stack([self.z_d1, self.z_d2], -1), "height derivative", grid.t)
         self._table = None
 
     @property
@@ -249,15 +253,17 @@ class SampledLifting:
     def grid_table(self, grid: Grid | None = None) -> CurveJet:
         """Spatial jets of lifted curves 0..n at the grid nodes.
 
-        Each field has shape (n+1, N+1, 3); row i holds curve i.  Built once.
+        p, d1 and d2 have shape (n+1, N+1, 3), row i holding curve i; d3 is
+        None, as nothing reads a third height derivative.  Built once.
         """
         if grid is not None and (grid.N != self.grid.N or grid.T != self.grid.T):
             raise ValueError("sampled liftings only know their own grid")
         if self._table is None:
             flat = self.framework.grid_table(self.grid)
-            heights = (self.z, self.z_d1, self.z_d2, self.z_d3)
+            heights = (self.z, self.z_d1, self.z_d2)
             self._table = CurveJet(
-                *(np.concatenate([xy[1:-1], w[..., None]], axis=-1) for xy, w in zip(flat, heights))
+                *(np.concatenate([xy[1:-1], w[..., None]], axis=-1) for xy, w in zip(flat, heights)),
+                d3=None,
             )
         return self._table
 

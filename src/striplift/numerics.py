@@ -1,11 +1,12 @@
 """Deterministic numerical kernels shared by the whole package.
 
-Quadrature is composite Simpson on uniform nodes, and one scale-free guard
-judges every 2x2 basis; statics marches classic RK4 as one scalar recurrence
-per curve.  The per-point RK4 march and Cramer solve (ode_march, solve2x2)
-have no caller in the package and are not exported: they stay for the tests'
-reference solver and the benchmark's tracer.  Everything here is a pure
-function of its inputs.
+Quadrature is one prefix rule on uniform nodes (`cumulative_samples`): an
+integral over a node range is a difference of two prefix integrals.  One
+scale-free guard judges every 2x2 basis; statics marches classic RK4 as one
+scalar recurrence per curve.  The per-point RK4 march and Cramer solve
+(ode_march, solve2x2) have no caller in the package and are not exported:
+they stay for the tests' reference solver and the benchmark's tracer.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -69,50 +70,14 @@ def _startup_weights(h: float) -> np.ndarray:
     return np.array([9.0, 19.0, -5.0, 1.0]) * (h / 24.0)
 
 
-def integrate_samples(values: np.ndarray, h: float, j0: int = 0, j1: int | None = None) -> float:
-    """Fourth-order integral of uniformly sampled values over nodes [j0, j1].
-
-    Composite Simpson for even panel counts; odd counts >= 3 finish with a
-    Simpson 3/8 tail; a single panel uses a cubic rule that borrows two nodes
-    from outside the range (the sample array must extend past it).
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("integrate_samples expects a 1-d sample array")
-    if j1 is None:
-        j1 = v.size - 1
-    if j0 > j1:
-        raise ValueError(f"node range out of order: {j0} > {j1}")
-    m = j1 - j0
-    if m == 0:
-        return 0.0
-    if m == 1:
-        if j1 + 2 < v.size:
-            return float(_startup_weights(h) @ v[j0 : j0 + 4])
-        if j0 - 2 >= 0:
-            return float(_startup_weights(h) @ v[j0 - 2 : j1 + 1][::-1])
-        raise ValueError("single-panel rule needs two nodes beyond the range")
-    total = 0.0
-    end = j1
-    if m % 2 == 1:
-        seg = v[j1 - 3 : j1 + 1]
-        total += (3.0 * h / 8.0) * (seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3])
-        end = j1 - 3
-    if end > j0:
-        s = v[j0 : end + 1]
-        total += (h / 3.0) * (
-            s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum()
-        )
-    return float(total)
-
-
 def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     """Prefix integrals over node ranges [0, j] for every j, fourth order.
 
-    Works along the last axis; any leading axes are independent rows.  Entry
-    j equals integrate_samples(values, h, 0, j) up to rounding: even j by
+    Works along the last axis; any leading axes are independent rows, each
+    bit-identical to a 1-d call.  Entry j integrates [0, j]: even j by
     composite Simpson, odd j >= 3 by Simpson plus a 3/8 tail, j == 1 by the
-    single-panel cubic rule.
+    one-panel cubic rule on nodes 0..3.  An integral over [j0, j1] is
+    out[j1] - out[j0], so integrals over adjacent ranges add up to rounding.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 4:

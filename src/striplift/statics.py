@@ -24,7 +24,7 @@ from .framework import (
 )
 from .geomcore import balance_vectors, det2, norm
 from .numerics import (
-    NORM_FLOOR, Grid, basis_guard, fd_derivative, integrate_samples, require_finite
+    NORM_FLOOR, Grid, basis_guard, cumulative_samples, fd_derivative, require_finite
 )
 
 
@@ -185,8 +185,10 @@ def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
 def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -> np.ndarray:
     """Net force on the segment [a, b] of curve i (grid-aligned endpoints).
 
-    Tension at the two cut ends plus the accumulated ruling forces; vanishes
-    for every segment exactly when the stress is a self-stress.
+    Tension at the two cut ends plus the ruling forces, integrated over
+    [a, b] as a difference of their prefix integrals, so loads add up over
+    adjacent segments.  Vanishes for every segment exactly when the stress is
+    a self-stress.
     """
     _check_compatible(fw, stress)
     grid = stress.grid
@@ -197,10 +199,8 @@ def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -
     start = force_vector(fw, stress, i, grid.t[ja])
     _, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
     ruling = stress.mu_at(i)[:, None] * fwd[i] - stress.mu_at(i - 1)[:, None] * bwd[i]
-    integral = np.array(
-        [integrate_samples(ruling[:, c], grid.h, ja, jb) for c in range(2)]
-    )
-    return end - start + integral
+    prefix = cumulative_samples(ruling.T, grid.h)
+    return end - start + (prefix[:, jb] - prefix[:, ja])
 
 
 def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b: float) -> float:

@@ -100,8 +100,13 @@ class TestValidate:
         assert main(["validate", "--input", str(p["truncated"])]) == 2
         assert "invalid input" in capsys.readouterr().err
 
-    def test_missing_file_exit_2(self):
+    def test_missing_file_exit_2(self, capsys):
         assert main(["validate", "--input", "/nonexistent/x.json"]) == 2
+        assert capsys.readouterr().err == "invalid input: no such file: /nonexistent/x.json\n"
+
+    def test_directory_input_is_not_a_file_exit_2(self, tmp_path, capsys):
+        assert main(["validate", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"invalid input: not a file: {tmp_path}\n"
 
     def test_surface_document_validates_projection(self, docs):
         _, p = docs

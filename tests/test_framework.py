@@ -259,30 +259,6 @@ class TestJets:
             parallel_lines.jet(5, 0.5)
 
 
-class TestDelta:
-    def test_parallel_translates_constant(self, parallel_lines):
-        for t in (0.0, 0.7, 2.0):
-            assert np.array_equal(parallel_lines.delta(0, t), [0.0, 1.0])
-
-    def test_coincident_curves_zero(self):
-        line = make_line()
-        fw = sl.Framework(1.0, 0, [make_line(offset_y=-1.0), line, line], sl.Grid(1.0, 16))
-        assert np.array_equal(fw.delta(0, 0.5), [0.0, 0.0])
-
-    def test_circles_radial(self):
-        fw = sl.builtin("circles2d", n=1)
-        t = 0.9
-        d = fw.delta(0, t)
-        assert np.allclose(d, 0.6 * np.array([math.cos(t), math.sin(t)]), atol=1e-14)
-
-    def test_reversed_difference(self, translational):
-        _, proj, _ = translational
-        fw = proj.framework
-        for i in range(-1, fw.n + 1):
-            d = fw.delta(i, 0.4)
-            assert np.allclose(d, -(fw.jet(i, 0.4).p - fw.jet(i + 1, 0.4).p))
-
-
 class TestDocuments:
     def test_minimal_one_curve_document(self):
         doc = {

@@ -23,8 +23,10 @@ def imported_names(tree):
 
 
 def test_march_oracle_stays_out_of_the_exports():
-    # the per-point march and solve serve the tests' reference solver only
-    assert not {"ode_march", "solve2x2"} & set(dir(striplift))
+    # the per-point march and solve serve the tests' reference solver only, and the
+    # restarted node rule is the tests' oracle of the prefix rule
+    assert not {"ode_march", "solve2x2", "integrate_samples"} & set(dir(striplift))
+    assert not hasattr(striplift.numerics, "integrate_samples")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -24,7 +24,7 @@ from striplift.lifting import (
     save_lifting,
     strip_defects,
 )
-from striplift.numerics import NORM_FLOOR, cumulative_samples, integrate_samples
+from striplift.numerics import NORM_FLOOR, cumulative_samples
 
 from conftest import (
     BUILTINS, PROPERTY, builtin_stressed, frameworks, generated_stressed, mu_scaled, path_nodes,
@@ -38,7 +38,9 @@ def zero_stress(fw):
 
 
 def reference_height(fw, stress, p, path):
-    """The per-point height: point jets at the target and at every jump node."""
+    """The per-point height: point jets at the target and at every jump node, and
+    each run along curve i as C_i(end) - C_i(start), C_i = P_y px_i - P_x py_i - q_i
+    from one 1-d prefix integral per bilinear part of its integrand."""
     k, s = p
     if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
         raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
@@ -53,12 +55,13 @@ def reference_height(fw, stress, p, path):
         jet = fw.jet(i, tj)
         total += stress.lam_at(i)[idx[i + 1]] * det2(jet.d1, target - jet.p)
     for i in range(k + 1):
-        j0, j1 = idx[i], idx[i + 1]
-        if j1 > j0:
-            prev = fw.grid_jets(i - 1, grid)
-            edge = fw.grid_jets(i, grid).p - prev.p
-            integrand = stress.mu_at(i - 1) * det2(edge, target[None, :] - prev.p)
-            total -= integrate_samples(integrand, grid.h, j0, j1)
+        prev = fw.grid_jets(i - 1, grid).p
+        edge = fw.grid_jets(i, grid).p - prev
+        mu = stress.mu_at(i - 1)
+        px, py, q = (cumulative_samples(part, grid.h)
+                     for part in (mu * edge[:, 0], mu * edge[:, 1], mu * det2(edge, prev)))
+        c = target[1] * px - target[0] * py - q
+        total -= c[idx[i + 1]] - c[idx[i]]
     return float(total)
 
 
@@ -303,6 +306,25 @@ def test_node_table_paths_are_the_reference_paths(drawn, count, seed, data):
         assert [path.gamma for path in sl.random_paths(k, s, grid, count, seed)] == want
 
 
+@PROPERTY
+@given(stressed_frameworks())
+def test_axis_path_heights_are_the_lifting_profiles(drawn):
+    # the path kernel and the profiles integrate every run by one prefix rule
+    fw, stress = drawn
+    z = _height_profiles(fw, stress)
+    for k in range(fw.n + 1):
+        heights = [sl.height(fw, stress, (k, t), lpath(k, t)) for t in stress.grid.t.tolist()]
+        assert np.array(heights).tobytes() == z[k].tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_sampled_spread_is_bounded_by_the_spread_over_every_path(name):
+    fw, stress = builtin_stressed(name)
+    scale, spread, _ = _scale_and_spread(fw, stress)
+    paths = sl.random_paths(fw.n, fw.T, stress.grid, 200, seed=101)
+    assert sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths) <= spread + 1e-13 * scale
+
+
 def coarse(fw, stress, panels=16):
     """The framework and its stress sampled on `panels` panels over the same T."""
     grid, step = sl.Grid(fw.T, panels), stress.grid.N // panels
@@ -399,6 +421,12 @@ class TestBuildLifting:
                 t = stress.grid.t[j]
                 want = sl.height(fw, stress, (k, t), lpath(k, t))
                 assert surface.z[k, j] == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_lifted_table_has_no_third_derivative(self, translational):
+        _, proj, stress = translational
+        surface = sl.build_lifting(proj.framework, stress)
+        assert surface.grid_table().d3 is None
+        assert not hasattr(surface, "z_d3")
 
     def test_one_curve_circle_flat_boundary(self):
         fw = sl.builtin("circles2d", n=0)

@@ -6,13 +6,44 @@ import pytest
 from striplift.errors import DegenerateBasisError, EvaluationError, GridAlignmentError
 from striplift.numerics import (
     Grid,
+    _startup_weights,
     basis_guard,
     cumulative_samples,
     fd_derivative,
-    integrate_samples,
     ode_march,
     solve2x2,
 )
+
+
+def integrate_samples(values, h, j0=0, j1=None):
+    """The node rule restarted at j0: the direct oracle of cumulative_samples.
+
+    Composite Simpson for even panel counts; odd counts >= 3 finish with a
+    Simpson 3/8 tail; a single panel uses a cubic rule that borrows two nodes
+    from outside the range (the sample array must extend past it).
+    """
+    v = np.asarray(values, dtype=float)
+    if j1 is None:
+        j1 = v.size - 1
+    m = j1 - j0
+    if m == 0:
+        return 0.0
+    if m == 1:
+        if j1 + 2 < v.size:
+            return float(_startup_weights(h) @ v[j0 : j0 + 4])
+        return float(_startup_weights(h) @ v[j0 - 2 : j1 + 1][::-1])
+    total = 0.0
+    end = j1
+    if m % 2 == 1:
+        seg = v[j1 - 3 : j1 + 1]
+        total += (3.0 * h / 8.0) * (seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3])
+        end = j1 - 3
+    if end > j0:
+        s = v[j0 : end + 1]
+        total += (h / 3.0) * (
+            s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum()
+        )
+    return float(total)
 
 
 class TestGrid:

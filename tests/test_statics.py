@@ -18,7 +18,7 @@ from striplift.errors import (
     SchemaError,
 )
 from striplift.geomcore import balance_vectors
-from striplift.numerics import NORM_FLOOR, ode_march, solve2x2
+from striplift.numerics import NORM_FLOOR, cumulative_samples, ode_march, solve2x2
 from striplift.statics import load_stress, save_stress, segment_force_scale
 
 from conftest import PROPERTY, mu_minus1_fn, mu_scaled, stressed_frameworks
@@ -336,7 +336,8 @@ def reference_force_vector(fw, stress, i, t):
 
 
 def reference_force_load(fw, stress, i, a, b):
-    """force_load from point jets at the cut ends and the ruling terms of every curve."""
+    """force_load from point jets at the cut ends and the ruling terms of every curve,
+    integrated as a difference of prefix integrals, one coordinate at a time."""
     statics._check_compatible(fw, stress)
     grid = stress.grid
     ja, jb = grid.node_index(a), grid.node_index(b)
@@ -346,10 +347,8 @@ def reference_force_load(fw, stress, i, a, b):
     start = reference_force_vector(fw, stress, i, grid.t[ja])
     _, _, t3, t4 = statics._force_terms(fw, stress)
     ruling = t3[i] - t4[i]
-    integral = np.array(
-        [sl.integrate_samples(ruling[:, c], grid.h, ja, jb) for c in range(2)]
-    )
-    return end - start + integral
+    prefix = np.array([cumulative_samples(ruling[:, c], grid.h) for c in range(2)])
+    return end - start + (prefix[:, jb] - prefix[:, ja])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -373,6 +372,20 @@ def test_force_loads_are_bit_identical_to_the_point_jet_forms(drawn, data):
             with pytest.raises(IndexError) as got:
                 form(fw, stress, i, *args)
             assert str(got.value) == str(want.value)
+
+
+@PROPERTY
+@given(stressed_frameworks(), st.data())
+def test_force_loads_add_up_over_adjacent_segments(drawn, data):
+    # both loads and their union read one prefix integral, so only rounding separates them
+    fw, stress = drawn
+    grid = stress.grid
+    ja, jb, jc = sorted(data.draw(st.lists(st.integers(0, grid.N), min_size=3, max_size=3)))
+    a, b, c = grid.t[[ja, jb, jc]]
+    for i in range(fw.n + 1):
+        parts = sl.force_load(fw, stress, i, a, b) + sl.force_load(fw, stress, i, b, c)
+        defect = np.linalg.norm(parts - sl.force_load(fw, stress, i, a, c))
+        assert defect <= 1e-14 * segment_force_scale(fw, stress, i, a, c)
 
 
 class TestSolveStress:
