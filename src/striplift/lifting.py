@@ -6,18 +6,23 @@ the stretches along a curve contribute integrals of the ruling forces.  For a
 self-stress the value does not depend on the path, and attaching it as a
 third coordinate produces a surface whose strips are all developable.
 
-Every run along a curve integrates as a difference of prefix integrals
-(`_prefix_integrals`), so `height` along `lpath` is the lifting's profile bit
-for bit.  `height` and `path_independence_spread` walk their IncreasingPaths
-as one table of grid-node indices, one row per path.  The spread of `check`
-walks no path: it is the exact spread over every increasing path to (n, T),
-two prefix max/min recursions over the same prefix integrals.
+Every height term is an affine form of the target point P, a P_y - b P_x - c,
+stored as its three coefficients (`_height_forms`): the jump off a curve at
+a node, and the prefix integral of the run along a curve, so a run is a
+difference of two forms.  A height sums forms, then evaluates the sum at P
+once.  Path heights sum the same forms in the same order as the axis-path
+profiles, so `height` along `lpath` is the lifting's profile bit for bit.
+`height` and `path_independence_spread` walk their IncreasingPaths as one
+table of grid-node indices, one row per path.  The spread of `check` walks no
+path: it is the exact spread over every increasing path to (n, T), two prefix
+max/min recursions over the same forms.  Every height kernel is O(n N).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -58,6 +63,8 @@ class IncreasingPath:
 
     def __post_init__(self):
         gamma = tuple(float(g) for g in self.gamma)
+        if not all(math.isfinite(g) for g in (float(self.s), *gamma)):
+            raise ValueError(f"path parameters must be finite, got s={self.s!r}, gamma={gamma!r}")
         if len(gamma) != self.k + 2:
             raise ValueError(f"path to curve {self.k} needs {self.k + 2} nodes, got {len(gamma)}")
         if gamma[0] != 0.0:
@@ -87,27 +94,36 @@ def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
     return paths
 
 
-def _prefix_integrals(table: CurveJet, stress: StressField, k: int) -> np.ndarray:
-    """Prefix quadratures (px, py, q) of curves 0..k, shape (3, k+1, N+1).
+def _height_forms(table: CurveJet, stress: StressField, k: int):
+    """The height terms of curves 0..k as affine forms of the target P: (jumps, runs).
 
-    A run along curve i towards the target P integrates
-    mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}).  Split by bilinearity, its
-    integral over nodes [0, j] is C_i(j) = P_y px_i(j) - P_x py_i(j) - q_i(j),
-    and over [j0, j1] it is C_i(j1) - C_i(j0).
+    Each has shape (3, k+1, N+1); a form (a, b, c) stands for a P_y - b P_x - c
+    (`_at`).  jumps[:, i, j] is the jump off curve i at node j,
+    lam_i det2(f_i', P - f_i).  runs[:, i, j] is C_i(j), the integral over nodes
+    [0, j] of the run along curve i, mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}),
+    so a run over [j0, j1] is C_i(j1) - C_i(j0).
     """
-    prev, cur = table.p[: k + 1], table.p[1 : k + 2]  # curves i-1 and i, i = 0..k
-    edge, mu = cur - prev, stress.mu[: k + 1]  # mu_{i-1}
-    return cumulative_samples(
+    prev, cur, d1 = table.p[: k + 1], table.p[1 : k + 2], table.d1[1 : k + 2]  # curves i-1 and i
+    edge, mu, lam = cur - prev, stress.mu[: k + 1], stress.lam[: k + 1]  # mu_{i-1}, lam_i
+    runs = cumulative_samples(
         np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), stress.grid.h
     )
+    return np.stack([lam * d1[..., 0], lam * d1[..., 1], lam * det2(d1, cur)]), runs
+
+
+def _at(form, P):
+    """Affine forms (a, b, c) along the first axis, evaluated at the points P (..., 2)."""
+    return form[0] * P[..., 1] - form[1] * P[..., 0] - form[2]
 
 
 def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
     """Heights of the framework point p = (k, s) along each path, from the grid table.
 
-    Path nodes are grid nodes; a run along curve i is C_i(end) - C_i(start).
-    The first bad path raises ValueError (other target), IndexError (k
-    outside 0..n) or GridAlignmentError (off-grid node).
+    Path nodes are grid nodes.  A path's form sums, from zero and in this
+    order, its jumps off curves 0..k-1 and each run C_i(start) - C_i(end), as
+    `_profile_parts` does for the axis paths.  The first bad path raises
+    ValueError (other target), IndexError (k outside 0..n) or
+    GridAlignmentError (off-grid node).
     """
     k, s = p
     grid, idx = stress.grid, []
@@ -118,16 +134,13 @@ def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
             raise IndexError(f"target curve {k} outside 0..{fw.n}")
         idx.append([grid.node_index(g) for g in path.gamma])
     # row m: node 0, the node where path m jumps off each curve 0..k-1, the node of s
-    nodes, table = np.array(idx), fw.grid_table(grid)
-    target = table.p[k + 1, nodes[0, -1]]
-    on = np.arange(k), nodes[:, 1:-1]  # path m jumps off curve i at node nodes[m, i + 1]
+    nodes, table, curves = np.array(idx), fw.grid_table(grid), np.arange(k + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps = stress.lam[on] * det2(table.d1[1:][on], target - table.p[1:][on])
-        ends = np.stack([nodes[:, :-1], nodes[:, 1:]])  # where each run along curve i starts and ends
-        px, py, q = _prefix_integrals(table, stress, k)[:, np.arange(k + 1), ends]
-        c = target[1] * px - target[0] * py - q
-        # jump terms summed in curve order from 0.0, then each run C_i(start) - C_i(end) in curve order
-        heights = np.cumsum(np.c_[np.zeros(len(nodes)), jumps, c[0] - c[1]], axis=1)[:, -1]
+        jumps, runs = _height_forms(table, stress, k)
+        terms = (np.zeros((3, len(nodes), 1)), jumps[:, curves[:-1], nodes[:, 1:-1]],
+                 runs[:, curves, nodes[:, :-1]] - runs[:, curves, nodes[:, 1:]])
+        heights = _at(np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1],
+                      table.p[k + 1, nodes[0, -1]])
     return require_finite(heights[None, None], "height", [s], first=k)[0, 0]
 
 
@@ -145,43 +158,27 @@ def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> fl
     return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
 
 
-def _jump_sums(weights, base, tangent, target, every_row=False) -> np.ndarray:
-    """Sums of the jump terms weights[i] * det2(tangent[i], target[k] - base[i]).
-
-    base and tangent hold one point per jump i; target is (curves, N+1, 2).
-    Row k sums the jumps i < k, or every jump with every_row set.  Each jump
-    is added in curve order from 0.0 into the rows that read it, as a running
-    sum over jumps would, so memory stays at one (curves, N+1) table.
-    """
-    sums = np.zeros(target.shape[:-1])
-    x, y = target[..., 0], target[..., 1]
-    for i, (w, (bx, by), (tx, ty)) in enumerate(zip(weights.tolist(), base.tolist(), tangent.tolist())):
-        rows = slice(0 if every_row else i + 1, None)
-        sums[rows] += w * (tx * (y[rows] - by) - ty * (x[rows] - bx))  # det2, coordinate-wise
-    return sums
-
-
 def _profile_parts(fw: Framework, stress: StressField):
-    """The grid table, the prefix integrals (px, py, q) of curves 0..n and
-    their axis-path heights z at every grid node, shape (n+1, N+1).
+    """The grid table, the height forms (jumps, runs) of curves 0..n, the jump
+    sums at node 0, shape (3, n+2), and the axis-path heights z at every grid
+    node, shape (n+1, N+1).
 
-    The axis path to (k, t_j) jumps over curves 0..k-1 at parameter 0, then
-    runs along curve k: its height is the jump sum minus C_k(j) towards
-    P = (k, t_j), for every node at once.
+    The axis path to (k, t_j) jumps over curves 0..k-1 at node 0, then runs
+    along curve k: its form is sums[:, k] - C_k(j), where column k of the
+    running sum sums the jumps off curves below k and column n+1 every jump.
     """
     grid = stress.grid
     table = fw.grid_table(grid)
-    target = table.p[1:-1]  # curve k, k = 0..n
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        px, py, q = _prefix_integrals(table, stress, fw.n)
-        z = _jump_sums(stress.lam[:-1, 0], table.p[1:-2, 0], table.d1[1:-2, 0], target)
-        z = require_finite(z - (px * target[..., 1] - py * target[..., 0] - q), "height", grid.t)
-    return table, (px, py, q), z
+        jumps, runs = _height_forms(table, stress, fw.n)
+        sums = np.cumsum(np.concatenate([np.zeros((3, 1)), jumps[..., 0]], axis=1), axis=1)
+        z = require_finite(_at(sums[:, :-1, None] - runs, table.p[1:-1]), "height", grid.t)
+    return table, (jumps, runs), sums, z
 
 
 def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     """Axis-path heights of curves 0..n at every grid node, shape (n+1, N+1)."""
-    return _profile_parts(fw, stress)[2]
+    return _profile_parts(fw, stress)[3]
 
 
 def _peak_scale(z: np.ndarray) -> float:
@@ -200,14 +197,14 @@ def _scale_and_spread(fw: Framework, stress: StressField):
 
     With C_i the prefix integral towards P, a path jumping off curve i at
     node j_i has height
-    sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1}, and its extremes
-    over j_0 <= ... <= j_{n-1} are prefix max and min recursions, O(n N).
+    sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1} (one form per
+    curve and node, evaluated at P), and its extremes over
+    j_0 <= ... <= j_{n-1} are prefix max and min recursions, O(n N).
     """
-    table, (px, py, q), z = _profile_parts(fw, stress)
-    n, target = fw.n, table.p[fw.n + 1, -1]
+    table, (jumps, runs), _, z = _profile_parts(fw, stress)
+    n = fw.n
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        c = target[1] * px - target[0] * py - q
-        g = stress.lam[:n] * det2(table.d1[1 : n + 1], target - table.p[1 : n + 1]) - c[:-1] + c[1:]
+        g = _at(jumps[:, :n] - runs[:, :n] + runs[:, 1:], table.p[n + 1, -1])
         hi, lo = [np.zeros(stress.grid.N + 1)], [np.zeros(stress.grid.N + 1)]  # no jump yet
         for row in g:  # row i: the best path whose last jump, off curve i, is at node j
             hi.append(row + np.maximum.accumulate(hi[-1]))
@@ -342,12 +339,9 @@ def reversal_affine_defect(
     report = residual_report(fw, stress)
     if not report.max_normalized < tol:  # fails closed
         raise NotSelfStressedError(report, tol)
-    z_fwd = _height_profiles(fw, stress)
+    table, _, sums, z_fwd = _profile_parts(fw, stress)
     z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress))[::-1]
-    table = fw.grid_table(stress.grid)
-    curves = table.p[1:-1]
-    affine = _jump_sums(stress.lam[:, 0], curves[:, 0], table.d1[1:-1, 0], curves, every_row=True)
-    return float(np.abs(z_fwd - z_rev - affine).max())
+    return float(np.abs(z_fwd - z_rev - _at(sums[:, -1], table.p[1:-1])).max())
 
 
 # ---------------------------------------------------------------------------

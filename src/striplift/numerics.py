@@ -11,6 +11,7 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,9 @@ class Grid:
         return self._t
 
     def node_index(self, t: float) -> int:
-        """Index of the node equal to t, or GridAlignmentError if off-grid."""
-        j = int(round(t / self.h))
+        """Index of the node equal to t, or GridAlignmentError if off-grid or not finite."""
+        q = t / self.h
+        j = int(round(q)) if math.isfinite(q) else -1
         if j < 0 or j > self.N or abs(t - self._t[j]) > 1e-9 * max(self.T, 1.0):
             raise GridAlignmentError(
                 f"t={t!r} is not a grid node (T={self.T}, N={self.N})"

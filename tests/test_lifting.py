@@ -129,12 +129,13 @@ def reference_plane_fit_distance(points):
 @given(stressed_frameworks())
 def test_height_kernels_are_bit_identical_to_the_reference(drawn):
     fw, stress = drawn
-    want = reference_height_profiles(fw, stress)
-    assert _height_profiles(fw, stress).tobytes() == want.tobytes()
-    assert _scale_and_spread(fw, stress)[0] == sl.height_scale(fw, stress)
+    # one evaluation of summed affine forms rounds apart from the per-term reference
+    want, scale = reference_height_profiles(fw, stress), sl.height_scale(fw, stress)
+    assert np.abs(_height_profiles(fw, stress) - want).max() <= 1e-13 * scale
+    assert _scale_and_spread(fw, stress)[0] == scale
     # the gate is the residual report's, checked on its own; tol=inf lets every stress through
     defect = sl.reversal_affine_defect(fw, stress, tol=np.inf)
-    assert defect == reference_reversal_affine_defect(fw, stress)
+    assert abs(defect - reference_reversal_affine_defect(fw, stress)) <= 1e-13 * scale
 
 
 ANALYTIC = ("translational3d", "cylinder-strip3d", "twisted")
@@ -155,18 +156,19 @@ def test_strip_defects_are_bit_identical_to_the_reference(drawn):
 
 
 def test_height_memory_is_linear_in_the_curve_count():
-    # one (n+1, N+1) table per quantity, no (n, n+1, N+1) jump tensor: ~7 MB here
+    # a few (3, n+1, N+1) form tables, no (n, n+1, N+1) jump tensor: ~7 MB here
     fw = sl.builtin("perturbed2d", n=64, seed=3, amplitude=0.005)
     grid = sl.Grid(fw.T, 1024)
     stress = sl.solve_stress(fw, 1.0 + 0.5 * np.arange(65), 0.01, grid)
     fw.grid_table(grid)
-    tracemalloc.start()
-    try:
-        _height_profiles(fw, stress)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    for kernel in (_height_profiles, _scale_and_spread):  # lift's heights, check's spread
+        tracemalloc.start()
+        try:
+            kernel(fw, stress)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20, kernel.__name__
 
 
 class TestIncreasingPath:
@@ -179,6 +181,10 @@ class TestIncreasingPath:
             sl.IncreasingPath(1, 1.0, (0.0, 0.5, 0.4))  # not ending at target
         with pytest.raises(ValueError):
             sl.IncreasingPath(2, 1.0, (0.0, 0.8, 0.5, 1.0))  # decreasing
+        for s, gamma in ((np.inf, (0.0, np.inf)), (np.nan, (0.0, np.nan)), (1.0, (0.0, np.nan, 1.0)),
+                         (1.0, (0.0, -np.inf, 1.0))):  # not finite
+            with pytest.raises(ValueError):
+                sl.IncreasingPath(len(gamma) - 2, s, gamma)
 
     def test_empty_intervals_allowed(self):
         p = sl.IncreasingPath(2, 1.0, (0.0, 0.5, 0.5, 1.0))
@@ -291,8 +297,9 @@ def test_path_heights_are_the_reference_heights(drawn, data):
     paths = sl.random_paths(k, s, fw.grid, 8, seed=seed) + [lpath(k, s)]
     want = np.array([reference_height(fw, stress, (k, s), path) for path in paths])
     single = [sl.height(fw, stress, (k, s), path) for path in paths]
-    assert _path_heights(fw, stress, (k, s), paths).tobytes() == want.tobytes()
-    assert np.array(single).tobytes() == want.tobytes()
+    heights, scale = _path_heights(fw, stress, (k, s), paths), sl.height_scale(fw, stress)
+    assert np.abs(heights - want).max() <= 1e-13 * scale
+    assert np.array(single).tobytes() == heights.tobytes()
 
 
 @PROPERTY

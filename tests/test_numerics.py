@@ -62,8 +62,9 @@ class TestGrid:
         g = Grid(1.0, 32)
         for j in (0, 7, 32):
             assert g.node_index(g.t[j]) == j
-        with pytest.raises(GridAlignmentError):
-            g.node_index(g.h * 0.5)
+        for t in (g.h * 0.5, 1e300, 1e308, math.inf, -math.inf, math.nan):  # off-grid or not finite
+            with pytest.raises(GridAlignmentError):
+                g.node_index(t)
 
 
 class TestIntegrate:
