@@ -44,7 +44,7 @@ from .lifting import (
     load_lifting,
     save_lifting,
 )
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, ratio
 from .onestrip import onestrip_verify
 from .projection import developability_report, induced_stress, project
 from .statics import load_stress, residual_report, save_stress, solve_stress
@@ -157,7 +157,7 @@ def cmd_check(args) -> int:
             "tolerance": args.tol,
         }
         _write(Path(args.output), _dump_json(doc))
-    ok = res.max_normalized < args.tol and spread < args.tol * scale
+    ok = res.max_normalized < args.tol and ratio(spread, scale) < args.tol
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

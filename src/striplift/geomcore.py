@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_REG, NORM_FLOOR, basis_guard, require_finite
+from .numerics import EPS_REG, basis_guard, ratio, require_finite
 
 
 def det2(a, b):
@@ -113,7 +113,7 @@ def regularity_report(fw, grid=None) -> RegularityReport:
         require_finite(norms, f"|tangent| |{edge}|", grid.t)
         dets = np.abs(det)
         i, j = np.unravel_index(np.argmin(dets), dets.shape)
-        normed = dets / np.maximum(norms, NORM_FLOOR)
+        normed = ratio(dets, norms)
         found.append(
             (float(dets[i, j]), (int(i), float(grid.t[j])), float(normed.min()), degenerate.any())
         )

@@ -43,7 +43,7 @@ from .framework import (
 )
 from .geomcore import det2, det3, norm
 from .numerics import (
-    DEFAULT_TOL, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_finite,
+    DEFAULT_TOL, Grid, cumulative_samples, fd_derivative, ratio, require_finite,
 )
 from .statics import StressField, residual_report
 
@@ -181,14 +181,9 @@ def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     return _profile_parts(fw, stress)[3]
 
 
-def _peak_scale(z: np.ndarray) -> float:
-    """max |z|, floored away from zero."""
-    return max(float(np.abs(z).max()), NORM_FLOOR)
-
-
 def height_scale(fw: Framework, stress: StressField) -> float:
-    """max |height| over all curves and nodes, floored away from zero."""
-    return _peak_scale(_height_profiles(fw, stress))
+    """max |height| over all curves and nodes; 0 for the zero stress."""
+    return float(np.abs(_height_profiles(fw, stress)).max())
 
 
 def _scale_and_spread(fw: Framework, stress: StressField):
@@ -217,7 +212,7 @@ def _scale_and_spread(fw: Framework, stress: StressField):
         for row in rows[:0:-1]:  # back from the last jump: each jump is at or before the next
             nodes.append(int(pick(row[: nodes[-1] + 1])))
         paths[key] = nodes[:0:-1]
-    return _peak_scale(z), spread, paths
+    return float(np.abs(z).max()), spread, paths
 
 
 class SampledLifting:
@@ -298,8 +293,8 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     Works on analytic surfaces and on sampled liftings.  Row k is the strip
     between rows k and k+1 of the surface's grid table: the spatial
     determinant of its ruling vector and the two curve tangents, divided by
-    the product of their norms (floored).  A surface of one curve has no
-    strip and raises ValueError, a non-finite defect EvaluationError.
+    the product of their norms, which bounds it (0/0 reads 0).  A surface
+    of one curve has no strip and raises ValueError, a non-finite defect EvaluationError.
     """
     if len(surface.curve_indices) < 2:
         raise ValueError("strip defects need at least two curves")
@@ -307,7 +302,7 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     a1, b1 = table.d1[:-1], table.d1[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
         ruling = table.p[1:] - table.p[:-1]
-        defects = det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+        defects = ratio(det3(ruling, a1, b1), norm(ruling) * norm(a1) * norm(b1))
     return require_finite(defects, "strip defect", (grid or surface.grid).t, surface.curve_indices[0])
 
 

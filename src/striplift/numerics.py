@@ -2,7 +2,8 @@
 
 Quadrature is one prefix rule on uniform nodes (`cumulative_samples`): an
 integral over a node range is a difference of two prefix integrals.  One
-scale-free guard judges every 2x2 basis; statics marches classic RK4 as one
+scale-free guard judges every 2x2 basis, and one division rule (`ratio`)
+normalizes every quantity by its scale; statics marches classic RK4 as one
 scalar recurrence per curve.  The per-point RK4 march and Cramer solve
 (ode_march, solve2x2) have no caller in the package and are not exported:
 they stay for the tests' reference solver and the benchmark's tracer.
@@ -28,9 +29,6 @@ DEFAULT_PANELS = 256
 #: Default tolerance of every pass/fail gate: the equilibrium residual, the
 #: strip developability and the one-strip criterion.
 DEFAULT_TOL = 1e-6
-
-#: Floor used by normalizations so that zero fields report zero, not NaN.
-NORM_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,16 @@ class Grid:
                 f"t={t!r} is not a grid node (T={self.T}, N={self.N})"
             )
         return j
+
+
+def ratio(num, den):
+    """num / den elementwise, where 0/0 reads 0 and x/0 reads inf, with no warning.
+
+    Each normalized value divides a quantity by a scale that bounds it, so a
+    zero scale means a zero quantity; no absolute floor makes it scale-dependent.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((num == 0) & (den == 0), 0.0, np.divide(num, den))
 
 
 def _startup_weights(h: float) -> np.ndarray:

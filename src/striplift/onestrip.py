@@ -18,7 +18,7 @@ import numpy as np
 from .framework import Framework, _dump_json, format_rows
 from .geomcore import det2, norm
 from .numerics import (
-    DEFAULT_TOL, EPS_REG, NORM_FLOOR, Grid, cumulative_samples, fd_derivative, require_basis,
+    DEFAULT_TOL, EPS_REG, Grid, cumulative_samples, fd_derivative, ratio, require_basis,
     require_finite,
 )
 from .statics import StressField, residual_report
@@ -63,7 +63,7 @@ def _floored_scale(term_magnitudes, term_bounds, t):
     """
     scale = np.max(np.abs(np.stack(term_magnitudes)), axis=0)
     floor = EPS_REG * np.sum(np.stack(term_bounds), axis=0)
-    scale = np.maximum(scale, np.maximum(floor, NORM_FLOOR))
+    scale = np.maximum(scale, floor)
     return require_finite(scale[None], "one-strip normalization scale", t)[0]
 
 
@@ -75,7 +75,7 @@ def _system_residual(b, nb, t, *terms):
     """
     values = [coef * getattr(b, name) for coef, name in terms]
     bounds = [np.abs(coef) * nb[u] * nb[v] for coef, name in terms for u, v in [name.split("_")]]
-    return sum(values[1:], values[0]) / _floored_scale(values, bounds, t)
+    return ratio(sum(values[1:], values[0]), _floored_scale(values, bounds, t))
 
 
 def _stresses(fw: Framework, b, grid: Grid):
@@ -104,7 +104,7 @@ def _stresses(fw: Framework, b, grid: Grid):
     require_finite(np.stack([lam0, lam1, mu0, lhs, rhs], axis=-1)[None],
                    "one-strip stress or cross-equation term", grid.t)
     denom = float(lhs @ lhs)
-    ref = np.max(np.abs(rhs)) + NORM_FLOOR  # squared as a numpy float: inf, not OverflowError
+    ref = np.max(np.abs(rhs))  # squared as a numpy float: inf, not OverflowError
     coupling = 1.0 if denom <= (1e-12 * ref) ** 2 * lhs.size else float((lhs @ rhs) / denom)
     return lam0, lam1, mu0, coupling
 
@@ -149,7 +149,7 @@ def _criterion(b, nb, t):
         bc_b * nb["tan0"] * nb["acc0"] * nb["tan1"] * nb["jerk1"],
         bc_b * nb["tan1"] * nb["acc1"] * nb["tan0"] * nb["jerk0"],
     )
-    return require_finite((residual / _floored_scale((p1, p2, p3, p4), bounds, t))[None],
+    return require_finite(ratio(residual, _floored_scale((p1, p2, p3, p4), bounds, t))[None],
                           "one-strip criterion", t)[0]
 
 

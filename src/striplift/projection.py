@@ -16,7 +16,7 @@ from .errors import NotConjugateError, StripLiftError
 from .framework import AnalyticSurface3D, Framework
 from .geomcore import det2, norm, regularity_report
 from .lifting import SampledLifting, strip_defects
-from .numerics import DEFAULT_TOL, NORM_FLOOR, Grid, require_basis, require_finite
+from .numerics import DEFAULT_TOL, Grid, ratio, require_basis, require_finite
 from .statics import StressField
 
 
@@ -152,7 +152,7 @@ def plane_fit_distance(points: np.ndarray) -> float:
     normal = vt[-1]
     dist = np.abs(centered @ normal).max()
     diameter = 2.0 * norm(centered).max()
-    return float(dist / max(diameter, NORM_FLOOR))
+    return float(ratio(dist, diameter))
 
 
 def boundary_planarity(surface: SampledLifting) -> tuple:

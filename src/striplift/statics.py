@@ -24,7 +24,7 @@ from .framework import (
 )
 from .geomcore import balance_vectors, det2, norm
 from .numerics import (
-    NORM_FLOOR, Grid, basis_guard, cumulative_samples, fd_derivative, require_finite
+    Grid, basis_guard, cumulative_samples, fd_derivative, ratio, require_finite
 )
 
 
@@ -143,8 +143,8 @@ class ResidualReport:
     """Equilibrium defect of a stress over every curve and grid node.
 
     residual[i, j] is the defect vector at curve i, node j; normalized[i, j]
-    divides its magnitude by the largest of the four force-term magnitudes
-    (floored, so the divisor is always positive).
+    divides its magnitude (at most 4x the largest force-term magnitude) by
+    that largest magnitude, so where all four force terms vanish it reads 0.
     """
 
     grid: Grid
@@ -167,7 +167,7 @@ def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
         t1, t2, t3, t4 = _force_terms(fw, stress)
         res = t1 + t2 + t3 - t4
         scale = np.maximum(np.maximum(np.maximum(norm(t1), norm(t2)), norm(t3)), norm(t4))
-        normed = norm(res) / np.maximum(scale, NORM_FLOOR)
+        normed = ratio(norm(res), scale)
     require_finite(normed, "normalized residual", grid.t)
     # a finite residual over an infinite scale reads 0, which no gate should trust
     require_finite(scale, "force scale", grid.t)
@@ -208,7 +208,7 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
 
     Uses the sizes of the forces being balanced (tension at the cut ends and
     the two ruling force families separately), so stresses whose ruling
-    forces cancel pairwise still get a physical scale.
+    forces cancel pairwise still get a physical scale (0 only if all vanish).
     """
     _check_compatible(fw, stress)
     grid = stress.grid
@@ -217,7 +217,7 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     tension = np.abs(stress.lam_at(i)) * norm(tan[i])
     ruling = np.abs(stress.mu_at(i)) * norm(fwd[i]) + np.abs(stress.mu_at(i - 1)) * norm(bwd[i])
     span = grid.t[jb] - grid.t[ja]
-    return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
+    return max(float(tension.max()), span * float(ruling.max()))
 
 
 def _boundary_samples(spec, times: np.ndarray) -> np.ndarray:

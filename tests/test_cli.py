@@ -328,6 +328,33 @@ class TestCheck:
             texts.append((capsys.readouterr().out.replace(str(out), ""), out.read_text()))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("factor", [1.0, 2.0**-120])
+    def test_wrong_stress_fails_at_every_framework_scale(self, docs, tmp_path, capsys, factor):
+        # one mu row 1% off; the residual and the verdict must not depend on units
+        _, p = docs
+        stress = load_stress(p["stress"].read_text())
+        mu = stress.mu.copy()
+        mu[1] *= 1.01
+        (tmp_path / "wrong.json").write_text(save_stress(sl.StressField(stress.grid, stress.lam, mu)))
+        framework = tmp_path / "framework.json"
+        framework.write_text(json.dumps(_magnify(json.loads(p["framework"].read_text()), factor)))
+        assert main(["check", "--input", str(framework), "--stress", str(tmp_path / "wrong.json")]) == 1
+        assert "normalized equilibrium residual max 9.900993e-03" in capsys.readouterr().out
+
+    def test_zero_stress_reads_zero(self, docs, tmp_path, capsys):
+        _, p = docs
+        stress = load_stress(p["stress"].read_text()).scaled(0.0)
+        (tmp_path / "zero.json").write_text(save_stress(stress))
+        argv = ["--input", str(p["framework"]), "--stress", str(tmp_path / "zero.json")]
+        out = tmp_path / "check.json"
+        assert main(["check", *argv, "--output", str(out)]) == 0
+        assert "(height scale 0.000000e+00)" in capsys.readouterr().out
+        assert json.loads(out.read_text())["height_scale"] == 0.0
+        lifted = tmp_path / "lifted.json"
+        assert main(["lift", *argv, "--format", "json", "--output", str(lifted)]) == 0
+        assert "conjugacy residual 0.000000e+00" in capsys.readouterr().out
+        assert not np.any(sl.load_lifting(lifted.read_text()).z)
+
 
 class TestLift:
     def test_obj_output(self, docs, tmp_path):

@@ -24,7 +24,7 @@ from striplift.lifting import (
     save_lifting,
     strip_defects,
 )
-from striplift.numerics import NORM_FLOOR, cumulative_samples
+from striplift.numerics import cumulative_samples, ratio
 
 from conftest import (
     BUILTINS, PROPERTY, builtin_stressed, frameworks, generated_stressed, mu_scaled, path_nodes,
@@ -114,7 +114,7 @@ def reference_strip_defects(surface, grid=None):
     a1, b1 = table.d1[:-1], table.d1[1:]
     norm = lambda v: np.linalg.norm(v, axis=-1)
     ruling = table.p[1:] - table.p[:-1]
-    return sl.det3(ruling, a1, b1) / (norm(ruling) * norm(a1) * norm(b1) + NORM_FLOOR)
+    return ratio(sl.det3(ruling, a1, b1), norm(ruling) * norm(a1) * norm(b1))
 
 
 def reference_plane_fit_distance(points):
@@ -122,7 +122,7 @@ def reference_plane_fit_distance(points):
     centered = points - points.mean(axis=0)
     normal = np.linalg.svd(centered, full_matrices=False)[2][-1]
     diameter = 2.0 * np.linalg.norm(centered, axis=1).max()
-    return float(np.abs(centered @ normal).max() / max(diameter, NORM_FLOOR))
+    return float(ratio(np.abs(centered @ normal).max(), diameter))
 
 
 @PROPERTY

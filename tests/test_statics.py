@@ -18,7 +18,7 @@ from striplift.errors import (
     SchemaError,
 )
 from striplift.geomcore import balance_vectors
-from striplift.numerics import NORM_FLOOR, cumulative_samples, ode_march, solve2x2
+from striplift.numerics import cumulative_samples, ode_march, ratio, solve2x2
 from striplift.statics import load_stress, save_stress, segment_force_scale
 
 from conftest import PROPERTY, mu_minus1_fn, mu_scaled, stressed_frameworks
@@ -236,7 +236,7 @@ def reference_residual_report(fw, stress):
     t1, t2, t3, t4 = terms
     res = t1 + t2 + t3 - t4
     scale = np.max([np.linalg.norm(term, axis=-1) for term in terms], axis=0)
-    normed = np.linalg.norm(res, axis=-1) / np.maximum(scale, NORM_FLOOR)
+    normed = ratio(np.linalg.norm(res, axis=-1), scale)
     return res, normed, int(np.argmax(normed))
 
 
@@ -249,7 +249,7 @@ def reference_segment_force_scale(fw, stress, i, a, b):
     tension = np.abs(stress.lam_at(i)) * norm(tan)
     ruling = np.abs(stress.mu_at(i)) * norm(fwd) + np.abs(stress.mu_at(i - 1)) * norm(bwd)
     span = grid.t[jb] - grid.t[ja]
-    return max(float(tension.max()), span * float(ruling.max()), NORM_FLOOR)
+    return max(float(tension.max()), span * float(ruling.max()))
 
 
 @PROPERTY
