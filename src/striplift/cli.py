@@ -28,6 +28,7 @@ from .framework import (
     CoordFunction,
     Framework,
     builtin,
+    framework_from_doc,
     load_framework,
     parse_document,
     save_framework,
@@ -41,7 +42,7 @@ from .lifting import (
     build_lifting,
     conjugacy_residual,
     export_obj,
-    load_lifting,
+    lifting_from_doc,
     save_lifting,
 )
 from .numerics import DEFAULT_TOL, ratio
@@ -176,13 +177,12 @@ def cmd_lift(args) -> int:
 
 
 def cmd_project(args) -> int:
-    text = _read(args.input)
-    doc = parse_document(text)
+    doc = parse_document(_read(args.input))
     if isinstance(doc, dict) and doc.get("kind") == "lifted_surface":
-        surface = load_lifting(text)
+        surface = lifting_from_doc(doc)
         _stored_grid(args, surface.grid, "lifting dump")
     else:
-        surface = load_framework(text, grid_panels=args.grid)
+        surface = framework_from_doc(doc, grid_panels=args.grid)
         if not isinstance(surface, AnalyticSurface3D):
             raise SchemaError("project expects a dimension-3 document or a lifting dump")
     proj = project(surface)

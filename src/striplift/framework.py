@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
+import orjson
 
 from .errors import EvaluationError, SchemaError
 from .numerics import DEFAULT_PANELS, Grid, require_finite
@@ -360,7 +361,7 @@ def document_numbers(doc: dict, *keys):
         want, ok = _NUMBER_RULES[key]
         value = doc.get(key)
         if isinstance(value, bool) or not ok(value):
-            raise SchemaError(f"{key} must be {want}, got {json.dumps(value)}", field=key)
+            raise SchemaError(f"{key} must be {want}, got {_quoted(value)}", field=key)
         values.append(value)
     return values
 
@@ -379,16 +380,59 @@ def document_rows(doc: dict, key: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _reject_constant(name):
-    raise SchemaError(f"non-finite number {name!r} is not allowed in documents")
+MAX_NESTING = 64  # levels of arrays and objects a document may nest; the schema uses 7
+_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")  # +1, -1 and 0 as int8
 
 
-def parse_document(text: str) -> dict:
-    """Parse JSON text, rejecting NaN/Infinity literals."""
+def _nests_too_deep(data: bytes) -> bool:
+    """Whether the arrays and objects of JSON text nest deeper than MAX_NESTING.
+
+    Brackets inside strings do not count.  A text with no more opening brackets
+    than the limit (a stress document has one per row) passes after a few `find`
+    calls, which skip the numbers between them; any other text is cut down to
+    its brackets and quotes, and its depth is a cumulative sum.
+    """
+    opens = 0
+    for bracket in b"[{":
+        at = data.find(bracket)
+        while at >= 0 and opens <= MAX_NESTING:
+            opens, at = opens + 1, data.find(bracket, at + 1)
+    if opens <= MAX_NESTING:
+        return False
+    if b"\\" in data:  # drop escaped backslashes, then escaped quotes: every quote left delimits a string
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = data.translate(None, _NOT_BRACKET_OR_QUOTE)
+    in_string = np.cumsum(np.frombuffer(marks, np.uint8) == ord('"')) % 2 == 1
+    steps = np.where(in_string, 0, np.frombuffer(marks.translate(_DEPTH_STEP), np.int8))
+    return steps.cumsum().max(initial=0) > MAX_NESTING
+
+
+def parse_document(text: str):
+    """The value of JSON text, read by orjson.
+
+    Numbers read bit for bit as `json.loads` reads them.  NaN and Infinity
+    literals, numbers beyond the double range and arrays or objects nested
+    more than MAX_NESTING deep are invalid JSON; orjson recurses without a
+    limit, so the depth is checked before it reads the text.  Raises
+    SchemaError.
+    """
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        data = text.encode()
+        if _nests_too_deep(data):
+            raise SchemaError(f"invalid JSON: arrays and objects nest deeper than {MAX_NESTING} levels")
+        return orjson.loads(data)
+    except (UnicodeEncodeError, orjson.JSONDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+
+
+def _quoted(value) -> str:
+    """A document value in a message: the JSON of a scalar, the kind of an array or object."""
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, dict):
+        return "an object"
+    return json.dumps(value)
 
 
 # Text of numbers: format_rows writes the bytes of format(x, ".17g") in numpy.  A float has
@@ -567,7 +611,7 @@ def framework_from_doc(doc, grid_panels: int | None = None):
     for k, entry in enumerate(entries):
         index = entry.get("index") if isinstance(entry, dict) else None
         if type(index) is not int:  # a bool is not an index
-            raise SchemaError(f"needs an integer index, got {json.dumps(index)}",
+            raise SchemaError(f"needs an integer index, got {_quoted(index)}",
                               field=f"curves[{k}]")
     entries = sorted(entries, key=lambda e: e["index"])
     if len(entries) != n + 3:

@@ -21,7 +21,6 @@ max/min recursions over the same forms.  Every height kernel is O(n N).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -39,6 +38,7 @@ from .framework import (
     framework_to_doc,
     save_framework,
     _dump_json,
+    _quoted,
     parse_document,
 )
 from .geomcore import det2, det3, norm
@@ -388,7 +388,11 @@ def save_lifting(surface: SampledLifting) -> str:
 
 
 def load_lifting(text: str) -> SampledLifting:
-    doc = parse_document(text)
+    return lifting_from_doc(parse_document(text))
+
+
+def lifting_from_doc(doc) -> SampledLifting:
+    """Build a SampledLifting from a parsed lifting-dump document object."""
     if not isinstance(doc, dict) or doc.get("kind") != "lifted_surface":
         raise SchemaError("not a lifted-surface document", field="kind")
     for key in ("T", "n", "N", "framework", "z"):
@@ -401,11 +405,11 @@ def load_lifting(text: str) -> SampledLifting:
     for key, value, own in (("T", T, fw.T), ("n", n, fw.n)):
         if value != own:
             raise SchemaError(
-                f"{json.dumps(value)} differs from the embedded framework's {json.dumps(own)}", field=key
+                f"{_quoted(value)} differs from the embedded framework's {_quoted(own)}", field=key
             )
     path_dependent = doc.get("path_dependent", False)
     if not isinstance(path_dependent, bool):
-        raise SchemaError(f"must be true or false, got {json.dumps(path_dependent)}",
+        raise SchemaError(f"must be true or false, got {_quoted(path_dependent)}",
                           field="path_dependent")
     grid = Grid(float(T), N)
     z = document_rows(doc, "z")

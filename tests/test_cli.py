@@ -3,7 +3,9 @@ import ast
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -814,6 +816,82 @@ class TestDocumentEntries:
         bad.write_text(json.dumps(doc))
         assert main(_reading(kind, p, bad)) == 2
         assert f"invalid input: {field}: " in capsys.readouterr().err
+
+
+def _nested(levels):
+    """An array nested `levels` deep: [[...[]...]]."""
+    value = []
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+class TestDocumentText:
+    """Text no document can hold is exit 2 in one line: never exit 4, never a crash."""
+
+    @pytest.mark.parametrize("kind", ["framework", "stress", "lifting"])  # validate, check, project
+    def test_deep_nesting_exit_2_naming_the_limit(self, docs, tmp_path, capsys, kind):
+        _, p = docs
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        assert main(_reading(kind, p, deep)) == 2
+        err = capsys.readouterr().err
+        assert f"deeper than {framework.MAX_NESTING} levels" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["framework", "stress", "lifting"])
+    def test_million_deep_document_exit_2_in_a_child_process(self, docs, tmp_path, kind):
+        # a parser that recursed into this text would overflow the C stack: run it in a child
+        _, p = docs
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**6 + "]" * 10**6)
+        paths = [str(Path(sl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run([sys.executable, "-m", "striplift.cli", *_reading(kind, p, deep)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("invalid input: invalid JSON: ") and run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, path, levels, field",
+        [
+            ("stress", ("T",), 1, "T"),
+            ("framework", ("curves", 2, "index"), 3, "curves[2]"),
+            ("lifting", ("path_dependent",), 1, "path_dependent"),
+        ],
+    )
+    def test_value_nested_to_the_limit_exit_2_in_one_line(self, docs, tmp_path, capsys, kind, path,
+                                                          levels, field):
+        # the document nests exactly MAX_NESTING deep: `levels` around the value, the rest inside it
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        _corrupt(doc, path, _nested(framework.MAX_NESTING - levels))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(_reading(kind, p, bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {field}: ") and err.endswith("got an array\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, path", [("stress", ("lambda", 1, 5)),
+                                            ("framework", ("curves", 1, "x", "poly", 0))])
+    def test_integer_beyond_the_double_range_exit_2(self, docs, tmp_path, capsys, kind, path):
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        _corrupt(doc, path, 10**400)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(_reading(kind, p, bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: invalid JSON: ") and err.count("\n") == 1
+
+    def test_integer_beyond_int64_reads_as_its_double(self, docs):
+        _, p = docs
+        doc = json.loads(p["stress"].read_text())
+        doc["lambda"][1][5] = 10**30
+        assert load_stress(json.dumps(doc)).lam[1, 5] == 1e30
+        doc = json.loads(p["framework"].read_text())
+        doc["curves"][1]["x"]["poly"][0] = 10**30
+        assert sl.load_framework(json.dumps(doc)).curve(0).coords[0].poly[0] == 1e30
 
 
 class TestStressGrid:

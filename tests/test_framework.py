@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 import striplift as sl
 from striplift.errors import SchemaError
 from striplift.framework import (
+    MAX_NESTING,
     AnalyticCurve,
     CoordFunction,
     _Coefficients,
     combine,
+    document_rows,
+    format_rows,
     load_framework,
+    parse_document,
     reparametrized,
     save_framework,
     shifted,
@@ -346,6 +350,60 @@ class TestDocuments:
         }
         fw = load_framework(json.dumps(doc))
         assert not sl.regularity_report(fw).passed
+
+
+# numbers every draw of the reading property also holds: signed zeros ("-0" is the integer 0,
+# which reads +0.0), subnormals, the ends of the exponent range, a literal below the smallest
+# subnormal (reads 0.0) and integers past 2^53 and 2^64
+_EDGE_NUMBERS = ("-0.0", "-0", "5e-324", "-2.2250738585072009e-308", "1e300", "-1e+300", "1e-300",
+                 "-1E-300", "1e-400", str(2**53 + 1), str(-(2**53) - 3), str(2**64 + 1),
+                 str(-(2**64) - 5), str(10**30))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+       st.lists(st.integers(-(2**80), 2**80), max_size=8), st.sampled_from(["%.17g", "repr"]))
+def test_numbers_read_as_json_loads_reads_them(floats, ints, writer):
+    """parse_document reads every number bit for bit as the standard library does."""
+    if writer == "%.17g":  # the writer of every document striplift saves
+        written = next(format_rows(np.array([floats]), ", ".join(["%.17g"] * len(floats)), "x"))
+    else:  # json.dumps, the writer of documents made by hand or by perfbench
+        written = json.dumps(floats)[1:-1]
+    text = '{"rows": [[' + ", ".join([written, *map(str, ints), *_EDGE_NUMBERS]) + "]]}"
+    got = document_rows(parse_document(text), "rows")
+    want = np.array(json.loads(text)["rows"], dtype=float)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestParseDocument:
+    def test_nesting_limit(self):
+        at_limit = '{"a": ' + "[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1) + "}"
+        assert parse_document(at_limit) == json.loads(at_limit)
+        with pytest.raises(SchemaError, match=f"deeper than {MAX_NESTING} levels"):
+            parse_document("[" + at_limit + "]")
+
+    def test_brackets_inside_strings_do_not_count(self):
+        # escaped quotes and backslashes must not end a string early or start one
+        note = "[" * 100 + '"{' * 100 + "\\" + "]\\" * 3
+        text = json.dumps({"note": note, "rows": [[1.5]] * (MAX_NESTING + 1), note: [[[note]]]})
+        assert parse_document(text) == json.loads(text)
+
+    def test_top_level_string_of_brackets(self):
+        text = json.dumps("[{" * 100)
+        assert parse_document(text) == json.loads(text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[1e400]", id="overflowing-double"),
+        pytest.param("[-1" + "0" * 400 + "]", id="overflowing-integer"),
+        pytest.param("[Infinity]", id="infinity"),
+        pytest.param("[-Infinity]", id="minus-infinity"),
+        pytest.param('"\ud800"', id="lone-surrogate"),  # no UTF-8 text holds one
+        pytest.param("[1, 2", id="truncated"),
+        pytest.param('{"a": 1} x', id="trailing-text"),
+    ])
+    def test_what_json_cannot_hold_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError, match="^invalid JSON: "):
+            parse_document(text)
 
 
 class TestBuiltins:

@@ -253,6 +253,16 @@ def reference_segment_force_scale(fw, stress, i, a, b):
 
 
 @PROPERTY
+@given(stressed_frameworks())
+def test_stress_documents_read_back_bit_for_bit(drawn):
+    _, stress = drawn
+    again = load_stress(save_stress(stress))
+    assert (again.grid.T, again.grid.N) == (stress.grid.T, stress.grid.N)
+    assert again.lam.tobytes() == stress.lam.tobytes()
+    assert again.mu.tobytes() == stress.mu.tobytes()
+
+
+@PROPERTY
 @given(stressed_frameworks(), st.data())
 def test_residual_kernels_are_bit_identical_to_the_reference(drawn, data):
     fw, stress = drawn
