@@ -27,11 +27,10 @@ Indices must run -1 .. n+1 without gaps; all numbers must be finite.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import orjson
@@ -432,142 +431,47 @@ def _quoted(value) -> str:
         return "an array"
     if isinstance(value, dict):
         return "an object"
-    return json.dumps(value)
+    return orjson.dumps(value).decode()
 
 
-# Text of numbers: format_rows writes the bytes of format(x, ".17g") in numpy.  A float has
-# the digits D = round(y), y = |x| * 10**(16 - floor(log10|x|)) formed within 1e-14 by Dekker's
-# exact product with a (hi, lo) pair of the power of ten; D is certified when y is in [1e16, 1e17)
-# more than 1e-12 from a tie, and "%" writes every other value.  Text is 0-padded uint64 words.
-_X_RANGE, _ROW_BLOCK, _U = (-100, 100), 8192, np.uint64  # exponents in the table; values a pass
+def _refuse_non_finite(obj, field: str) -> None:
+    """Raise EvaluationError at the first non-finite value of a document, naming the key that
+    holds it and its index along the first axis of its array (row 0 for a scalar)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _refuse_non_finite(value, key)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _refuse_non_finite(value, field)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        _refuse_non_finite(np.array(obj), field)
+    elif isinstance(obj, np.ndarray) and not np.isfinite(obj).all():
+        finite = np.isfinite(np.atleast_2d(obj))
+        row_k = int(finite.reshape(len(finite), -1).all(axis=1).argmin())
+        raise EvaluationError(f"non-finite value in {field} (row {row_k}); nothing is written")
 
 
-@cache
-def _text_tables():
-    lo_x, hi_x = _X_RANGE
-    scale = []
-    for k in range(16 - hi_x, 17 - lo_x):  # 10**k = hi + lo; int division rounds correctly
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        a, b = (num / den).as_integer_ratio()
-        scale.append((a / b, (num * b - a * den) / (den * b)))
-    d = np.arange(10, dtype=_U) + _U(48)
-    pair = (d[:, None] | d << _U(8)).ravel()  # "00".."99" as bytes, and their digits to the last nonzero
-    last = np.where(np.arange(100) % 10 > 0, 2, np.arange(100) > 0).astype(np.int8)
-    # bytes below position P and a point at P, for P < 24; index 24 is all bytes and no point
-    words = lambda ints: np.array([[v >> 64 * w & (2**64 - 1) for v in ints] for w in range(3)], _U)
-    pre = [sign + p for sign in (b"", b"-") for p in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
-    exp = [b""] + [b"e%+03d" % e for e in range(lo_x, hi_x + 2)]
-    return (np.array(scale).T, (pair[:, None] | pair << _U(16)).ravel(),
-            np.where(last > 0, last + 2, last[:, None]).ravel(),
-            words([(1 << 8 * j) - 1 for j in range(24)] + [(1 << 192) - 1]),
-            words([46 << 8 * j for j in range(24)] + [0]),
-            *(np.array([int.from_bytes(t, "little") for t in ts], _U) for ts in (pre, exp)),
-            np.array([len(p) for p in pre]), np.array([len(e) for e in exp]))
-
-
-def _significant(D, width, sig):
-    """Digits of D, a `width`-digit field, up to its last nonzero one (1 for D = 0)."""
-    s = width - 4 + sig[D - D // 10**4 * 10**4]
-    z = np.flatnonzero(s == width - 4)
-    if z.size and width > 4:
-        s[z] = _significant(D[z] // 10**4, width - 4, sig)
-    return np.maximum(s, 1)
-
-
-def _float_text(x, tables):
-    """Words [prefix, 3 of digits and point, exponent], lengths and the certified mask."""
-    (his, los), quad, sig, low, dot, pre, exp, pre_len, exp_len = tables
-    lo_x, hi_x = _X_RANGE
-    zero = x == 0
-    a = np.where(zero, 1.0, np.abs(x))
-    X = np.floor(np.log10(a))  # a guess: the range test on D certifies it
-    ok = (X >= lo_x) & (X <= hi_x)
-    a, X = np.where(ok, a, 1.0), np.where(ok, X, 0.0).astype(np.int64)
-    hi, lo = his[hi_x - X], los[hi_x - X]
-    p = a * hi
-    (ah, al), (bh, bl) = [(h, v - h) for v in (a, hi) for h in [v * 134217729.0 - (v * 134217729.0 - v)]]
-    rest = ah * bh - p + ah * bl + al * bh + al * bl + a * lo  # y = p + rest
-    floor = np.floor(rest)
-    D = p.astype(np.int64) + floor.astype(np.int64)
-    ok &= (D >= 10**16) & (D < 10**17) & (np.abs(rest - floor - 0.5) > 1e-12)
-    D += rest - floor > 0.5
-    top = D == 10**17
-    D, X = np.where(zero, 0, np.where(top, 10**16, D)), X + top
-    s = _significant(D, 17, sig)
-    fixed = (X >= -4) & (X < 17)
-    P = np.where(fixed, X, 0) + 1  # digits before the point
-    keep, point = np.maximum(s, P), np.where((P > 0) & (s > P), P, 24)
-    prefix, e = np.where(P < 1, 1 - P, 0) + 5 * np.signbit(x), np.where(fixed, 0, X - lo_x + 1)
-    q, d0 = D // 10**8, D // 10**16  # the leading digit; the 16 below it are two words of ASCII
-    u, v = (quad[h // 10**4] | quad[h - h // 10**4 * 10**4] << _U(32)
-            for h in (q - d0 * 10**8, D - q * 10**8))
-    words = np.empty((len(x), 5), _U)
-    words[:, 0], words[:, 4], carry = pre[prefix], exp[e], _U(0)
-    digits = [(d0.astype(_U) + _U(48)) | (u << _U(8)), (u >> _U(56)) | (v << _U(8)), v >> _U(56)]
-    for j, w in enumerate(digits):
-        w &= low[j][keep]
-        high = w & ~low[j][point]  # moves up a byte to open the point's
-        words[:, j + 1] = (w & low[j][point]) | dot[j][point] | (high << _U(8)) | carry
-        carry = high >> _U(56)
-    return words, pre_len[prefix] + keep + (point < 24) + exp_len[e], ok
-
-
-@lru_cache(maxsize=16)
-def _row_template(row: str):
-    """(literals, their length): row k of literals is the text before value k."""
-    literals = [lit.encode() for lit in row.split("%.17g")]
-    width = max(map(len, literals))
-    slots = np.frombuffer(b"".join(lit.ljust(width, b"\0") for lit in literals), np.uint8)
-    return slots.reshape(len(literals), width), sum(map(len, literals))
-
-
-def format_rows(values: np.ndarray, row: str, field: str):
-    """Yield `row % values[k]` for each row k of a 2-d array; "%.17g" writes format(x, ".17g").
-    A "%d" row is written by one "%" per row.  Raises EvaluationError naming `field` at the
-    first row with a non-finite entry."""
-    literals, literal_len = _row_template(row)
-    m, width = len(literals) - 1, literals.shape[1]
-    step = max(1, _ROW_BLOCK // max(values.shape[1], 1))
-    for start in range(0, len(values), step):
-        block = values[start:start + step]
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            row_k = start + int(finite.argmin())
-            raise EvaluationError(f"non-finite value in {field} (row {row_k}); nothing is written")
-        if "%d" in row:  # "%" writes an index within 10% of the time a numpy kernel takes
-            yield from (row % tuple(entries) for entries in block.tolist())
-            continue
-        flat = block.ravel().astype(float, copy=False)
-        words, lengths, ok = _float_text(flat, _text_tables())
-        size = words.shape[1] * 8
-        for i in np.flatnonzero(~ok).tolist():  # not certified: "%" writes it
-            text = "%.17g" % flat[i]
-            words[i], lengths[i] = np.frombuffer(text.encode().ljust(size, b"\0"), _U), len(text)
-        buf = np.zeros((len(block), m + 1, width + size), np.uint8)  # [literal | value] slots
-        buf[:, :, :width] = literals
-        buf[:, :m, width:] = words.view(np.uint8).reshape(len(block), m, size)
-        text = buf.tobytes().translate(None, b"\0").decode("ascii")
-        ends = np.cumsum(lengths.reshape(len(block), m).sum(axis=1) + literal_len).tolist()
-        yield from (text[i:j] for i, j in zip([0] + ends, ends))
+def _dumps(obj) -> str:
+    # shortest float text that reads back bit for bit; non-C-contiguous arrays go to `default`
+    return orjson.dumps(obj, default=np.ascontiguousarray,
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def _dump_json(obj) -> str:
-    # json.dumps would reformat floats; floats and float arrays go through format_rows.
-    def enc(o, field):
-        if isinstance(o, float):  # format_rows refuses a non-finite one
-            return "%.17g" % o if math.isfinite(o) else enc(np.array([o]), field)
-        if isinstance(o, (int, str, bool)) or o is None:
-            return json.dumps(o)
-        if isinstance(o, dict):
-            return "{" + ", ".join(f"{json.dumps(k)}: {enc(v, k)}" for k, v in o.items()) + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(enc(v, field) for v in o) + "]"
-        if isinstance(o, np.ndarray) and o.dtype == float and o.ndim in (1, 2):
-            rows = format_rows(np.atleast_2d(o), f"[{', '.join(['%.17g'] * o.shape[-1])}]", field)
-            return ", ".join(rows) if o.ndim == 1 else "[" + ", ".join(rows) + "]"
-        raise TypeError(f"cannot serialize {type(o)!r}")
+    """Document text of an object of dicts, lists, numbers, strings and numpy arrays.  Raises
+    EvaluationError at a non-finite value; nothing is written then."""
+    _refuse_non_finite(obj, "document")
+    return _dumps(obj)
 
-    return enc(obj, "document")
+
+def format_rows(values: np.ndarray, lead: str, sep: str, field: str) -> str:
+    """One line per row of the last axis of an array: `lead`, then the entries joined by `sep`.
+    Raises EvaluationError naming `field` and the first index on axis 0 with a non-finite entry."""
+    _refuse_non_finite(values, field)
+    if not values.size:
+        return ""
+    text = _dumps(values.reshape(-1, values.shape[-1]))  # [[a,b],[c,d]]
+    return lead + text[2:-2].replace("],[", "\n" + lead).replace(",", sep) + "\n"
 
 
 def framework_to_doc(fw) -> dict:

@@ -350,9 +350,9 @@ def _source_hash(surface: SampledLifting) -> str:
 def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     """Wavefront OBJ text for a lifted surface on its grid.
 
-    One vertex per (curve, node), quad faces per strip cell, formatted one
-    curve or strip at a time.  The header carries the source hash and grid
-    size; the timestamp line is left out when reproducible is set.
+    One vertex per (curve, node) and quad faces per strip cell; a non-finite
+    vertex is reported by its curve.  The header carries the source hash and
+    grid size; the timestamp line is left out when reproducible is set.
     """
     N, rows = surface.grid.N, len(surface.curve_indices)
     lines = [
@@ -364,12 +364,11 @@ def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
         lines.append("# warning: path-dependent heights (stress failed the residual gate)")
     if not reproducible:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    points = surface.grid_table().p.reshape(rows, 3 * (N + 1))
     a = np.arange(rows - 1)[:, None] * (N + 1) + np.arange(1, N + 1)
-    quads = np.stack([a, a + N + 1, a + N + 2, a + 1], axis=-1).reshape(rows - 1, 4 * N)
+    quads = np.stack([a, a + N + 1, a + N + 2, a + 1], axis=-1)
     return "".join([*(line + "\n" for line in lines),
-                    *format_rows(points, "v %.17g %.17g %.17g\n" * (N + 1), "vertex"),
-                    *format_rows(quads, "f %d %d %d %d\n" * N, "face")])
+                    format_rows(surface.grid_table().p, "v ", " ", "vertex"),
+                    format_rows(quads, "f ", " ", "face")])
 
 
 def save_lifting(surface: SampledLifting) -> str:

@@ -43,6 +43,8 @@ class Grid:
             raise ValueError(f"grid endpoint T must be positive and finite, got {self.T!r}")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError(f"panel count N must be even and >= 2, got {self.N!r}")
+        if self.T / self.N == 0.0:
+            raise ValueError(f"grid spacing T / N is 0 for T={self.T!r}, N={self.N!r}")
         object.__setattr__(self, "_t", np.linspace(0.0, self.T, self.N + 1))
 
     @property

@@ -188,6 +188,25 @@ class TestDocumentNumbers:
         assert main(_reading(kind, p, bad)) == 2
         assert f"invalid input: {key}: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, command", [
+        ("onestrip", ["validate"]), ("onestrip", ["onestrip"]),
+        ("onestrip", ["solve", "--lambda0", "1,1"]), ("onestrip", ["check", "--stress", "{stress}"]),
+        ("onestrip", ["lift", "--stress", "{stress}", "--output", "{out}"]),
+        ("surface", ["project", "--output", "{out}"]),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_zero_grid_spacing_exit_2(self, docs, tmp_path, capsys, source, command):
+        # T = 5e-324 over 256 panels rounds the spacing T / N to 0: every node coincides
+        _, p = docs
+        doc = json.loads(p[source].read_text())
+        doc["T"] = 5e-324
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(doc))
+        flags = [a.format(stress=p["stress"], out=tmp_path / "out.obj") for a in command[1:]]
+        assert main([command[0], "--input", str(tiny), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: grid spacing T / N is 0 for T=5e-324, N=256\n"
+        assert not (tmp_path / "out.obj").exists()
+
 
 class TestSolve:
     def test_circle_demo(self, docs, tmp_path):

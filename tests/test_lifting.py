@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import striplift as sl
 from striplift import framework
 from striplift.errors import EvaluationError, NotSelfStressedError, SchemaError
-from striplift.framework import _dump_json
+from striplift.framework import _dump_json, parse_document
 from striplift.geomcore import det2
 from striplift.lifting import (
     SampledLifting,
@@ -548,27 +549,48 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------------
-# byte format: the row formatter against the per-float writer it replaced
+# the writers: every number reads back bit for bit, whatever text orjson chose for it
 
 
-def per_float_json(value):
-    """JSON text of nested lists of floats, one format(x, ".17g") per float."""
-    if isinstance(value, list):
-        return "[" + ", ".join(per_float_json(v) for v in value) + "]"
-    return format(value, ".17g")
+def bits(value):
+    """Shape and float64 bytes of a number or nested lists: equal values and signs of zero."""
+    array = np.array(value, dtype=float)
+    return array.shape, array.tobytes()
 
 
-def per_float_obj_body(surface):
-    """Vertex and face lines of an OBJ, one format(x, ".17g") per coordinate."""
+def read_back(text):
+    """A document's value as parse_document reads it and as json.loads reads it."""
+    return parse_document(text), json.loads(text)
+
+
+def obj_arrays(text):
+    """Vertex and face arrays of an OBJ body, every number read by float() or int()."""
+    assert text.endswith("\n")
+    rows = [line.split(" ") for line in text.splitlines() if not line.startswith("#")]
+    assert all(r[0] in ("v", "f") for r in rows)
+    vertices = np.array([[float(x) for x in r[1:]] for r in rows if r[0] == "v"]).reshape(-1, 3)
+    faces = np.array([[int(x) for x in r[1:]] for r in rows if r[0] == "f"], np.int64).reshape(-1, 4)
+    return vertices, faces
+
+
+def per_float_obj(surface):
+    """Vertex and face arrays of an OBJ, built one vertex and one face at a time."""
     N, rows = surface.grid.N, surface.n + 1
-    points = surface.grid_table().p.reshape(-1, 3)
-    lines = ["v " + " ".join(format(x, ".17g") for x in p) for p in points]
+    faces = []
     for r in range(rows - 1):
         for j in range(N):
             a = r * (N + 1) + j + 1
             b = (r + 1) * (N + 1) + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-    return lines
+            faces.append((a, b, b + 1, a + 1))
+    return surface.grid_table().p.reshape(-1, 3), np.array(faces, np.int64).reshape(-1, 4)
+
+
+def assert_obj_reads_back(surface):
+    vertices, faces = obj_arrays(export_obj(surface, reproducible=True))
+    want_vertices, want_faces = per_float_obj(surface)
+    assert bits(vertices) == bits(want_vertices)
+    assert np.array_equal(faces, want_faces)
+    return faces
 
 
 FLOATS = st.one_of(
@@ -581,26 +603,23 @@ FLOATS = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cols=st.integers(0, 5), data=st.data())
 def test_json_rows_match_the_per_float_writer(cols, data):
+    """Arrays and scalars read back as what json.dumps, one repr per float, reads back as."""
     rows = data.draw(st.lists(st.lists(FLOATS, min_size=cols, max_size=cols), max_size=4))
     matrix = np.array(rows, dtype=float).reshape(len(rows), cols)
     scalar = data.draw(FLOATS)
     text = _dump_json({"m": matrix, "v": matrix.ravel(), "s": scalar})
-    want = (f'{{"m": {per_float_json(rows)}, "v": {per_float_json(matrix.ravel().tolist())}, '
-            f'"s": {per_float_json(scalar)}}}')
-    assert text == want
-
-
-def _body(text):
-    return [line for line in text.splitlines() if not line.startswith("#")]
+    want = json.loads(json.dumps({"m": rows, "v": matrix.ravel().tolist(), "s": scalar}))
+    for got in read_back(text):
+        assert list(got) == ["m", "v", "s"]
+        assert bits(np.reshape(got["m"], (len(rows), cols))) == bits(matrix)
+        assert bits(got["v"]) == bits(want["v"]) and bits(got["s"]) == bits(want["s"])
 
 
 class TestRowFormatter:
     def test_one_curve_obj_matches_the_per_float_writer(self):
         fw = sl.builtin("circles2d", n=0)
         surface = sl.build_lifting(fw, sl.solve_stress(fw, [1.0], 0.0))
-        body = _body(export_obj(surface, reproducible=True))
-        assert body == per_float_obj_body(surface)
-        assert not any(line.startswith("f ") for line in body)
+        assert len(assert_obj_reads_back(surface)) == 0  # one curve: no strip, no face line
 
     def test_sixteen_panel_obj_matches_the_per_float_writer(self):
         base = sl.builtin("circles2d", n=2)
@@ -610,9 +629,7 @@ class TestRowFormatter:
         z = np.round(rng.normal(size=(fw.n + 1, grid.N + 1)), 3)
         z[0, :3] = (-0.0, 5e-324, 7.0)
         surface = SampledLifting(fw, z, grid)
-        body = _body(export_obj(surface, reproducible=True))
-        assert body == per_float_obj_body(surface)
-        assert sum(line.startswith("f ") for line in body) == 2 * 16
+        assert len(assert_obj_reads_back(surface)) == 2 * 16
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writers_refuse_non_finite_heights(self, bad):
@@ -630,17 +647,15 @@ class TestRowFormatter:
 
 
 # ---------------------------------------------------------------------------
-# the row kernel value by value: certified digits, or "%" for the rest
+# the writers value by value: the document and the row writer read back bit for bit
 
 
-def kernel_lines(values, spec="%.17g"):
-    """One value per line through format_rows, and the same lines from `%` per value."""
-    ours = "".join(framework.format_rows(values.reshape(-1, 1), spec + "\n", "x")).split("\n")[:-1]
-    return ours, [spec % v for v in values.tolist()]
-
-
-def certified_share(values):
-    return framework._float_text(np.ravel(values), framework._text_tables())[-1].mean()
+def assert_reads_back(values):
+    """Values written as one document array and one per line read back bit for bit."""
+    for got in read_back(_dump_json(values)):
+        assert bits(got) == bits(values)
+    lines = framework.format_rows(values.reshape(-1, 1), "", "", "x").splitlines()
+    assert bits([float(line) for line in lines]) == bits(values)
 
 
 def near_ties(rng, count):
@@ -654,23 +669,25 @@ def near_ties(rng, count):
 
 
 class TestRowKernel:
-    """format_rows value by value against format(x, ".17g") and "%d"."""
+    """_dump_json and format_rows value by value: each number reads back as the float it was."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(FLOATS, st.floats(allow_nan=False, allow_infinity=False, width=32),
                               st.floats(min_value=-1e-300, max_value=1e-300)), max_size=40))
-    def test_writes_what_format_writes(self, xs):
-        ours, want = kernel_lines(np.array(xs, dtype=float))
-        assert ours == want
+    def test_drawn_values_read_back_bit_for_bit(self, xs):
+        assert_reads_back(np.array(xs, dtype=float))
+        for got in read_back(_dump_json(xs)):  # a list of Python floats
+            assert bits(got) == bits(xs)
 
     def test_sweep_of_a_million_values_matches_format(self):
+        """A million values, exact ties at 17 digits among them, read back bit for bit."""
         rng = np.random.default_rng(20)
-        bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(np.float64)
+        bits_ = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(np.float64)
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)] + [2.0**k for k in range(-1074, 1024)])
         powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
         ties = near_ties(rng, 1000)
         sweep = [
-            bits[np.isfinite(bits)],
+            bits_[np.isfinite(bits_)],
             powers[np.isfinite(powers)],
             rng.integers(-2**63, 2**63, size=150_000, dtype=np.int64).astype(float),
             (rng.integers(0, 2**63, size=150_000, dtype=np.int64) >> rng.integers(0, 63, 150_000)).astype(float),
@@ -683,26 +700,29 @@ class TestRowKernel:
         ]
         values = np.concatenate(sweep)
         assert len(values) >= 10**6
-        ours, want = kernel_lines(values)
-        assert ours == want
-        assert certified_share(ties) == 0  # exact ties are left to "%"
+        assert_reads_back(values)
 
     def test_writes_what_percent_d_writes(self):
+        # an integer has one spelling in JSON, so its text is pinned as well as its value
         rng = np.random.default_rng(21)
         tens = 10 ** np.arange(19)
         ints = np.concatenate([rng.integers(-2**63, 2**63, size=50_000, dtype=np.int64),
                                tens, tens - 1, -tens, [0, 2**63 - 1, -2**63]])
-        ours, want = kernel_lines(ints, "%d")
-        assert ours == want
+        for got in read_back(_dump_json(ints)):
+            assert np.array_equal(np.array(got, dtype=np.int64), ints)
+        lines = framework.format_rows(ints.reshape(-1, 1), "", "", "x").splitlines()
+        assert lines == ["%d" % v for v in ints.tolist()]
 
-    def test_roundtrip_sized_values_take_the_certified_path(self):
+    def test_roundtrip_sized_values_read_back_bit_for_bit(self):
         # the vertices, heights and stress rows one `roundtrip` op writes, at N = 2048
         surface = sl.builtin("translational3d")
         proj = sl.project(surface, sl.Grid(surface.T, 2048))
         stress = sl.induced_stress(proj)
         lifted = sl.build_lifting(proj.framework, stress)
-        values = [lifted.grid_table().p, lifted.z, stress.lam, stress.mu]
-        assert certified_share(np.concatenate([np.ravel(v) for v in values])) >= 0.99
+        again = sl.load_stress(sl.save_stress(stress))
+        assert bits(again.lam) == bits(stress.lam) and bits(again.mu) == bits(stress.mu)
+        assert bits(load_lifting(save_lifting(lifted)).z) == bits(lifted.z)
+        assert_obj_reads_back(lifted)
 
     def test_six_digit_face_indices_match_the_per_float_writer(self):
         base = sl.builtin("circles2d", n=48)
@@ -710,6 +730,5 @@ class TestRowKernel:
         fw = sl.Framework(base.T, base.n, [base.curve(i) for i in range(-1, base.n + 2)], grid)
         z = np.random.default_rng(6).normal(size=(fw.n + 1, grid.N + 1))
         surface = SampledLifting(fw, z, grid)
-        body = _body(export_obj(surface, reproducible=True))
-        assert body == per_float_obj_body(surface)
-        assert body[-1].startswith("f 98351 ")  # (n + 1) * (N + 1) = 100401 vertices
+        faces = assert_obj_reads_back(surface)
+        assert faces[-1, 0] == 98351  # (n + 1) * (N + 1) = 100401 vertices

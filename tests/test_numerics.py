@@ -57,6 +57,8 @@ class TestGrid:
     def test_odd_panel_count_rejected(self):
         with pytest.raises(ValueError):
             Grid(1.0, 15)
+        with pytest.raises(ValueError, match=r"T / N is 0 for T=5e-324, N=256"):  # h == 0.0
+            Grid(5e-324, 256)
 
     def test_node_index_roundtrip_and_offgrid(self):
         g = Grid(1.0, 32)

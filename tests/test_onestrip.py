@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import striplift as sl
 from striplift import onestrip
 from striplift.errors import DegenerateBasisError
-from striplift.framework import AnalyticCurve, CoordFunction, reparametrized
+from striplift.framework import AnalyticCurve, CoordFunction, parse_document, reparametrized
 
 from conftest import PROPERTY, frameworks
 
@@ -221,19 +222,22 @@ class TestVerify:
     def test_report_serialization(self, cylinder):
         _, proj, _ = cylinder
         report = sl.onestrip_verify(proj.framework)
-        text = report.to_json()
-        assert '"verdict": true' in text
+        for doc in (parse_document(report.to_json()), json.loads(report.to_json())):
+            assert doc["verdict"] is True
         csv = report.to_csv()
         lines = csv.strip().splitlines()
         assert lines[0] == "t,criterion_residual"
         assert len(lines) == report.grid.N + 2
 
     def test_csv_matches_the_per_float_writer(self, cylinder):
+        # every row reads back, by float(), as the (t, criterion) pair it was written from
         _, proj, _ = cylinder
         report = sl.onestrip_verify(proj.framework)
-        rows = zip(report.grid.t.tolist(), np.asarray(report.criterion).tolist())
-        want = "".join(f"{format(t, '.17g')},{format(c, '.17g')}\n" for t, c in rows)
-        assert report.to_csv() == "t,criterion_residual\n" + want
+        header, *lines = report.to_csv().splitlines()
+        got = np.array([[float(x) for x in line.split(",")] for line in lines])
+        want = np.array([[t, c] for t, c in zip(report.grid.t, np.asarray(report.criterion))])
+        assert header == "t,criterion_residual"
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_assembled_sign_matters(self, cylinder):
         # without the balancing ratio the positive pair violates equilibrium

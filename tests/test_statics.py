@@ -262,6 +262,17 @@ def test_stress_documents_read_back_bit_for_bit(drawn):
     assert again.mu.tobytes() == stress.mu.tobytes()
 
 
+def test_strided_stress_rows_read_back_bit_for_bit():
+    # every other column of a wider array: a view the writer gets as a non-contiguous array
+    rows = np.random.default_rng(7).normal(size=(5, 2 * 257)) * 10.0 ** np.arange(-2, 3)[:, None]
+    rows[0, 0] = -0.0
+    stress = sl.StressField(sl.Grid(2.0, 256), rows[:2, ::2], rows[2:, ::2])
+    assert not stress.lam.flags.c_contiguous
+    again = load_stress(save_stress(stress))
+    assert again.lam.tobytes() == stress.lam.tobytes()
+    assert again.mu.tobytes() == stress.mu.tobytes()
+
+
 @PROPERTY
 @given(stressed_frameworks(), st.data())
 def test_residual_kernels_are_bit_identical_to_the_reference(drawn, data):
