@@ -39,7 +39,6 @@ from .geomcore import (
     regularity_report,
 )
 from .lifting import (
-    IncreasingPath,
     SampledLifting,
     build_lifting,
     conjugacy_residual,
@@ -47,9 +46,7 @@ from .lifting import (
     height,
     height_scale,
     load_lifting,
-    lpath,
     path_independence_spread,
-    random_paths,
     reversal_affine_defect,
     reversed_framework,
     reversed_stress,

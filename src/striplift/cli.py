@@ -38,11 +38,11 @@ from .framework import (
 from .geomcore import regularity_report
 from .lifting import (
     _gated_lifting,
-    _scale_and_spread,
     build_lifting,
     conjugacy_residual,
     export_obj,
     lifting_from_doc,
+    path_independence_spread,
     save_lifting,
 )
 from .numerics import DEFAULT_TOL, ratio
@@ -143,7 +143,7 @@ def cmd_check(args) -> int:
     fw, stress = _load_stressed(args)
     res = residual_report(fw, stress)
     print(res.summary())
-    scale, spread, paths = _scale_and_spread(fw, stress)
+    spread, scale, paths = path_independence_spread(fw, stress)
     print(
         f"height spread over all paths to ({fw.n}, T): {spread:.6e} "
         f"(height scale {scale:.6e})"

@@ -10,19 +10,14 @@ Every height term is an affine form of the target point P, a P_y - b P_x - c,
 stored as its three coefficients (`_height_forms`): the jump off a curve at
 a node, and the prefix integral of the run along a curve, so a run is a
 difference of two forms.  A height sums forms, then evaluates the sum at P
-once.  Path heights sum the same forms in the same order as the axis-path
-profiles, so `height` along `lpath` is the lifting's profile bit for bit.
-`height` and `path_independence_spread` walk their IncreasingPaths as one
-table of grid-node indices, one row per path.  The spread of `check` walks no
-path: it is the exact spread over every increasing path to (n, T), two prefix
-max/min recursions over the same forms.  Every height kernel is O(n N).
+once.  `height` reads the axis-path profiles of the lifting, and
+`path_independence_spread` is the exact spread over every increasing path to
+(n, T), two prefix max/min recursions over the same forms, both O(n N).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -45,53 +40,7 @@ from .geomcore import det2, det3, norm
 from .numerics import (
     DEFAULT_TOL, Grid, cumulative_samples, fd_derivative, ratio, require_finite,
 )
-from .statics import StressField, residual_report
-
-
-@dataclass(frozen=True)
-class IncreasingPath:
-    """A nondecreasing jump sequence from (0, 0) to (k, s).
-
-    gamma has k+2 entries: the path runs along curve i for parameters in
-    [gamma_i, gamma_{i+1}); an empty interval means the path jumps over that
-    curve.
-    """
-
-    k: int
-    s: float
-    gamma: tuple
-
-    def __post_init__(self):
-        gamma = tuple(float(g) for g in self.gamma)
-        if not all(math.isfinite(g) for g in (float(self.s), *gamma)):
-            raise ValueError(f"path parameters must be finite, got s={self.s!r}, gamma={gamma!r}")
-        if len(gamma) != self.k + 2:
-            raise ValueError(f"path to curve {self.k} needs {self.k + 2} nodes, got {len(gamma)}")
-        if gamma[0] != 0.0:
-            raise ValueError("paths start at parameter 0")
-        if abs(gamma[-1] - self.s) > 1e-12 * max(abs(self.s), 1.0):
-            raise ValueError(f"path ends at {gamma[-1]}, target parameter is {self.s}")
-        if any(a > b + 1e-15 for a, b in zip(gamma, gamma[1:])):
-            raise ValueError("path parameters must be nondecreasing")
-        object.__setattr__(self, "gamma", gamma)
-
-
-def lpath(k: int, s: float) -> IncreasingPath:
-    """The axis path that jumps over all lower curves at parameter 0."""
-    return IncreasingPath(k, s, (0.0,) * (k + 1) + (s,))
-
-
-def random_paths(k: int, s: float, grid: Grid, count: int, seed: int = 0):
-    """Seeded random increasing paths to (k, s) with grid-aligned jumps.
-
-    Each path is one `integers` draw of its k jump nodes in 0..node(s), sorted.
-    """
-    rng, js, t = np.random.default_rng(seed), grid.node_index(s), grid.t.tolist()
-    paths = []
-    for _ in range(count):
-        jumps = np.sort(rng.integers(0, js + 1, size=k)).tolist()
-        paths.append(IncreasingPath(k, s, (0.0, *(t[j] for j in jumps), s)))
-    return paths
+from .statics import StressField, _check_compatible, residual_report
 
 
 def _height_forms(table: CurveJet, stress: StressField, k: int):
@@ -116,48 +65,6 @@ def _at(form, P):
     return form[0] * P[..., 1] - form[1] * P[..., 0] - form[2]
 
 
-def _path_heights(fw: Framework, stress: StressField, p, paths) -> np.ndarray:
-    """Heights of the framework point p = (k, s) along each path, from the grid table.
-
-    Path nodes are grid nodes.  A path's form sums, from zero and in this
-    order, its jumps off curves 0..k-1 and each run C_i(start) - C_i(end), as
-    `_profile_parts` does for the axis paths.  The first bad path raises
-    ValueError (other target), IndexError (k outside 0..n) or
-    GridAlignmentError (off-grid node).
-    """
-    k, s = p
-    grid, idx = stress.grid, []
-    for path in paths:
-        if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
-            raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
-        if not 0 <= k <= fw.n:
-            raise IndexError(f"target curve {k} outside 0..{fw.n}")
-        idx.append([grid.node_index(g) for g in path.gamma])
-    # row m: node 0, the node where path m jumps off each curve 0..k-1, the node of s
-    nodes, table, curves = np.array(idx), fw.grid_table(grid), np.arange(k + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps, runs = _height_forms(table, stress, k)
-        terms = (np.zeros((3, len(nodes), 1)), jumps[:, curves[:-1], nodes[:, 1:-1]],
-                 runs[:, curves, nodes[:, :-1]] - runs[:, curves, nodes[:, 1:]])
-        heights = _at(np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1],
-                      table.p[k + 1, nodes[0, -1]])
-    return require_finite(heights[None, None], "height", [s], first=k)[0, 0]
-
-
-def height(fw: Framework, stress: StressField, p, path: IncreasingPath) -> float:
-    """Accumulated height of the framework point p = (k, s) along the path."""
-    return float(_path_heights(fw, stress, p, [path])[0])
-
-
-def path_independence_spread(fw: Framework, stress: StressField, p, paths) -> float:
-    """Largest pairwise height difference among paths to the same point."""
-    if len(paths) < 2:
-        raise ValueError("need at least two paths to measure a spread")
-    values = _path_heights(fw, stress, p, paths).tolist()
-    spread = max(values) - min(values)  # python floats overflow to inf without a warning
-    return require_finite([[spread]], "height spread", [p[1]], first=p[0])[0][0]
-
-
 def _profile_parts(fw: Framework, stress: StressField):
     """The grid table, the height forms (jumps, runs) of curves 0..n, the jump
     sums at node 0, shape (3, n+2), and the axis-path heights z at every grid
@@ -166,7 +73,9 @@ def _profile_parts(fw: Framework, stress: StressField):
     The axis path to (k, t_j) jumps over curves 0..k-1 at node 0, then runs
     along curve k: its form is sums[:, k] - C_k(j), where column k of the
     running sum sums the jumps off curves below k and column n+1 every jump.
+    A stress of another framework raises ValueError (`_check_compatible`).
     """
+    _check_compatible(fw, stress)
     grid = stress.grid
     table = fw.grid_table(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
@@ -181,20 +90,27 @@ def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
     return _profile_parts(fw, stress)[3]
 
 
+def height(fw: Framework, stress: StressField, p) -> float:
+    """Axis-path height of p = (k, s), s a grid node: row k of the profiles at s."""
+    k, s = p
+    if not 0 <= k <= fw.n:  # a negative row would wrap
+        raise IndexError(f"target curve {k} outside 0..{fw.n}")
+    return float(_height_profiles(fw, stress)[k, stress.grid.node_index(s)])
+
+
 def height_scale(fw: Framework, stress: StressField) -> float:
     """max |height| over all curves and nodes; 0 for the zero stress."""
     return float(np.abs(_height_profiles(fw, stress)).max())
 
 
-def _scale_and_spread(fw: Framework, stress: StressField):
-    """height_scale, the height spread over every increasing path to P = (n, T),
-    and the jump nodes of a highest and a lowest path, {"max": .., "min": ..}.
+def path_independence_spread(fw: Framework, stress: StressField):
+    """(spread, H, spread_paths): the height spread over every increasing path
+    to P = (n, T), `height_scale`, and the jump nodes of a highest and a lowest
+    path, {"max": .., "min": ..}.
 
-    With C_i the prefix integral towards P, a path jumping off curve i at
-    node j_i has height
-    sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1} (one form per
-    curve and node, evaluated at P), and its extremes over
-    j_0 <= ... <= j_{n-1} are prefix max and min recursions, O(n N).
+    With C_i the prefix integral towards P, a path jumping off curve i at node j_i has height
+    sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1} (one form per curve and node,
+    evaluated at P); its extremes over j_0 <= ... <= j_{n-1} are prefix max/min recursions, O(n N).
     """
     table, (jumps, runs), _, z = _profile_parts(fw, stress)
     n = fw.n
@@ -212,7 +128,7 @@ def _scale_and_spread(fw: Framework, stress: StressField):
         for row in rows[:0:-1]:  # back from the last jump: each jump is at or before the next
             nodes.append(int(pick(row[: nodes[-1] + 1])))
         paths[key] = nodes[:0:-1]
-    return float(np.abs(z).max()), spread, paths
+    return spread, float(np.abs(z).max()), paths
 
 
 class SampledLifting:
@@ -242,14 +158,19 @@ class SampledLifting:
     def curve_indices(self):
         return range(0, self.n + 1)
 
+    def own_grid(self, grid: Grid | None) -> Grid:
+        """The lifting's grid, for None or that grid; any other grid raises ValueError."""
+        if grid is not None and (grid.N != self.grid.N or grid.T != self.grid.T):
+            raise ValueError("sampled liftings only know their own grid")
+        return self.grid
+
     def grid_table(self, grid: Grid | None = None) -> CurveJet:
         """Spatial jets of lifted curves 0..n at the grid nodes.
 
         p, d1 and d2 have shape (n+1, N+1, 3), row i holding curve i; d3 is
         None, as nothing reads a third height derivative.  Built once.
         """
-        if grid is not None and (grid.N != self.grid.N or grid.T != self.grid.T):
-            raise ValueError("sampled liftings only know their own grid")
+        self.own_grid(grid)
         if self._table is None:
             flat = self.framework.grid_table(self.grid)
             heights = (self.z, self.z_d1, self.z_d2)

@@ -45,11 +45,12 @@ class ProjectedSurface:
 
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
-    """Split off the height coordinate; the planar part must be regular."""
+    """Split off the height coordinate; the planar part must be regular.
+    A sampled lifting keeps its own grid: another grid raises ValueError."""
     if isinstance(surface, AnalyticSurface3D):
         fw = surface.planar(grid or surface.grid)
     elif isinstance(surface, SampledLifting):
-        fw, grid = surface.framework, surface.grid
+        fw, grid = surface.framework, surface.own_grid(grid)
     else:
         raise TypeError(f"cannot project {type(surface).__name__}")
     report = regularity_report(fw, grid)

@@ -182,6 +182,14 @@ def residual_report(fw: Framework, stress: StressField) -> ResidualReport:
     )
 
 
+def _segment_nodes(grid: Grid, a: float, b: float):
+    """The grid nodes of the segment ends a <= b; a > b raises ValueError."""
+    ja, jb = grid.node_index(a), grid.node_index(b)
+    if ja > jb:
+        raise ValueError(f"segment out of order: a={a} > b={b}")
+    return ja, jb
+
+
 def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -> np.ndarray:
     """Net force on the segment [a, b] of curve i (grid-aligned endpoints).
 
@@ -192,9 +200,7 @@ def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -
     """
     _check_compatible(fw, stress)
     grid = stress.grid
-    ja, jb = grid.node_index(a), grid.node_index(b)
-    if ja > jb:
-        raise ValueError(f"segment out of order: a={a} > b={b}")
+    ja, jb = _segment_nodes(grid, a, b)
     end = force_vector(fw, stress, i, grid.t[jb])
     start = force_vector(fw, stress, i, grid.t[ja])
     _, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
@@ -212,7 +218,7 @@ def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b:
     """
     _check_compatible(fw, stress)
     grid = stress.grid
-    ja, jb = grid.node_index(a), grid.node_index(b)
+    ja, jb = _segment_nodes(grid, a, b)
     tan, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
     tension = np.abs(stress.lam_at(i)) * norm(tan[i])
     ruling = np.abs(stress.mu_at(i)) * norm(fwd[i]) + np.abs(stress.mu_at(i - 1)) * norm(bwd[i])

@@ -126,28 +126,32 @@ def mu_scaled(stress, edge_index, factor):
     return sl.StressField(stress.grid, stress.lam.copy(), mu)
 
 
-def prefix_rule_heights(fw, stress, jumps):
-    """Heights to (n, T) along the paths whose jump nodes are the rows of `jumps`.
+def prefix_rule_heights(fw, stress, jumps, target=None):
+    """Heights at the point (k, t_j), by default (n, T), along the paths whose jump
+    nodes are the rows of `jumps`: the walk of an increasing path, as an oracle.
 
-    Row m holds the node where path m jumps off each curve 0..n-1.  A run along
+    Row m holds the node where path m jumps off each curve 0..k-1.  A run along
     curve i over nodes [j0, j1] integrates as the difference of the prefix
     integrals (cumulative_samples) of its integrand towards the target.
     """
-    grid, n = stress.grid, fw.n
-    jumps = np.asarray(jumps, dtype=int).reshape(len(jumps), n)
-    rows = np.c_[np.zeros(len(jumps), int), jumps, np.full(len(jumps), grid.N)]
-    target = fw.grid_jets(n, grid).p[-1]
+    grid = stress.grid
+    k, j = (fw.n, grid.N) if target is None else target
+    jumps = np.asarray(jumps, dtype=int).reshape(len(jumps), k)
+    rows = np.c_[np.zeros(len(jumps), int), jumps, np.full(len(jumps), j)]
+    point = fw.grid_jets(k, grid).p[j]
     heights = np.zeros(len(jumps))
-    for i in range(n + 1):
+    for i in range(k + 1):
         prev, cur = fw.grid_jets(i - 1, grid), fw.grid_jets(i, grid)
-        prefix = cumulative_samples(stress.mu_at(i - 1) * sl.det2(cur.p - prev.p, target - prev.p), grid.h)
+        prefix = cumulative_samples(stress.mu_at(i - 1) * sl.det2(cur.p - prev.p, point - prev.p), grid.h)
         heights -= prefix[rows[:, i + 1]] - prefix[rows[:, i]]
-        if i < n:
-            j = rows[:, i + 1]
-            heights += stress.lam_at(i)[j] * sl.det2(cur.d1[j], target - cur.p[j])
+        if i < k:
+            at = rows[:, i + 1]
+            heights += stress.lam_at(i)[at] * sl.det2(cur.d1[at], point - cur.p[at])
     return heights
 
 
-def path_nodes(paths, grid):
-    """The jump nodes of IncreasingPaths, one row per path."""
-    return [[grid.node_index(g) for g in path.gamma[1:-1]] for path in paths]
+def random_jump_nodes(k, j, count, seed=0):
+    """Seeded random increasing paths to (k, t_j), one row per path: the sorted nodes in
+    0..j at which it jumps off curves 0..k-1, one `integers` draw of k nodes per path."""
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.integers(0, j + 1, size=k)).tolist() for _ in range(count)]

@@ -96,7 +96,7 @@ def test_lifting_heights_are_the_axis_path_heights(drawn):
     assert scale == np.abs(z).max()
     for k in range(fw.n + 1):
         for j, t in enumerate(fw.grid.t):
-            assert abs(z[k, j] - sl.height(fw, stress, (k, t), sl.lpath(k, t))) <= 1e-12 * scale
+            assert abs(z[k, j] - sl.height(fw, stress, (k, t))) <= 1e-12 * scale
 
 
 @PROPERTY

@@ -17,19 +17,16 @@ from striplift.geomcore import det2
 from striplift.lifting import (
     SampledLifting,
     _height_profiles,
-    _path_heights,
-    _scale_and_spread,
     export_obj,
     load_lifting,
-    lpath,
     save_lifting,
     strip_defects,
 )
 from striplift.numerics import cumulative_samples, ratio
 
 from conftest import (
-    BUILTINS, PROPERTY, builtin_stressed, frameworks, generated_stressed, mu_scaled, path_nodes,
-    prefix_rule_heights, stressed_frameworks, twisted_surface,
+    BUILTINS, PROPERTY, builtin_stressed, frameworks, generated_stressed, mu_scaled,
+    prefix_rule_heights, random_jump_nodes, stressed_frameworks, twisted_surface,
 )
 
 
@@ -38,17 +35,16 @@ def zero_stress(fw):
     return sl.StressField(g, np.zeros((fw.n + 1, g.N + 1)), np.zeros((fw.n + 2, g.N + 1)))
 
 
-def reference_height(fw, stress, p, path):
-    """The per-point height: point jets at the target and at every jump node, and
+def reference_height(fw, stress, p, jumps):
+    """The height at p = (k, s) along the path jumping off curves 0..k-1 at the grid
+    nodes `jumps`, per point: point jets at the target and at every jump node, and
     each run along curve i as C_i(end) - C_i(start), C_i = P_y px_i - P_x py_i - q_i
     from one 1-d prefix integral per bilinear part of its integrand."""
     k, s = p
-    if path.k != k or abs(path.s - s) > 1e-12 * max(abs(s), 1.0):
-        raise ValueError(f"path targets ({path.k}, {path.s}), point is ({k}, {s})")
     if not 0 <= k <= fw.n:
         raise IndexError(f"target curve {k} outside 0..{fw.n}")
     grid = stress.grid
-    idx = [grid.node_index(g) for g in path.gamma]
+    idx = [0, *jumps, grid.node_index(s)]
     target = fw.jet(k, grid.t[idx[-1]]).p
     total = 0.0
     for i in range(k):
@@ -64,18 +60,6 @@ def reference_height(fw, stress, p, path):
         c = target[1] * px - target[0] * py - q
         total -= c[idx[i + 1]] - c[idx[i]]
     return float(total)
-
-
-def reference_random_paths(k, s, grid, count, seed=0):
-    """random_paths as one IncreasingPath per seeded draw of grid-node times."""
-    rng = np.random.default_rng(seed)
-    js = grid.node_index(s)
-    paths = []
-    for _ in range(count):
-        jumps = np.sort(rng.integers(0, js + 1, size=k))
-        gamma = (0.0,) + tuple(grid.t[j] for j in jumps) + (s,)
-        paths.append(sl.IncreasingPath(k, s, gamma))
-    return paths
 
 
 def reference_jump_sums(weights, base, tangent, target):
@@ -133,7 +117,7 @@ def test_height_kernels_are_bit_identical_to_the_reference(drawn):
     # one evaluation of summed affine forms rounds apart from the per-term reference
     want, scale = reference_height_profiles(fw, stress), sl.height_scale(fw, stress)
     assert np.abs(_height_profiles(fw, stress) - want).max() <= 1e-13 * scale
-    assert _scale_and_spread(fw, stress)[0] == scale
+    assert sl.path_independence_spread(fw, stress)[1] == scale
     # the gate is the residual report's, checked on its own; tol=inf lets every stress through
     defect = sl.reversal_affine_defect(fw, stress, tol=np.inf)
     assert abs(defect - reference_reversal_affine_defect(fw, stress)) <= 1e-13 * scale
@@ -162,7 +146,7 @@ def test_height_memory_is_linear_in_the_curve_count():
     grid = sl.Grid(fw.T, 1024)
     stress = sl.solve_stress(fw, 1.0 + 0.5 * np.arange(65), 0.01, grid)
     fw.grid_table(grid)
-    for kernel in (_height_profiles, _scale_and_spread):  # lift's heights, check's spread
+    for kernel in (_height_profiles, sl.path_independence_spread):  # lift's heights, check's spread
         tracemalloc.start()
         try:
             kernel(fw, stress)
@@ -172,40 +156,14 @@ def test_height_memory_is_linear_in_the_curve_count():
         assert peak <= 10 * 2**20, kernel.__name__
 
 
-class TestIncreasingPath:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sl.IncreasingPath(1, 1.0, (0.0, 1.0))  # wrong length
-        with pytest.raises(ValueError):
-            sl.IncreasingPath(1, 1.0, (0.1, 0.5, 1.0))  # must start at 0
-        with pytest.raises(ValueError):
-            sl.IncreasingPath(1, 1.0, (0.0, 0.5, 0.4))  # not ending at target
-        with pytest.raises(ValueError):
-            sl.IncreasingPath(2, 1.0, (0.0, 0.8, 0.5, 1.0))  # decreasing
-        for s, gamma in ((np.inf, (0.0, np.inf)), (np.nan, (0.0, np.nan)), (1.0, (0.0, np.nan, 1.0)),
-                         (1.0, (0.0, -np.inf, 1.0))):  # not finite
-            with pytest.raises(ValueError):
-                sl.IncreasingPath(len(gamma) - 2, s, gamma)
-
-    def test_empty_intervals_allowed(self):
-        p = sl.IncreasingPath(2, 1.0, (0.0, 0.5, 0.5, 1.0))
-        assert p.gamma[1] == p.gamma[2]
-
-    def test_random_paths_are_valid_and_seeded(self, translational):
-        _, proj, stress = translational
-        a = sl.random_paths(3, proj.framework.T, stress.grid, 5, seed=9)
-        b = sl.random_paths(3, proj.framework.T, stress.grid, 5, seed=9)
-        assert [p.gamma for p in a] == [p.gamma for p in b]
-        assert len(a) == 5
-
-
 class TestHeight:
     def test_zero_stress_any_path(self, translational):
         _, proj, _ = translational
         fw = proj.framework
         stress = zero_stress(fw)
-        for path in sl.random_paths(fw.n, fw.T, stress.grid, 4, seed=2):
-            assert sl.height(fw, stress, (fw.n, fw.T), path) == 0.0
+        jumps = random_jump_nodes(fw.n, stress.grid.N, 4, seed=2)
+        assert np.all(prefix_rule_heights(fw, stress, jumps) == 0.0)
+        assert sl.height(fw, stress, (fw.n, fw.T)) == 0.0
 
     def test_first_curve_with_zero_boundary_stress(self, translational):
         # along curve 0 only the first boundary edge integral survives
@@ -213,124 +171,118 @@ class TestHeight:
         fw = proj.framework
         cleared = mu_scaled(stress, -1, 0.0)
         s = stress.grid.t[128]
-        assert sl.height(fw, cleared, (0, s), lpath(0, s)) == 0.0
-        assert sl.height(fw, stress, (0, s), lpath(0, s)) != 0.0
+        assert sl.height(fw, cleared, (0, s)) == 0.0
+        assert sl.height(fw, stress, (0, s)) != 0.0
 
     def test_origin_is_zero(self, translational):
         _, proj, stress = translational
-        assert sl.height(proj.framework, stress, (0, 0.0), lpath(0, 0.0)) == 0.0
+        assert sl.height(proj.framework, stress, (0, 0.0)) == 0.0
 
     def test_two_paths_agree_for_self_stress(self, translational):
+        # a staircase path of the oracle walk and the axis path of height
         _, proj, stress = translational
         fw = proj.framework
-        s = stress.grid.t[192]
-        stair = sl.IncreasingPath(
-            3, s, (0.0, stress.grid.t[32], stress.grid.t[80], stress.grid.t[150], s)
-        )
-        a = sl.height(fw, stress, (3, s), stair)
-        b = sl.height(fw, stress, (3, s), lpath(3, s))
+        a = prefix_rule_heights(fw, stress, [[32, 80, 150]], target=(3, 192))[0]
+        b = sl.height(fw, stress, (3, stress.grid.t[192]))
         scale = sl.height_scale(fw, stress)
         assert abs(a - b) < 1e-6 * scale
 
     def test_off_grid_path_node_rejected(self, translational):
         _, proj, stress = translational
-        fw = proj.framework
-        path = sl.IncreasingPath(3, fw.T, (0.0, 0.1234567, 0.2, 0.3, fw.T))
         with pytest.raises(sl.GridAlignmentError):
-            sl.height(fw, stress, (3, fw.T), path)
+            sl.height(proj.framework, stress, (3, 0.1234567))
 
     def test_mismatched_target_rejected(self, translational):
+        # a target curve outside 0..n raises what the reference raises; a negative row would wrap
         _, proj, stress = translational
         fw = proj.framework
-        with pytest.raises(ValueError):
-            sl.height(fw, stress, (2, fw.T), lpath(3, fw.T))
+        for k in (-1, fw.n + 1):
+            with pytest.raises(IndexError) as want:
+                reference_height(fw, stress, (k, fw.T), [0] * max(k, 0))
+            with pytest.raises(IndexError, match=f"^{re.escape(str(want.value))}$"):
+                sl.height(fw, stress, (k, fw.T))
 
     def test_linear_in_stress(self, translational):
         _, proj, stress = translational
         fw = proj.framework
-        s = stress.grid.t[100]
-        path = sl.random_paths(2, s, stress.grid, 1, seed=5)[0]
+        jumps = random_jump_nodes(2, 100, 1, seed=5)
         other = mu_scaled(stress, 0, 0.7)
         a, b = 1.25, -0.5
         combo = sl.StressField(
             stress.grid, a * stress.lam + b * other.lam, a * stress.mu + b * other.mu
         )
-        h = sl.height(fw, combo, (2, s), path)
-        h1 = sl.height(fw, stress, (2, s), path)
-        h2 = sl.height(fw, other, (2, s), path)
-        assert h == pytest.approx(a * h1 + b * h2, rel=1e-12, abs=1e-12)
+        stresses = (combo, stress, other)
+        walked = [prefix_rule_heights(fw, each, jumps, target=(2, 100))[0] for each in stresses]
+        axis = [sl.height(fw, each, (2, stress.grid.t[100])) for each in stresses]
+        for h, h1, h2 in (walked, axis):
+            assert h == pytest.approx(a * h1 + b * h2, rel=1e-12, abs=1e-12)
 
 
 class TestSpread:
     def test_zero_stress(self, translational):
         _, proj, _ = translational
         fw = proj.framework
-        stress = zero_stress(fw)
-        paths = sl.random_paths(fw.n, fw.T, stress.grid, 5, seed=1)
-        assert sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths) == 0.0
+        assert sl.path_independence_spread(fw, zero_stress(fw))[:2] == (0.0, 0.0)
 
     def test_self_stress_small_perturbed_large(self, translational):
         _, proj, stress = translational
         fw = proj.framework
-        paths = sl.random_paths(fw.n, fw.T, stress.grid, 5, seed=11)
-        scale = sl.height_scale(fw, stress)
-        spread = sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths)
+        spread, scale, _ = sl.path_independence_spread(fw, stress)
         assert spread < 1e-6 * scale
         bad = mu_scaled(stress, 0, 1.1)
-        bad_spread = sl.path_independence_spread(fw, bad, (fw.n, fw.T), paths)
-        assert bad_spread > 1e-3 * scale
-
-    def test_needs_two_paths(self, translational):
-        _, proj, stress = translational
-        fw = proj.framework
-        with pytest.raises(ValueError):
-            sl.path_independence_spread(fw, stress, (3, fw.T), [lpath(3, fw.T)])
+        assert sl.path_independence_spread(fw, bad)[0] > 1e-3 * scale
 
 
 @PROPERTY
 @given(frameworks(panels=st.sampled_from([16, 32, 64, 128, 256])), st.data())
 def test_path_heights_are_the_reference_heights(drawn, data):
+    # the oracle walk against the per-point reference, and height along the axis path
     fw, seed = drawn
     rng = np.random.default_rng(seed)
     stress = sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
     k = data.draw(st.integers(0, fw.n))
-    s = float(fw.grid.t[data.draw(st.integers(0, fw.grid.N))])
-    paths = sl.random_paths(k, s, fw.grid, 8, seed=seed) + [lpath(k, s)]
-    want = np.array([reference_height(fw, stress, (k, s), path) for path in paths])
-    single = [sl.height(fw, stress, (k, s), path) for path in paths]
-    heights, scale = _path_heights(fw, stress, (k, s), paths), sl.height_scale(fw, stress)
+    j = data.draw(st.integers(0, fw.grid.N))
+    s = float(fw.grid.t[j])
+    paths = random_jump_nodes(k, j, 8, seed=seed) + [[0] * k]
+    want = np.array([reference_height(fw, stress, (k, s), jumps) for jumps in paths])
+    heights, scale = prefix_rule_heights(fw, stress, paths, (k, j)), sl.height_scale(fw, stress)
     assert np.abs(heights - want).max() <= 1e-13 * scale
-    assert np.array(single).tobytes() == heights.tobytes()
-
-
-@PROPERTY
-@given(frameworks(ns=st.integers(0, 7)), st.integers(2, 20), st.integers(0, 2**32 - 1), st.data())
-def test_node_table_paths_are_the_reference_paths(drawn, count, seed, data):
-    fw, _ = drawn
-    grid = fw.grid
-    for k in range(fw.n + 1):  # odd and even jump counts, 0 included
-        s = float(grid.t[data.draw(st.integers(0, grid.N))])
-        want = [path.gamma for path in reference_random_paths(k, s, grid, count, seed)]
-        assert [path.gamma for path in sl.random_paths(k, s, grid, count, seed)] == want
+    assert abs(sl.height(fw, stress, (k, s)) - want[-1]) <= 1e-13 * scale
 
 
 @PROPERTY
 @given(stressed_frameworks())
 def test_axis_path_heights_are_the_lifting_profiles(drawn):
-    # the path kernel and the profiles integrate every run by one prefix rule
     fw, stress = drawn
     z = _height_profiles(fw, stress)
     for k in range(fw.n + 1):
-        heights = [sl.height(fw, stress, (k, t), lpath(k, t)) for t in stress.grid.t.tolist()]
+        heights = [sl.height(fw, stress, (k, t)) for t in stress.grid.t.tolist()]
         assert np.array(heights).tobytes() == z[k].tobytes()
+
+
+@PROPERTY
+@given(stressed_frameworks(), st.integers(0, 2**32 - 1), st.data())
+def test_exact_spread_bounds_the_oracle_walk(drawn, seed, data):
+    # 20 seeded paths to (n, T) and the axis path; the kernel and the oracle sum the
+    # same terms in different orders, so each bound holds up to 1e-13 H
+    fw, stress = drawn
+    spread, scale, paths = sl.path_independence_spread(fw, stress)
+    jumps = random_jump_nodes(fw.n, stress.grid.N, 20, seed) + [[0] * fw.n]
+    walked = prefix_rule_heights(fw, stress, jumps)
+    top, bottom = prefix_rule_heights(fw, stress, [paths["max"], paths["min"]])
+    assert bottom - 1e-13 * scale <= walked.min() and walked.max() <= top + 1e-13 * scale
+    assert abs(top - bottom - spread) <= 1e-13 * scale
+    k, j = data.draw(st.integers(0, fw.n)), data.draw(st.integers(0, stress.grid.N))
+    axis = prefix_rule_heights(fw, stress, [[0] * k], target=(k, j))[0]
+    assert abs(sl.height(fw, stress, (k, stress.grid.t[j])) - axis) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_sampled_spread_is_bounded_by_the_spread_over_every_path(name):
     fw, stress = builtin_stressed(name)
-    scale, spread, _ = _scale_and_spread(fw, stress)
-    paths = sl.random_paths(fw.n, fw.T, stress.grid, 200, seed=101)
-    assert sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths) <= spread + 1e-13 * scale
+    spread, scale, _ = sl.path_independence_spread(fw, stress)
+    heights = prefix_rule_heights(fw, stress, random_jump_nodes(fw.n, stress.grid.N, 200, seed=101))
+    assert heights.max() - heights.min() <= spread + 1e-13 * scale
 
 
 def coarse(fw, stress, panels=16):
@@ -345,7 +297,7 @@ def coarse(fw, stress, panels=16):
 @given(stressed_frameworks(), st.integers(0, 2**32 - 1))
 def test_spread_over_every_path_is_the_brute_force_spread(drawn, seed):
     fw, stress = coarse(*drawn)
-    scale, spread, paths = _scale_and_spread(fw, stress)
+    spread, scale, paths = sl.path_independence_spread(fw, stress)
     every = list(itertools.combinations_with_replacement(range(stress.grid.N + 1), fw.n))
     heights = prefix_rule_heights(fw, stress, every)
     assert abs(spread - (heights.max() - heights.min())) <= 1e-13 * scale
@@ -354,8 +306,7 @@ def test_spread_over_every_path_is_the_brute_force_spread(drawn, seed):
     assert abs(bottom - heights.min()) <= 1e-13 * scale
     # 20 sampled paths under the same rule: the exact spread bounds theirs, up to
     # the rounding that separates the kernel's sums from the brute force's
-    sampled = sl.random_paths(fw.n, fw.T, stress.grid, 20, seed)
-    heights = prefix_rule_heights(fw, stress, path_nodes(sampled, stress.grid))
+    heights = prefix_rule_heights(fw, stress, random_jump_nodes(fw.n, stress.grid.N, 20, seed))
     assert spread >= heights.max() - heights.min() - 1e-13 * scale
 
 
@@ -367,11 +318,11 @@ def test_every_read_mu_row_times_1_01_fails_the_gate(drawn):
     scale = sl.height_scale(fw, stress)
     for edge in range(-1, fw.n):
         if np.any(stress.mu[edge + 1]):
-            assert _scale_and_spread(fw, mu_scaled(stress, edge, 1.01))[1] > 1e-6 * scale
+            assert sl.path_independence_spread(fw, mu_scaled(stress, edge, 1.01))[0] > 1e-6 * scale
 
 
 def test_spread_reads_no_point_jets(monkeypatch, translational):
-    # all twenty heights come from the cached grid table
+    # the spread and the heights come from the cached grid table
     _, proj, stress = translational
     fw = proj.framework
     fw.grid_table(stress.grid)
@@ -386,30 +337,50 @@ def test_spread_reads_no_point_jets(monkeypatch, translational):
 
     for owner in (framework._IndexedCurves, framework.AnalyticCurve):
         monkeypatch.setattr(owner, "jet", counted(owner.__name__, owner.jet))
-    paths = sl.random_paths(fw.n, fw.T, stress.grid, 20, seed=3)
-    spread = sl.path_independence_spread(fw, stress, (fw.n, fw.T), paths)
-    assert spread < 1e-6 * sl.height_scale(fw, stress)
+    spread, scale, _ = sl.path_independence_spread(fw, stress)
+    assert spread < 1e-6 * scale
+    assert sl.height(fw, stress, (fw.n, fw.T)) != 0.0
     assert calls == {}
 
 
-def _off_grid(k, T):
-    return sl.IncreasingPath(k, T, (0.0, 0.1234567) + (0.2,) * (k - 1) + (T,))
+# the points (k, s) of three requests: the target (n, T) or beyond it, another target, off the grid
+POINTS = {"axis": lambda k, T: (k, T), "other target": lambda k, T: (k - 1, T),
+          "off grid": lambda k, T: (k, 0.1234567)}
 
 
-PATHS = {"axis": lpath, "other target": lambda k, T: lpath(k - 1, T), "off grid": _off_grid}
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(PATHS)), ids=" then ".join)
+@pytest.mark.parametrize("order", list(itertools.permutations(POINTS)), ids=" then ".join)
 @pytest.mark.parametrize("k", [3, 4], ids=["curve 3", "curve 4 of 3"])
 def test_first_bad_path_raises_what_the_reference_raises(translational, k, order):
+    # a curve outside 0..n is refused before an off-grid parameter, as the reference does
     _, proj, stress = translational
     fw = proj.framework
-    paths = [PATHS[name](k, fw.T) for name in order]
-    with pytest.raises((ValueError, IndexError, sl.GridAlignmentError)) as want:
-        [reference_height(fw, stress, (k, fw.T), path) for path in paths]
-    for call in (_path_heights, sl.path_independence_spread):
-        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            call(fw, stress, (k, fw.T), paths)
+    points = [POINTS[name](k, fw.T) for name in order]
+    with pytest.raises((IndexError, sl.GridAlignmentError)) as want:
+        [reference_height(fw, stress, p, [0] * p[0]) for p in points]
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        [sl.height(fw, stress, p) for p in points]
+
+
+HEIGHT_KERNELS = {
+    "height": lambda fw, stress: sl.height(fw, stress, (0, 0.0)),
+    "height_scale": sl.height_scale,
+    "path_independence_spread": sl.path_independence_spread,
+    "build_lifting": sl.build_lifting,
+    "reversal_affine_defect": sl.reversal_affine_defect,
+}
+
+
+@pytest.mark.parametrize("name", HEIGHT_KERNELS)
+def test_height_kernels_refuse_a_stress_of_another_framework(name):
+    # another n, and a grid over [0, 3] against a framework on [0, 2 pi]
+    fw = sl.builtin("circles2d", n=1)
+    stress = sl.solve_stress(fw, np.ones(2), 0.0)
+    other_n = sl.solve_stress(sl.builtin("circles2d", n=2), np.ones(3), 0.0)
+    other_T = sl.StressField(sl.Grid(3.0, stress.grid.N), stress.lam, stress.mu)
+    for wrong, message in ((other_n, "stress is for n=2, framework has n=1"),
+                           (other_T, "stress grid does not span the framework interval")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HEIGHT_KERNELS[name](fw, wrong)
 
 
 class TestBuildLifting:
@@ -427,7 +398,7 @@ class TestBuildLifting:
         for k in (0, 2, 3):
             for j in (1, 3, 100, 256):
                 t = stress.grid.t[j]
-                want = sl.height(fw, stress, (k, t), lpath(k, t))
+                want = reference_height(fw, stress, (k, t), [0] * k)
                 assert surface.z[k, j] == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_lifted_table_has_no_third_derivative(self, translational):
@@ -544,7 +515,7 @@ class TestExport:
         prof = _height_profiles(fw, stress)[2]
         for j in (0, 1, 5, 64, 255):
             t = stress.grid.t[j]
-            direct = sl.height(fw, stress, (2, t), lpath(2, t))
+            direct = reference_height(fw, stress, (2, t), [0, 0])
             assert prof[j] == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 

@@ -65,11 +65,14 @@ class TestProject:
         assert np.array_equal(back.surface.grid_table(back.grid).p[2, :, 2], lifted.z[2])
 
     def test_lifting_keeps_its_own_grid(self):
-        # a loaded lifting carries its stress grid; its framework the default one
+        # a loaded lifting carries its stress grid; its framework the default one,
+        # on which an analytic surface would be projected but a lifting is not
         fw = sl.builtin("circles2d", n=1)
         stress = sl.solve_stress(fw, [1.0, 1.0], 0.0, sl.Grid(fw.T, 64))
         lifted = sl.load_lifting(sl.save_lifting(sl.build_lifting(fw, stress)))
         assert lifted.framework.grid.N != 64
+        with pytest.raises(ValueError, match="^sampled liftings only know their own grid$"):
+            sl.project(lifted, lifted.framework.grid)
         back = sl.project(lifted)
         assert back.grid == lifted.grid
         worst, _ = sl.developability_report(back)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import striplift as sl
 from striplift.framework import AnalyticCurve, CoordFunction
-from striplift.lifting import _scale_and_spread, strip_defects
+from striplift.lifting import strip_defects
 from striplift.numerics import ratio
 from striplift.statics import segment_force_scale
 
@@ -37,7 +37,7 @@ def magnified(obj, c, dims=2):
 def readings(fw, stress):
     """The normalized values and verdicts of fw and stress, as comparable bytes and numbers."""
     report = sl.residual_report(fw, stress)
-    scale, spread, paths = _scale_and_spread(fw, stress)
+    spread, scale, paths = sl.path_independence_spread(fw, stress)
     regular = sl.regularity_report(fw, stress.grid)
     return {
         "residual": report.normalized.tobytes(),

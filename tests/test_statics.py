@@ -337,16 +337,20 @@ class TestForceLoad:
             sl.force_load(proj.framework, stress, 0, 0.0, 0.1234567)
 
     def test_scale_refuses_what_the_load_refuses(self):
-        # a stress over [0, 2T], or for fewer curves, judges no segment of the framework
+        # a stress over [0, 2T], or for fewer curves, judges no segment of the framework,
+        # and no stress judges a reversed segment (nodes 200 -> 10)
         fw = sl.builtin("circles2d", n=1)
         grid = sl.Grid(2.0 * fw.T, 64)
         long = sl.StressField(grid, np.ones((2, 65)), np.ones((3, 65)))
         fewer = sl.solve_stress(fw, [1.0, 1.0], 0.0)
         wider = sl.builtin("circles2d", n=2)
-        for stress, frame, i, match in ((long, fw, 0, "does not span"), (fewer, wider, 2, "n=1")):
+        whole, backwards = (0.0, fw.T), (fewer.grid.t[200], fewer.grid.t[10])
+        for stress, frame, i, (a, b), match in ((long, fw, 0, whole, "does not span"),
+                                                (fewer, wider, 2, whole, "n=1"),
+                                                (fewer, fw, 0, backwards, "^segment out of order")):
             for judge in (sl.force_load, segment_force_scale):
                 with pytest.raises(ValueError, match=match):
-                    judge(frame, stress, i, 0.0, frame.T)
+                    judge(frame, stress, i, a, b)
 
 
 def reference_force_vector(fw, stress, i, t):

@@ -10,8 +10,8 @@ trigonometric CoordFunction mu_{-1}.  The kernels:
 - residual_report: the equilibrium residual (`check`, and the gate of `lift`)
 - height_scale: the axis-path height profiles (`lift`'s heights)
 - build_lifting: the residual gate plus the height profiles (`lift`)
-- scale_and_spread: the height scale plus the exact height spread over every
-  increasing path to (n, T), two prefix max/min recursions (`check`)
+- path_independence_spread: the exact height spread over every increasing
+  path to (n, T), two prefix max/min recursions, plus the height scale (`check`)
 
 and the writers, timed on the same cases with the lifted surface built once:
 
@@ -36,7 +36,6 @@ import tracemalloc
 import numpy as np
 
 import striplift as sl
-from striplift.lifting import _scale_and_spread
 
 NS, N = (4, 16, 32, 64), 1024
 MU = sl.CoordFunction((0.01, -0.003), ((0.02, 2.0, 0.7),))
@@ -45,7 +44,7 @@ KERNELS = {
     "residual_report": sl.residual_report,
     "height_scale": sl.height_scale,
     "build_lifting": sl.build_lifting,
-    "scale_and_spread": _scale_and_spread,
+    "path_independence_spread": sl.path_independence_spread,
 }
 WRITERS = {  # name: (writer of (surface, stress), count of numbers it writes)
     "save_stress": (lambda surface, stress: sl.save_stress(stress),
@@ -63,7 +62,7 @@ def framework(n):
 def main():
     grid = sl.Grid(framework(1).T, N)
     stresses = {n: sl.solve_stress(framework(n), 1.0 + 0.5 * np.arange(n + 1), MU, grid) for n in NS}
-    print(f"{'kernel':<16} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8}")
+    print(f"{'kernel':<24} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8}")
     for name, kernel in KERNELS.items():
         for n, stress in stresses.items():
             fw, best = framework(n), float("inf")
@@ -78,8 +77,8 @@ def main():
             kernel(fw, stress)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            print(f"{name:<16} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
-    print(f"\n{'writer':<16} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8} {'ns/number':>10}")
+            print(f"{name:<24} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
+    print(f"\n{'writer':<24} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8} {'ns/number':>10}")
     for name, (writer, count) in WRITERS.items():
         for n, stress in stresses.items():
             surface, best = sl.build_lifting(framework(n), stress), float("inf")
@@ -92,7 +91,7 @@ def main():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             per = best / count(surface, stress) * 1e9
-            print(f"{name:<16} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f} {per:>10.0f}")
+            print(f"{name:<24} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f} {per:>10.0f}")
 
 
 if __name__ == "__main__":
