@@ -216,6 +216,8 @@ class _IndexedCurves:
         self.n = int(n)
         self._curves = curves
         self.grid = grid if grid is not None else Grid(self.T, DEFAULT_PANELS)
+        if not self.grid.spans(self.T):
+            raise ValueError(f"grid over [0, {self.grid.T!r}] does not span [0, {self.T!r}]")
         self._tables = {}
 
     @cached_property
@@ -321,12 +323,7 @@ def _coord_from_doc(doc, where: str) -> CoordFunction:
     for m, term in enumerate(trig):
         if not isinstance(term, dict):
             raise SchemaError("trig term must be an object", field=f"{where}.trig[{m}]")
-        try:
-            rows.append((term["amp"], term["freq"], term["phase"]))
-        except KeyError as exc:
-            raise SchemaError(
-                f"missing key {exc.args[0]!r}", field=f"{where}.trig[{m}]"
-            ) from None
+        rows.append(document_values(term, "amp", "freq", "phase", field=f"{where}.trig[{m}]"))
         if not _numbers(rows[-1]):
             raise SchemaError("trig entries must be numbers", field=f"{where}.trig[{m}]")
     try:
@@ -348,6 +345,14 @@ _NUMBER_RULES = {
 }
 
 
+def document_values(doc: dict, *keys, field=None) -> tuple:
+    """The values of `keys`; the first missing key raises SchemaError naming `field` or itself."""
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}", field=field or key)
+    return tuple(doc[key] for key in keys)
+
+
 def document_numbers(doc: dict, *keys):
     """The numbers `keys` ("dimension", "T", "n", "N") of a document.
 
@@ -365,18 +370,20 @@ def document_numbers(doc: dict, *keys):
     return values
 
 
-def document_rows(doc: dict, key: str) -> np.ndarray:
-    """The sample rows `key` of a document: a list of equally long lists of numbers.
+def document_rows(doc: dict, key: str, rows: int, N: int) -> np.ndarray:
+    """The sample block `key` of a document: `rows` lists of N+1 numbers, as a (rows, N+1) array.
 
-    A bool is not a number.  Raises SchemaError naming the field; the caller
-    checks the shape.
+    A bool is not a number.  The row count and every row are checked before
+    an array is built; any other block raises SchemaError naming the field.
     """
-    rows = doc[key]
-    if not isinstance(rows, list) or not all(isinstance(r, list) and _numbers(r) for r in rows):
-        raise SchemaError("must be a list of rows of numbers", field=key)
-    if len(set(map(len, rows))) > 1:
-        raise SchemaError("rows must have equal length", field=key)
-    return np.array(rows, dtype=float)
+    block = doc[key]
+    if not isinstance(block, list) or len(block) != rows:
+        got = len(block) if isinstance(block, list) else _quoted(block)
+        raise SchemaError(f"must be a list of {rows} rows, got {got}", field=key)
+    for k, row in enumerate(block):
+        if not (isinstance(row, list) and len(row) == N + 1 and _numbers(row)):
+            raise SchemaError(f"row {k} must be a list of N + 1 = {N + 1} numbers", field=key)
+    return np.array(block, dtype=float)
 
 
 MAX_NESTING = 64  # levels of arrays and objects a document may nest; the schema uses 7

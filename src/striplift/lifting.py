@@ -7,8 +7,8 @@ self-stress the value does not depend on the path, and attaching it as a
 third coordinate produces a surface whose strips are all developable.
 
 Every height term is an affine form of the target point P, a P_y - b P_x - c,
-stored as its three coefficients (`_height_forms`): the jump off a curve at
-a node, and the prefix integral of the run along a curve, so a run is a
+stored as its three coefficients: the jump off a curve at a node (`_jump_forms`)
+and the prefix integral of the run along a curve (`_run_forms`), so a run is a
 difference of two forms.  A height sums forms, then evaluates the sum at P
 once.  `height` reads the axis-path profiles of the lifting, and
 `path_independence_spread` is the exact spread over every increasing path to
@@ -28,6 +28,7 @@ from .framework import (
     Framework,
     document_numbers,
     document_rows,
+    document_values,
     format_rows,
     framework_from_doc,
     framework_to_doc,
@@ -43,32 +44,30 @@ from .numerics import (
 from .statics import StressField, _check_compatible, residual_report
 
 
-def _height_forms(table: CurveJet, stress: StressField, k: int):
-    """The height terms of curves 0..k as affine forms of the target P: (jumps, runs).
-
-    Each has shape (3, k+1, N+1); a form (a, b, c) stands for a P_y - b P_x - c
-    (`_at`).  jumps[:, i, j] is the jump off curve i at node j,
-    lam_i det2(f_i', P - f_i).  runs[:, i, j] is C_i(j), the integral over nodes
-    [0, j] of the run along curve i, mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}),
-    so a run over [j0, j1] is C_i(j1) - C_i(j0).
-    """
-    prev, cur, d1 = table.p[: k + 1], table.p[1 : k + 2], table.d1[1 : k + 2]  # curves i-1 and i
-    edge, mu, lam = cur - prev, stress.mu[: k + 1], stress.lam[: k + 1]  # mu_{i-1}, lam_i
-    runs = cumulative_samples(
+def _run_forms(table: CurveJet, stress: StressField):
+    """The forms of C_i(j), (3, n+1, N+1): the integral over nodes [0, j] of the run along
+    curve i, mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}).  A run over [j0, j1] is C_i(j1) - C_i(j0)."""
+    prev, cur, mu = table.p[:-2], table.p[1:-1], stress.mu[:-1]  # curves i-1 and i, mu_{i-1}
+    edge = cur - prev
+    return cumulative_samples(
         np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), stress.grid.h
     )
-    return np.stack([lam * d1[..., 0], lam * d1[..., 1], lam * det2(d1, cur)]), runs
+
+
+def _jump_forms(table: CurveJet, stress: StressField, at):
+    """The jumps lam_i det2(f_i', P - f_i) as forms, at `at`, an index of (curve 0..n, node)."""
+    lam, d1, p = stress.lam[at], table.d1[1:-1][at], table.p[1:-1][at]
+    return np.stack([lam * d1[..., 0], lam * d1[..., 1], lam * det2(d1, p)])
 
 
 def _at(form, P):
-    """Affine forms (a, b, c) along the first axis, evaluated at the points P (..., 2)."""
+    """Affine forms (a, b, c) along the first axis, a P_y - b P_x - c at the points P (..., 2)."""
     return form[0] * P[..., 1] - form[1] * P[..., 0] - form[2]
 
 
 def _profile_parts(fw: Framework, stress: StressField):
-    """The grid table, the height forms (jumps, runs) of curves 0..n, the jump
-    sums at node 0, shape (3, n+2), and the axis-path heights z at every grid
-    node, shape (n+1, N+1).
+    """The grid table, the run forms of curves 0..n, the jump sums at node 0,
+    shape (3, n+2), and the axis-path heights z at every grid node, shape (n+1, N+1).
 
     The axis path to (k, t_j) jumps over curves 0..k-1 at node 0, then runs
     along curve k: its form is sums[:, k] - C_k(j), where column k of the
@@ -79,10 +78,11 @@ def _profile_parts(fw: Framework, stress: StressField):
     grid = stress.grid
     table = fw.grid_table(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps, runs = _height_forms(table, stress, fw.n)
-        sums = np.cumsum(np.concatenate([np.zeros((3, 1)), jumps[..., 0]], axis=1), axis=1)
+        runs = _run_forms(table, stress)
+        jumps = _jump_forms(table, stress, np.s_[:, 0])  # off every curve at node 0
+        sums = np.cumsum(np.concatenate([np.zeros((3, 1)), jumps], axis=1), axis=1)
         z = require_finite(_at(sums[:, :-1, None] - runs, table.p[1:-1]), "height", grid.t)
-    return table, (jumps, runs), sums, z
+    return table, runs, sums, z
 
 
 def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
@@ -112,10 +112,11 @@ def path_independence_spread(fw: Framework, stress: StressField):
     sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1} (one form per curve and node,
     evaluated at P); its extremes over j_0 <= ... <= j_{n-1} are prefix max/min recursions, O(n N).
     """
-    table, (jumps, runs), _, z = _profile_parts(fw, stress)
+    table, runs, _, z = _profile_parts(fw, stress)
     n = fw.n
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        g = _at(jumps[:, :n] - runs[:, :n] + runs[:, 1:], table.p[n + 1, -1])
+        jumps = _jump_forms(table, stress, np.s_[:n])  # off curves 0..n-1 at every node
+        g = _at(jumps - runs[:, :n] + runs[:, 1:], table.p[n + 1, -1])
         hi, lo = [np.zeros(stress.grid.N + 1)], [np.zeros(stress.grid.N + 1)]  # no jump yet
         for row in g:  # row i: the best path whose last jump, off curve i, is at node j
             hi.append(row + np.maximum.accumulate(hi[-1]))
@@ -315,9 +316,7 @@ def lifting_from_doc(doc) -> SampledLifting:
     """Build a SampledLifting from a parsed lifting-dump document object."""
     if not isinstance(doc, dict) or doc.get("kind") != "lifted_surface":
         raise SchemaError("not a lifted-surface document", field="kind")
-    for key in ("T", "n", "N", "framework", "z"):
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}", field=key)
+    document_values(doc, "T", "n", "N", "framework", "z")
     T, n, N = document_numbers(doc, "T", "n", "N")
     fw = framework_from_doc(doc["framework"])
     if not isinstance(fw, Framework):
@@ -331,9 +330,8 @@ def lifting_from_doc(doc) -> SampledLifting:
     if not isinstance(path_dependent, bool):
         raise SchemaError(f"must be true or false, got {_quoted(path_dependent)}",
                           field="path_dependent")
-    grid = Grid(float(T), N)
-    z = document_rows(doc, "z")
-    try:
+    z, grid = document_rows(doc, "z", n + 1, N), Grid(float(T), N)
+    try:  # N = 2 leaves 3 samples a row, too few for the stencils
         return SampledLifting(fw, z, grid, path_dependent=path_dependent)
     except ValueError as exc:
         raise SchemaError(str(exc), field="z") from None

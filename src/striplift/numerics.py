@@ -41,8 +41,9 @@ class Grid:
     def __post_init__(self):
         if not np.isfinite(self.T) or self.T <= 0.0:
             raise ValueError(f"grid endpoint T must be positive and finite, got {self.T!r}")
-        if self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"panel count N must be even and >= 2, got {self.N!r}")
+        # past 2**52 the nodes near T need not be distinct doubles; numpy could not allocate them
+        if not 2 <= self.N <= 2**52 or self.N % 2 != 0:
+            raise ValueError(f"panel count N must be even and in 2..2**52, got {self.N!r}")
         if self.T / self.N == 0.0:
             raise ValueError(f"grid spacing T / N is 0 for T={self.T!r}, N={self.N!r}")
         object.__setattr__(self, "_t", np.linspace(0.0, self.T, self.N + 1))
@@ -50,6 +51,11 @@ class Grid:
     @property
     def h(self) -> float:
         return self.T / self.N
+
+    def spans(self, T: float) -> bool:
+        """Whether [0, T] is the grid's interval: T is positive and finite and equals
+        the grid's end to 1e-12 relative (absolute below 1)."""
+        return 0.0 < T < math.inf and abs(self.T - T) <= 1e-12 * max(T, 1.0)
 
     @property
     def t(self) -> np.ndarray:

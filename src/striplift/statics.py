@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DivergenceError, EvaluationError, SchemaError
-from .framework import (
-    CoordFunction, Framework, _dump_json, document_numbers, document_rows, parse_document
-)
+from .framework import CoordFunction, Framework, _dump_json, parse_document
+from .framework import document_numbers, document_rows, document_values
 from .geomcore import balance_vectors, det2, norm
 from .numerics import (
     Grid, basis_guard, cumulative_samples, fd_derivative, ratio, require_finite
@@ -90,21 +89,10 @@ def load_stress(text: str) -> StressField:
     doc = parse_document(text)
     if not isinstance(doc, dict):
         raise SchemaError("stress document root must be an object")
-    for key in ("T", "n", "N", "lambda", "mu"):
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}", field=key)
+    document_values(doc, "T", "n", "N", "lambda", "mu")
     T, n, N = document_numbers(doc, "T", "n", "N")
-    grid = Grid(float(T), N)
-    lam = document_rows(doc, "lambda")
-    mu = document_rows(doc, "mu")
-    if lam.ndim != 2 or lam.shape[0] != n + 1:
-        raise SchemaError(f"lambda must have {n + 1} rows", field="lambda")
-    if mu.ndim != 2 or mu.shape[0] != n + 2:
-        raise SchemaError(f"mu must have {n + 2} rows", field="mu")
-    try:
-        return StressField(grid, lam, mu)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    lam, mu = document_rows(doc, "lambda", n + 1, N), document_rows(doc, "mu", n + 2, N)
+    return StressField(Grid(float(T), N), lam, mu)
 
 
 def _force_terms(fw: Framework, stress: StressField):
@@ -126,7 +114,7 @@ def _force_terms(fw: Framework, stress: StressField):
 def _check_compatible(fw: Framework, stress: StressField):
     if stress.n != fw.n:
         raise ValueError(f"stress is for n={stress.n}, framework has n={fw.n}")
-    if abs(stress.grid.T - fw.T) > 1e-12 * max(fw.T, 1.0):
+    if not stress.grid.spans(fw.T):
         raise ValueError("stress grid does not span the framework interval")
 
 

@@ -208,6 +208,44 @@ class TestDocumentNumbers:
         assert not (tmp_path / "out.obj").exists()
 
 
+class TestPanelBound:
+    """A panel count whose nodes numpy could not allocate is invalid input naming N or the rows."""
+
+    @pytest.mark.parametrize("N", [2**62, 2**63])
+    @pytest.mark.parametrize("command", [
+        ["validate", "--input", "{framework}"],
+        ["solve", "--input", "{framework}", "--lambda0", "1,1,1,1"],
+        ["check", "--input", "{framework}", "--stress", "{stress}"],
+        ["project", "--input", "{surface}"],
+        ["onestrip", "--input", "{onestrip}"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_flag_beyond_the_bound_exit_2(self, docs, capsys, command, N):
+        _, p = docs
+        argv = [a.format(**p) for a in command]
+        assert main(argv + ["--grid", str(N)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: panel count N must be even and in 2..2**52, got {N}\n"
+        )
+
+    @pytest.mark.parametrize("kind, field, command", [
+        ("stress", "lambda", "check"), ("stress", "lambda", "lift"), ("lifting", "z", "project"),
+    ])
+    def test_document_beyond_the_bound_exit_2(self, docs, tmp_path, capsys, kind, field, command):
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        doc["N"] = 2**63
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = _reading(kind, p, bad)
+        if command == "lift":
+            argv = ["lift", *argv[1:], "--output", str(tmp_path / "out.obj")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {field}: row 0 must be a list of N + 1 = {2**63 + 1} numbers\n"
+        )
+        assert not (tmp_path / "out.obj").exists()
+
+
 class TestSolve:
     def test_circle_demo(self, docs, tmp_path):
         _, p = docs

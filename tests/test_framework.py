@@ -263,6 +263,22 @@ class TestJets:
             parallel_lines.jet(5, 0.5)
 
 
+class TestInterval:
+    curves = [make_line(offset_y=float(i)) for i in range(-1, 3)]
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -5.0, 0.0])
+    def test_interval_end_must_be_positive_and_finite(self, T):
+        for grid in (sl.Grid(1.0, 16), None):
+            with pytest.raises(ValueError, match="T must be positive and finite|does not span"):
+                sl.Framework(T, 1, self.curves, grid)
+
+    def test_grid_over_another_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid over \[0, 0.5\] does not span \[0, 1.0\]$"):
+            sl.Framework(1.0, 1, self.curves, sl.Grid(0.5, 16))
+        # the rule of a stress on a framework: equal to 1e-12 relative
+        assert sl.Framework(1.0, 1, self.curves, sl.Grid(1.0 + 1e-13, 16)).grid.N == 16
+
+
 class TestDocuments:
     def test_minimal_one_curve_document(self):
         doc = {
@@ -370,7 +386,8 @@ def test_numbers_read_as_json_loads_reads_them(floats, ints, writer):
     else:  # json.dumps, the writer of documents made by hand or by perfbench
         written = json.dumps(floats)[1:-1]
     text = '{"rows": [[' + ", ".join([written, *map(str, ints), *_EDGE_NUMBERS]) + "]]}"
-    got = document_rows(parse_document(text), "rows")
+    doc = parse_document(text)
+    got = document_rows(doc, "rows", 1, len(doc["rows"][0]) - 1)
     want = np.array(json.loads(text)["rows"], dtype=float)
     assert got.tobytes() == want.tobytes()
 

@@ -60,6 +60,14 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"T / N is 0 for T=5e-324, N=256"):  # h == 0.0
             Grid(5e-324, 256)
 
+    @pytest.mark.parametrize("N", [2**62, 2**63, 2**64])
+    def test_panel_count_beyond_the_bound_rejected(self, N):
+        # numpy could not allocate these nodes: 2**62 was its "array is too big",
+        # 2**63 an IndexError inside linspace
+        message = rf"^panel count N must be even and in 2\.\.2\*\*52, got {N}$"
+        with pytest.raises(ValueError, match=message):
+            Grid(1.0, N)
+
     def test_node_index_roundtrip_and_offgrid(self):
         g = Grid(1.0, 32)
         for j in (0, 7, 32):

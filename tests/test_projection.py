@@ -80,6 +80,11 @@ class TestProject:
         rows = recovered_interior_stress(back)
         assert rows["mu"][0].shape == (65,)
 
+    def test_surface_keeps_its_interval(self):
+        # T = 1.6: a grid over [0, 0.5] would judge a third of the surface
+        with pytest.raises(ValueError, match=r"does not span \[0, 1.6\]"):
+            sl.project(sl.builtin("translational3d"), sl.Grid(0.5, 64))
+
 
 class TestDevelopability:
     def test_flat_heights_zero_defect(self):

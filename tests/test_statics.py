@@ -262,6 +262,62 @@ def test_stress_documents_read_back_bit_for_bit(drawn):
     assert again.mu.tobytes() == stress.mu.tobytes()
 
 
+def sampled_document(kind, n, N):
+    """A valid stress document or lifting dump (over circles2d curves) of zero samples."""
+    if kind == "stress":
+        return {"T": 1.0, "n": n, "N": N, "lambda": np.zeros((n + 1, N + 1)).tolist(),
+                "mu": np.zeros((n + 2, N + 1)).tolist()}
+    fw = sl.builtin("circles2d", n=n)
+    return {"kind": "lifted_surface", "T": fw.T, "n": n, "N": N,
+            "framework": framework.framework_to_doc(fw), "z": np.zeros((n + 1, N + 1)).tolist()}
+
+
+_READERS = {"stress": load_stress, "lifting": sl.load_lifting}
+_BLOCKS = {"stress": ("lambda", "mu"), "lifting": ("z",)}
+# N at most 2**24 or from 2**62 on: a reader that builds the grid first allocates N + 1 nodes
+_OTHER_N = st.one_of(st.integers(1, 2**23).map(lambda k: 2 * k), st.sampled_from([2**62, 2**63]))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_READERS)), st.integers(0, 3), st.sampled_from([4, 8, 16]),
+       st.sampled_from(["rows", "width", "N", "n"]), st.data())
+def test_sample_blocks_of_another_shape_name_their_field(kind, n, N, change, data):
+    doc = sampled_document(kind, n, N)
+    _READERS[kind](json.dumps(doc))
+    blocks = _BLOCKS[kind]
+    field = blocks[0]
+    if change == "n" and kind == "stress":  # a dump's n must equal its framework's, which it names
+        doc["n"] = data.draw(st.integers(0, 6).filter(lambda m: m != n))
+    elif change in ("N", "n"):
+        doc["N"] = data.draw(_OTHER_N.filter(lambda M: M != N))
+    else:
+        field = data.draw(st.sampled_from(blocks))
+        block = doc[field]
+        if change == "rows":
+            block.pop() if data.draw(st.booleans()) else block.append(list(block[0]))
+        else:
+            row = block[data.draw(st.integers(0, len(block) - 1))]
+            row.pop() if data.draw(st.booleans()) else row.append(0.0)
+    with pytest.raises(SchemaError, match=f"^{field}: ") as err:
+        _READERS[kind](json.dumps(doc))
+    assert err.value.field == field
+
+
+def test_oversized_panel_count_is_refused_before_any_allocation():
+    # 488 bytes claiming N = 2**24 panels: reading the rows against N + 1 refuses it
+    lam, mu = json.dumps(np.zeros((2, 17)).tolist()), json.dumps(np.zeros((3, 17)).tolist())
+    text = f'{{"T": 1.0, "n": 1, "N": {2**24}, "lambda": {lam}, "mu": {mu}}}'
+    assert len(text) == 488
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"^lambda: row 0 must be a list of N \+ 1 = 16777217"):
+            load_stress(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_strided_stress_rows_read_back_bit_for_bit():
     # every other column of a wider array: a view the writer gets as a non-contiguous array
     rows = np.random.default_rng(7).normal(size=(5, 2 * 257)) * 10.0 ** np.arange(-2, 3)[:, None]
