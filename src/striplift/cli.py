@@ -281,7 +281,7 @@ _FLAGS = {
     "--input": dict(required=True, metavar="PATH", help="input document path"),
     "--stress": dict(required=True, metavar="PATH", help="stress document path"),
     "--grid": dict(type=int, default=None, metavar="N",
-                   help="override the grid panel count (even, >= 16)"),
+                   help="override the grid panel count (even, >= 4, (n+3)(N+1) <= 2**22)"),
     "--tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
                   help="tolerance override (default 1e-6)"),
     "--output": dict(default=None, metavar="PATH", help="output path"),
@@ -352,10 +352,6 @@ def main(argv=None) -> int:
         args = _parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
         return exc.code
-    grid = getattr(args, "grid", None)
-    if grid is not None and (grid < 16 or grid % 2):
-        print("error: --grid must be even and >= 16", file=sys.stderr)
-        return EXIT_BAD_INPUT
     if not 0 < getattr(args, "tol", DEFAULT_TOL) < float("inf"):  # refuses nan too
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_BAD_INPUT

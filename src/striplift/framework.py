@@ -36,7 +36,7 @@ import numpy as np
 import orjson
 
 from .errors import EvaluationError, SchemaError
-from .numerics import DEFAULT_PANELS, Grid, require_finite
+from .numerics import DEFAULT_PANELS, Grid, require_finite, require_size
 
 MAX_POLY_DEGREE = 8
 MAX_TRIG_TERMS = 16
@@ -241,10 +241,12 @@ class _IndexedCurves:
         """Values and first `order` derivatives of every curve at every time.
 
         Shape (order+1, n+3, len(times), dim): derivative order, curve (row
-        i+1 holds curve i), time, coordinate.  Raises EvaluationError at the
-        first curve and time where an entry is not finite.
+        i+1 holds curve i), time, coordinate.  Too many samples for the size
+        rule raise ValueError before any jet is evaluated; EvaluationError
+        names the first curve and time where an entry is not finite.
         """
         times = np.asarray(times, dtype=float)
+        require_size(None, len(self._curves), len(times))
         table = self._coefficients.jets(times, order)
         require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
         return table
@@ -341,7 +343,6 @@ _NUMBER_RULES = {
     "dimension": ("2 or 3", lambda v: isinstance(v, int) and v in (2, 3)),
     "T": ("a positive finite number", lambda v: isinstance(v, (int, float)) and 0 < v <= sys.float_info.max),
     "n": ("a non-negative integer", lambda v: isinstance(v, int) and v >= 0),
-    "N": ("an even integer >= 2", lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0),
 }
 
 
@@ -356,16 +357,23 @@ def document_values(doc: dict, *keys, field=None) -> tuple:
 def document_numbers(doc: dict, *keys):
     """The numbers `keys` ("dimension", "T", "n", "N") of a document.
 
-    dimension must be the integer 2 or 3, T a positive finite number, n a
-    non-negative integer and N an even integer >= 2; a bool is none of
-    these.  Raises SchemaError naming the first field that fails.
+    dimension must be the integer 2 or 3, T a positive finite number and n a
+    non-negative integer; a bool is none of these.  N is a grid's panel
+    count (`numerics.require_size`).  Raises SchemaError naming the first
+    field that fails.
     """
     values = []
     for key in keys:
-        want, ok = _NUMBER_RULES[key]
         value = doc.get(key)
-        if isinstance(value, bool) or not ok(value):
-            raise SchemaError(f"{key} must be {want}, got {_quoted(value)}", field=key)
+        if key == "N":
+            try:
+                value = require_size(value)
+            except ValueError as exc:
+                raise SchemaError(str(exc), field=key) from None
+        else:
+            want, ok = _NUMBER_RULES[key]
+            if isinstance(value, bool) or not ok(value):
+                raise SchemaError(f"{key} must be {want}, got {_quoted(value)}", field=key)
         values.append(value)
     return values
 
@@ -543,7 +551,7 @@ def framework_from_doc(doc, grid_panels: int | None = None):
                 raise SchemaError(f"missing coordinate {c!r}", field=where)
             coords.append(_coord_from_doc(entry[c], f"{where}.{c}"))
         curves.append(AnalyticCurve(tuple(coords)))
-    grid = Grid(float(T), grid_panels) if grid_panels else None
+    grid = Grid(float(T), grid_panels) if grid_panels is not None else None
     cls = Framework if dim == 2 else AnalyticSurface3D
     return cls(float(T), n, curves, grid)
 

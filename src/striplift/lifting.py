@@ -330,8 +330,5 @@ def lifting_from_doc(doc) -> SampledLifting:
     if not isinstance(path_dependent, bool):
         raise SchemaError(f"must be true or false, got {_quoted(path_dependent)}",
                           field="path_dependent")
-    z, grid = document_rows(doc, "z", n + 1, N), Grid(float(T), N)
-    try:  # N = 2 leaves 3 samples a row, too few for the stencils
-        return SampledLifting(fw, z, grid, path_dependent=path_dependent)
-    except ValueError as exc:
-        raise SchemaError(str(exc), field="z") from None
+    z = document_rows(doc, "z", n + 1, N)
+    return SampledLifting(fw, z, Grid(float(T), N), path_dependent=path_dependent)

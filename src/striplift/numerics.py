@@ -3,16 +3,19 @@
 Quadrature is one prefix rule on uniform nodes (`cumulative_samples`): an
 integral over a node range is a difference of two prefix integrals.  One
 scale-free guard judges every 2x2 basis, and one division rule (`ratio`)
-normalizes every quantity by its scale; statics marches classic RK4 as one
-scalar recurrence per curve.  The per-point RK4 march and Cramer solve
-(ode_march, solve2x2) have no caller in the package and are not exported:
-they stay for the tests' reference solver and the benchmark's tracer.
+normalizes every quantity by its scale.  One size rule (`require_size`)
+decides which panel counts and curve tables are valid.  statics marches
+classic RK4 as one scalar recurrence per curve.  The per-point RK4 march
+and Cramer solve (ode_march, solve2x2) have no caller in the package and
+are not exported: they stay for the tests' reference solver and the
+benchmark's tracer.
 Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +29,47 @@ EPS_REG = 1e-9
 #: Default number of panels for grids.
 DEFAULT_PANELS = 256
 
+#: Fewest panels of a grid: five nodes, the width of the fd_derivative stencils.
+MIN_PANELS = 4
+
+#: Most curve samples one grid or table may hold.  At the cap a planar grid
+#: table takes about 270 MB, and the march's tables about three times that.
+MAX_SAMPLES = 2**22
+
 #: Default tolerance of every pass/fail gate: the equilibrium residual, the
 #: strip developability and the one-strip criterion.
 DEFAULT_TOL = 1e-6
 
 
+def require_size(N, curves: int = 1, samples: int | None = None) -> int | None:
+    """N as an int, if it passes the one size rule of every grid and curve table.
+
+    A grid's panel count N is an integer (a bool is not one), even and at
+    least MIN_PANELS, and `curves` rows of N + 1 samples (one per node) hold
+    at most MAX_SAMPLES values.  Given `samples` per curve instead, for a
+    table at times of no grid, only that cap is checked.  Raises ValueError
+    naming N.
+    """
+    if samples is None:
+        try:
+            if isinstance(N, bool):
+                raise TypeError
+            N = operator.index(N)
+        except TypeError:
+            raise ValueError(f"N must be an integer panel count, got {type(N).__name__}") from None
+        if N < MIN_PANELS or N % 2:
+            raise ValueError(f"N must be an even panel count >= {MIN_PANELS}, got {N}")
+        samples = N + 1
+    if curves * samples > MAX_SAMPLES:
+        which = "N" if N is None else f"N = {N}"
+        raise ValueError(f"{which} is too large: {curves} x {samples} curve samples "
+                         f"exceed MAX_SAMPLES = {MAX_SAMPLES}")
+    return N
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling of [0, T] with an even panel count N (N+1 nodes)."""
+    """Uniform sampling of [0, T] with N panels (N+1 nodes); `require_size` judges N."""
 
     T: float
     N: int
@@ -41,9 +77,7 @@ class Grid:
     def __post_init__(self):
         if not np.isfinite(self.T) or self.T <= 0.0:
             raise ValueError(f"grid endpoint T must be positive and finite, got {self.T!r}")
-        # past 2**52 the nodes near T need not be distinct doubles; numpy could not allocate them
-        if not 2 <= self.N <= 2**52 or self.N % 2 != 0:
-            raise ValueError(f"panel count N must be even and in 2..2**52, got {self.N!r}")
+        object.__setattr__(self, "N", require_size(self.N))
         if self.T / self.N == 0.0:
             raise ValueError(f"grid spacing T / N is 0 for T={self.T!r}, N={self.N!r}")
         object.__setattr__(self, "_t", np.linspace(0.0, self.T, self.N + 1))

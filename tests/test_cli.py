@@ -209,7 +209,7 @@ class TestDocumentNumbers:
 
 
 class TestPanelBound:
-    """A panel count whose nodes numpy could not allocate is invalid input naming N or the rows."""
+    """A panel count past the size rule is invalid input naming N, before any grid or row exists."""
 
     @pytest.mark.parametrize("N", [2**62, 2**63])
     @pytest.mark.parametrize("command", [
@@ -224,7 +224,8 @@ class TestPanelBound:
         argv = [a.format(**p) for a in command]
         assert main(argv + ["--grid", str(N)]) == 2
         assert capsys.readouterr().err == (
-            f"invalid input: panel count N must be even and in 2..2**52, got {N}\n"
+            f"invalid input: N = {N} is too large: 1 x {N + 1} curve samples exceed "
+            "MAX_SAMPLES = 4194304\n"
         )
 
     @pytest.mark.parametrize("kind, field, command", [
@@ -241,8 +242,69 @@ class TestPanelBound:
             argv = ["lift", *argv[1:], "--output", str(tmp_path / "out.obj")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"invalid input: {field}: row 0 must be a list of N + 1 = {2**63 + 1} numbers\n"
+            f"invalid input: N: N = {2**63} is too large: 1 x {2**63 + 1} curve samples exceed "
+            "MAX_SAMPLES = 4194304\n"
         )
+        assert not (tmp_path / "out.obj").exists()
+
+
+class TestFewestPanels:
+    """N = 4 (MIN_PANELS, the five nodes of the stencils) runs every command; N = 2 is
+    refused by every reader and by --grid, naming N."""
+
+    def test_every_command_runs_on_four_panels(self, docs, tmp_path):
+        _, p = docs
+        out = tmp_path / "p4"
+        steps = [  # exit 1: four panels leave the residual gate far behind
+            (1, ["project", "--input", str(p["surface"]), "--output", str(out)]),
+            (0, ["validate", "--input", f"{out}.framework.json"]),
+            (0, ["solve", "--input", str(p["circle1"]), "--lambda0", "1", "--output", f"{out}.solved.json"]),
+            (1, ["check", "--input", f"{out}.framework.json", "--stress", f"{out}.stress.json"]),
+            (0, ["lift", "--input", f"{out}.framework.json", "--stress", f"{out}.stress.json",
+                 "--force", "--output", f"{out}.obj"]),
+            (0, ["lift", "--input", f"{out}.framework.json", "--stress", f"{out}.stress.json",
+                 "--force", "--format", "json", "--output", f"{out}.lifting.json"]),
+            (1, ["project", "--input", f"{out}.lifting.json"]),
+            (0, ["onestrip", "--input", str(p["onestrip"])]),
+        ]
+        for code, argv in steps:
+            assert _outcome(argv + ["--grid", "4"])[::2] == (code, ""), argv
+        for name in ("stress", "solved", "lifting"):
+            assert json.loads(Path(f"{out}.{name}.json").read_text())["N"] == 4
+        assert "# grid: curves=4 nodes=5" in Path(f"{out}.obj").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "{framework}"],
+        ["solve", "--input", "{framework}", "--lambda0", "1,1,1,1"],
+        ["check", "--input", "{framework}", "--stress", "{stress}"],
+        ["lift", "--input", "{framework}", "--stress", "{stress}", "--output", "{out}"],
+        ["project", "--input", "{surface}"],
+        ["onestrip", "--input", "{onestrip}"],
+    ], ids=lambda argv: argv[0])
+    def test_two_panels_on_the_grid_flag_exit_2(self, docs, tmp_path, argv):
+        _, p = docs
+        argv = [a.format(out=tmp_path / "out.obj", **p) for a in argv]
+        assert _outcome(argv + ["--grid", "2"]) == (
+            2, "", "invalid input: N must be an even panel count >= 4, got 2\n")
+        assert not (tmp_path / "out.obj").exists()
+
+    @pytest.mark.parametrize("kind, command", [
+        ("stress", "check"), ("stress", "lift"), ("lifting", "project"),
+    ])
+    def test_two_panel_document_exit_2(self, docs, tmp_path, kind, command):
+        # nodes 0, 128 and 256 of the 256-panel document: a consistent two-panel one,
+        # which once reached the stencils' "need at least 5 samples"
+        _, p = docs
+        doc = json.loads(p[kind].read_text())
+        doc["N"] = 2
+        for block in {"stress": ("lambda", "mu"), "lifting": ("z",)}[kind]:
+            doc[block] = [row[::128] for row in doc[block]]
+        bad = tmp_path / "two.json"
+        bad.write_text(json.dumps(doc))
+        argv = _reading(kind, p, bad)
+        if command == "lift":
+            argv = ["lift", *argv[1:], "--output", str(tmp_path / "out.obj")]
+        assert _outcome(argv) == (2, "", "invalid input: N: N must be an even panel count >= 4, got 2\n")
         assert not (tmp_path / "out.obj").exists()
 
 
@@ -999,7 +1061,7 @@ def reference_parser() -> argparse.ArgumentParser:
         "input": dict(required=True, metavar="PATH", help="input document path"),
         "stress": dict(required=True, metavar="PATH", help="stress document path"),
         "grid": dict(type=int, default=None, metavar="N",
-                     help="override the grid panel count (even, >= 16)"),
+                     help="override the grid panel count (even, >= 4, (n+3)(N+1) <= 2**22)"),
         "tol": dict(type=float, default=DEFAULT_TOL, metavar="X",
                     help="tolerance override (default 1e-6)"),
         "output": dict(default=None, metavar="PATH", help="output path"),
@@ -1262,7 +1324,8 @@ _FUZZ_COMMANDS = {
         ["onestrip", "--input", "{mutant}", "--output", "{out}.json"],
     ),
 }
-_FUZZ_VALUES = (None, True, 1e308, -1e308, 1e200, "x", [], {}, 0, -1, 1e-320, 3.5)
+_FUZZ_VALUES = (None, True, 1e308, -1e308, 1e200, "x", [], {}, 0, -1, 1e-320, 3.5,
+                2**53 + 1, 2**63, 10**400, 5e-324)
 _DELETE = "<delete>"
 _NON_VALUES = re.compile(r"\b(nan|inf|None)\b")
 
@@ -1305,6 +1368,19 @@ class TestFuzz:
         else:
             node[key] = value
         _fuzz(kind, doc, p)
+
+    @pytest.mark.parametrize("N", [2**40, 2**52, 2**63])
+    @pytest.mark.parametrize("kind", sorted(_FUZZ_COMMANDS))
+    def test_grid_flag_past_the_cap(self, docs, tmp_path, kind, N):
+        # 2**40 nodes were numpy's 8 TiB MemoryError, exit 4.  No size between the cap and
+        # 2**40 is run: a program without the cap could really allocate it.
+        _, p = docs
+        for argv in _FUZZ_COMMANDS[kind]:
+            argv = [a.format(mutant=p[kind], out=tmp_path / "out", **p) for a in argv]
+            code, out, err = _outcome(argv + ["--grid", str(N)])
+            assert code == 2, (argv, err)
+            assert re.match(rf"invalid input: (N = {N} is too large|N: --grid {N} differs)", err), err
+            assert list(tmp_path.iterdir()) == [], argv
 
     @pytest.mark.parametrize(
         "kind, factor",

@@ -24,6 +24,8 @@ from striplift.framework import (
     shifted,
 )
 
+from striplift.numerics import MAX_SAMPLES
+
 from conftest import PROPERTY
 
 
@@ -279,7 +281,44 @@ class TestInterval:
         assert sl.Framework(1.0, 1, self.curves, sl.Grid(1.0 + 1e-13, 16)).grid.N == 16
 
 
+class TestTableSize:
+    """Every curve table passes the size rule before any jet is evaluated."""
+
+    @pytest.fixture
+    def no_jets(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a jet was evaluated")
+
+        monkeypatch.setattr(_Coefficients, "jets", refused)
+
+    def test_times_past_the_cap_rejected(self, no_jets):
+        fw = sl.builtin("circles2d", n=1)
+        times = np.broadcast_to(0.0, (MAX_SAMPLES // 4 + 1,))  # a view: nothing is allocated
+        with pytest.raises(ValueError, match=r"^N is too large: 4 x 1048577 curve samples exceed"):
+            fw.tabulate(times)
+
+    def test_grid_table_of_many_curves_past_the_cap_rejected(self, no_jets):
+        # 65537 nodes pass for one curve, not for the 67 curves of n = 64
+        fw = sl.builtin("circles2d", n=64)
+        fw = sl.Framework(fw.T, 64, [fw.curve(i) for i in fw.curve_indices], sl.Grid(fw.T, 2**16))
+        with pytest.raises(ValueError, match=r"^N is too large: 67 x 65537 curve samples exceed"):
+            fw.grid_table()
+        assert fw._tables == {}
+
+
 class TestDocuments:
+    @pytest.mark.parametrize("panels, N", [(None, 256), (4, 4), (64, 64)])
+    def test_panel_override(self, panels, N):
+        text = sl.save_framework(sl.builtin("circles2d"))
+        assert load_framework(text, grid_panels=panels).grid.N == N
+
+    @pytest.mark.parametrize("panels", [0, 2, -4])
+    def test_panel_override_below_the_minimum_rejected(self, panels):
+        # 0 once read as "no override" and gave N = 256
+        text = sl.save_framework(sl.builtin("circles2d"))
+        with pytest.raises(ValueError, match=rf"^N must be an even panel count >= 4, got {panels}$"):
+            load_framework(text, grid_panels=panels)
+
     def test_minimal_one_curve_document(self):
         doc = {
             "dimension": 2,

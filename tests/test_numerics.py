@@ -5,12 +5,15 @@ import pytest
 
 from striplift.errors import DegenerateBasisError, EvaluationError, GridAlignmentError
 from striplift.numerics import (
+    MAX_SAMPLES,
+    MIN_PANELS,
     Grid,
     _startup_weights,
     basis_guard,
     cumulative_samples,
     fd_derivative,
     ode_march,
+    require_size,
     solve2x2,
 )
 
@@ -64,9 +67,29 @@ class TestGrid:
     def test_panel_count_beyond_the_bound_rejected(self, N):
         # numpy could not allocate these nodes: 2**62 was its "array is too big",
         # 2**63 an IndexError inside linspace
-        message = rf"^panel count N must be even and in 2\.\.2\*\*52, got {N}$"
+        message = rf"^N = {N} is too large: 1 x {N + 1} curve samples exceed MAX_SAMPLES = 4194304$"
         with pytest.raises(ValueError, match=message):
             Grid(1.0, N)
+
+    @pytest.mark.parametrize("N", [16.0, 16.5, "16", None, [16], True, np.float64(16.0)])
+    def test_panel_count_that_is_no_integer_rejected(self, N):
+        with pytest.raises(ValueError, match=r"^N must be an integer panel count, got \w+$"):
+            Grid(1.0, N)
+
+    def test_integer_like_panel_count_reads_as_int(self):
+        grid = Grid(1.0, np.int64(16))
+        assert type(grid.N) is int and grid == Grid(1.0, 16)
+        assert grid.t.tobytes() == Grid(1.0, 16).t.tobytes()
+
+    @pytest.mark.parametrize("N", [-2, 0, 2, 3, MIN_PANELS + 1])
+    def test_panel_count_below_the_minimum_or_odd_rejected(self, N):
+        with pytest.raises(ValueError, match=rf"^N must be an even panel count >= 4, got {N}$"):
+            Grid(1.0, N)
+
+    def test_fewest_panels_feed_every_stencil(self):
+        g = Grid(1.0, MIN_PANELS)
+        assert fd_derivative(g.t**2, g.h) == pytest.approx(2.0 * g.t, abs=1e-14)
+        assert cumulative_samples(g.t**2, g.h)[-1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_node_index_roundtrip_and_offgrid(self):
         g = Grid(1.0, 32)
@@ -75,6 +98,33 @@ class TestGrid:
         for t in (g.h * 0.5, 1e300, 1e308, math.inf, -math.inf, math.nan):  # off-grid or not finite
             with pytest.raises(GridAlignmentError):
                 g.node_index(t)
+
+
+class TestSizeRule:
+    """One rule decides every size; nothing here allocates a grid past the cap."""
+
+    def test_cap_on_nodes(self):
+        largest = MAX_SAMPLES - 2  # the largest even N whose N + 1 nodes fit
+        assert require_size(largest) == largest
+        for N in (MAX_SAMPLES, MAX_SAMPLES + 2):
+            with pytest.raises(ValueError, match=rf"^N = {N} is too large: 1 x {N + 1} curve"):
+                require_size(N)
+            with pytest.raises(ValueError, match=rf"^N = {N} is too large"):
+                Grid(1.0, N)
+
+    @pytest.mark.parametrize("curves", [2, 4, 7, 67])
+    def test_cap_on_curves_times_nodes(self, curves):
+        fits = (MAX_SAMPLES // curves - 1) // 2 * 2  # the largest even N with curves (N + 1) samples
+        assert require_size(fits, curves) == fits
+        with pytest.raises(ValueError, match=rf"^N = {fits + 2} is too large: {curves} x {fits + 3} "):
+            require_size(fits + 2, curves)
+
+    def test_cap_on_a_table_of_other_times(self):
+        # samples per curve, as a table at the march's half steps has: only the cap applies
+        assert require_size(None, 3, MAX_SAMPLES // 3) is None
+        assert require_size(None, 1, 7) is None
+        with pytest.raises(ValueError, match=r"^N is too large: 3 x 1398102 curve samples"):
+            require_size(None, 3, MAX_SAMPLES // 3 + 1)
 
 
 class TestIntegrate:

@@ -18,7 +18,7 @@ from striplift.errors import (
     SchemaError,
 )
 from striplift.geomcore import balance_vectors
-from striplift.numerics import cumulative_samples, ode_march, ratio, solve2x2
+from striplift.numerics import MAX_SAMPLES, MIN_PANELS, cumulative_samples, ode_march, ratio, solve2x2
 from striplift.statics import load_stress, save_stress, segment_force_scale
 
 from conftest import PROPERTY, mu_minus1_fn, mu_scaled, stressed_frameworks
@@ -290,6 +290,8 @@ def test_sample_blocks_of_another_shape_name_their_field(kind, n, N, change, dat
         doc["n"] = data.draw(st.integers(0, 6).filter(lambda m: m != n))
     elif change in ("N", "n"):
         doc["N"] = data.draw(_OTHER_N.filter(lambda M: M != N))
+        if not MIN_PANELS <= doc["N"] < MAX_SAMPLES:  # the size rule refuses N before any row
+            field = "N"
     else:
         field = data.draw(st.sampled_from(blocks))
         block = doc[field]
@@ -304,13 +306,13 @@ def test_sample_blocks_of_another_shape_name_their_field(kind, n, N, change, dat
 
 
 def test_oversized_panel_count_is_refused_before_any_allocation():
-    # 488 bytes claiming N = 2**24 panels: reading the rows against N + 1 refuses it
+    # 488 bytes claiming N = 2**24 panels: the size rule refuses N before any row is read
     lam, mu = json.dumps(np.zeros((2, 17)).tolist()), json.dumps(np.zeros((3, 17)).tolist())
     text = f'{{"T": 1.0, "n": 1, "N": {2**24}, "lambda": {lam}, "mu": {mu}}}'
     assert len(text) == 488
     tracemalloc.start()
     try:
-        with pytest.raises(SchemaError, match=r"^lambda: row 0 must be a list of N \+ 1 = 16777217"):
+        with pytest.raises(SchemaError, match=r"^N: N = 16777216 is too large: 1 x 16777217 curve"):
             load_stress(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
