@@ -10,6 +10,7 @@ class SchemaError(StripLiftError):
 
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
+        self.message = message
         self.field = field
 
 

@@ -35,8 +35,8 @@ from functools import cached_property
 import numpy as np
 import orjson
 
-from .errors import EvaluationError, SchemaError
-from .numerics import DEFAULT_PANELS, Grid, require_finite, require_size
+from .errors import SchemaError
+from .numerics import DEFAULT_PANELS, Grid, read_only, require_finite, require_size
 
 MAX_POLY_DEGREE = 8
 MAX_TRIG_TERMS = 16
@@ -201,6 +201,12 @@ class AnalyticCurve:
         return CurveJet(*table.reshape((4,) + t.shape + (self.dim,)))
 
 
+def _require_span(grid: Grid, T: float) -> None:
+    """Raise ValueError unless the grid is over [0, T] (`Grid.spans`)."""
+    if not grid.spans(T):
+        raise ValueError(f"grid over [0, {grid.T!r}] does not span [0, {T!r}]")
+
+
 class _IndexedCurves:
     """Shared container behavior: curves indexed -1 .. n+1 on [0, T]."""
 
@@ -216,8 +222,7 @@ class _IndexedCurves:
         self.n = int(n)
         self._curves = curves
         self.grid = grid if grid is not None else Grid(self.T, DEFAULT_PANELS)
-        if not self.grid.spans(self.T):
-            raise ValueError(f"grid over [0, {self.grid.T!r}] does not span [0, {self.T!r}]")
+        _require_span(self.grid, self.T)
         self._tables = {}
 
     @cached_property
@@ -240,25 +245,27 @@ class _IndexedCurves:
     def tabulate(self, times, order: int = 3) -> np.ndarray:
         """Values and first `order` derivatives of every curve at every time.
 
-        Shape (order+1, n+3, len(times), dim): derivative order, curve (row
-        i+1 holds curve i), time, coordinate.  Too many samples for the size
-        rule raise ValueError before any jet is evaluated; EvaluationError
-        names the first curve and time where an entry is not finite.
+        Read-only, shape (order+1, n+3, len(times), dim): derivative order,
+        curve (row i+1 holds curve i), time, coordinate.  Too many samples for
+        the size rule raise ValueError before any jet is evaluated;
+        EvaluationError names the first curve and time of a non-finite entry.
         """
         times = np.asarray(times, dtype=float)
         require_size(None, len(self._curves), len(times))
         table = self._coefficients.jets(times, order)
         require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
-        return table
+        return read_only(table)
 
     def grid_table(self, grid: Grid | None = None) -> CurveJet:
-        """Jets of every curve at the grid nodes, cached per grid.
+        """Jets of every curve at the grid nodes, cached per grid, read-only.
 
-        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.
+        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.  A grid
+        over another interval than [0, T] raises ValueError.
         """
         grid = grid or self.grid
         key = (grid.N, grid.T)
         if key not in self._tables:
+            _require_span(grid, self.T)
             self._tables[key] = CurveJet(*self.tabulate(grid.t))
         return self._tables[key]
 
@@ -449,43 +456,21 @@ def _quoted(value) -> str:
     return orjson.dumps(value).decode()
 
 
-def _refuse_non_finite(obj, field: str) -> None:
-    """Raise EvaluationError at the first non-finite value of a document, naming the key that
-    holds it and its index along the first axis of its array (row 0 for a scalar)."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _refuse_non_finite(value, key)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _refuse_non_finite(value, field)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        _refuse_non_finite(np.array(obj), field)
-    elif isinstance(obj, np.ndarray) and not np.isfinite(obj).all():
-        finite = np.isfinite(np.atleast_2d(obj))
-        row_k = int(finite.reshape(len(finite), -1).all(axis=1).argmin())
-        raise EvaluationError(f"non-finite value in {field} (row {row_k}); nothing is written")
-
-
-def _dumps(obj) -> str:
-    # shortest float text that reads back bit for bit; non-C-contiguous arrays go to `default`
+def _dump_json(obj) -> str:
+    """Document text of dicts, lists, numbers, strings and numpy arrays, each float in the
+    shortest text that reads back bit for bit.  orjson writes a non-finite float as null, but
+    every number passed here is finite by construction (README, Numbers)."""
+    # a non-C-contiguous array goes through `default`
     return orjson.dumps(obj, default=np.ascontiguousarray,
                         option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
-def _dump_json(obj) -> str:
-    """Document text of an object of dicts, lists, numbers, strings and numpy arrays.  Raises
-    EvaluationError at a non-finite value; nothing is written then."""
-    _refuse_non_finite(obj, "document")
-    return _dumps(obj)
-
-
-def format_rows(values: np.ndarray, lead: str, sep: str, field: str) -> str:
-    """One line per row of the last axis of an array: `lead`, then the entries joined by `sep`.
-    Raises EvaluationError naming `field` and the first index on axis 0 with a non-finite entry."""
-    _refuse_non_finite(values, field)
+def format_rows(values: np.ndarray, lead: str, sep: str) -> str:
+    """One line per row of the last axis of a finite array: `lead`, then the entries joined
+    by `sep`, each as `_dump_json` writes it."""
     if not values.size:
         return ""
-    text = _dumps(values.reshape(-1, values.shape[-1]))  # [[a,b],[c,d]]
+    text = _dump_json(values.reshape(-1, values.shape[-1]))  # [[a,b],[c,d]]
     return lead + text[2:-2].replace("],[", "\n" + lead).replace(",", sep) + "\n"
 
 

@@ -35,11 +35,12 @@ from .framework import (
     save_framework,
     _dump_json,
     _quoted,
+    _require_span,
     parse_document,
 )
 from .geomcore import det2, det3, norm
 from .numerics import (
-    DEFAULT_TOL, Grid, cumulative_samples, fd_derivative, ratio, require_finite,
+    DEFAULT_TOL, Grid, cumulative_samples, fd_derivative, ratio, read_only, require_finite,
 )
 from .statics import StressField, _check_compatible, residual_report
 
@@ -136,22 +137,24 @@ class SampledLifting:
     """A lifted surface: the source framework plus height samples per curve.
 
     Covers curves 0..n of the source framework; the height derivatives come
-    from the same fourth-order stencils used everywhere else.
+    from the same fourth-order stencils used everywhere else.  z, z_d1 and
+    z_d2 are finite and read-only; a grid over another interval is refused.
     """
 
     def __init__(self, framework: Framework, z: np.ndarray, grid: Grid, path_dependent=False):
         z = np.asarray(z, dtype=float)
         if z.shape != (framework.n + 1, grid.N + 1):
             raise ValueError(f"height samples must have shape (n+1, N+1), got {z.shape}")
+        _require_span(grid, framework.T)
         self.framework = framework
-        self.z = z
+        self.z = read_only(require_finite(z, "height", grid.t))
         self.grid = grid
         self.T = framework.T
         self.n = framework.n
         self.path_dependent = bool(path_dependent)
         with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-            self.z_d1 = fd_derivative(z, grid.h)
-            self.z_d2 = fd_derivative(self.z_d1, grid.h)
+            z_d1 = fd_derivative(z, grid.h)
+            self.z_d1, self.z_d2 = read_only(z_d1), read_only(fd_derivative(z_d1, grid.h))
         require_finite(np.stack([self.z_d1, self.z_d2], -1), "height derivative", grid.t)
         self._table = None
 
@@ -169,16 +172,14 @@ class SampledLifting:
         """Spatial jets of lifted curves 0..n at the grid nodes.
 
         p, d1 and d2 have shape (n+1, N+1, 3), row i holding curve i; d3 is
-        None, as nothing reads a third height derivative.  Built once.
+        None, as nothing reads a third height derivative.  Built once, read-only.
         """
         self.own_grid(grid)
         if self._table is None:
             flat = self.framework.grid_table(self.grid)
             heights = (self.z, self.z_d1, self.z_d2)
-            self._table = CurveJet(
-                *(np.concatenate([xy[1:-1], w[..., None]], axis=-1) for xy, w in zip(flat, heights)),
-                d3=None,
-            )
+            self._table = CurveJet(*(read_only(np.concatenate([xy[1:-1], w[..., None]], axis=-1))
+                                     for xy, w in zip(flat, heights)), d3=None)
         return self._table
 
 
@@ -272,9 +273,9 @@ def _source_hash(surface: SampledLifting) -> str:
 def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     """Wavefront OBJ text for a lifted surface on its grid.
 
-    One vertex per (curve, node) and quad faces per strip cell; a non-finite
-    vertex is reported by its curve.  The header carries the source hash and
-    grid size; the timestamp line is left out when reproducible is set.
+    One vertex per (curve, node) and quad faces per strip cell.  The header
+    carries the source hash and grid size; the timestamp line is left out
+    when reproducible is set.
     """
     N, rows = surface.grid.N, len(surface.curve_indices)
     lines = [
@@ -289,8 +290,8 @@ def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     a = np.arange(rows - 1)[:, None] * (N + 1) + np.arange(1, N + 1)
     quads = np.stack([a, a + N + 1, a + N + 2, a + 1], axis=-1)
     return "".join([*(line + "\n" for line in lines),
-                    format_rows(surface.grid_table().p, "v ", " ", "vertex"),
-                    format_rows(quads, "f ", " ", "face")])
+                    format_rows(surface.grid_table().p, "v ", " "),
+                    format_rows(quads, "f ", " ")])
 
 
 def save_lifting(surface: SampledLifting) -> str:
@@ -318,7 +319,12 @@ def lifting_from_doc(doc) -> SampledLifting:
         raise SchemaError("not a lifted-surface document", field="kind")
     document_values(doc, "T", "n", "N", "framework", "z")
     T, n, N = document_numbers(doc, "T", "n", "N")
-    fw = framework_from_doc(doc["framework"])
+    if not isinstance(doc["framework"], dict):
+        raise SchemaError("must be an object", field="framework")
+    try:
+        fw = framework_from_doc(doc["framework"])
+    except SchemaError as exc:  # name the field within the dump
+        raise SchemaError(exc.message, field=f"framework.{exc.field}") from None
     if not isinstance(fw, Framework):
         raise SchemaError("embedded framework must be planar", field="framework")
     for key, value, own in (("T", T, fw.T), ("n", n, fw.n)):

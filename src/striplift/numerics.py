@@ -4,11 +4,11 @@ Quadrature is one prefix rule on uniform nodes (`cumulative_samples`): an
 integral over a node range is a difference of two prefix integrals.  One
 scale-free guard judges every 2x2 basis, and one division rule (`ratio`)
 normalizes every quantity by its scale.  One size rule (`require_size`)
-decides which panel counts and curve tables are valid.  statics marches
-classic RK4 as one scalar recurrence per curve.  The per-point RK4 march
-and Cramer solve (ode_march, solve2x2) have no caller in the package and
-are not exported: they stay for the tests' reference solver and the
-benchmark's tracer.
+decides which panel counts and curve tables are valid.  Shared sampled
+arrays are read-only views (`read_only`).  statics marches classic RK4 as
+one scalar recurrence per curve.  The per-point RK4 march and Cramer solve
+(ode_march, solve2x2) have no caller in the package and are not exported:
+they stay for the tests' reference solver and the benchmark's tracer.
 Everything here is a pure function of its inputs.
 """
 
@@ -80,7 +80,7 @@ class Grid:
         object.__setattr__(self, "N", require_size(self.N))
         if self.T / self.N == 0.0:
             raise ValueError(f"grid spacing T / N is 0 for T={self.T!r}, N={self.N!r}")
-        object.__setattr__(self, "_t", np.linspace(0.0, self.T, self.N + 1))
+        object.__setattr__(self, "_t", read_only(np.linspace(0.0, self.T, self.N + 1)))
 
     @property
     def h(self) -> float:
@@ -93,7 +93,7 @@ class Grid:
 
     @property
     def t(self) -> np.ndarray:
-        """Node values, shape (N+1,).  Do not mutate."""
+        """Node values, shape (N+1,), read-only: assigning into them raises ValueError."""
         return self._t
 
     def node_index(self, t: float) -> int:
@@ -105,6 +105,13 @@ class Grid:
                 f"t={t!r} is not a grid node (T={self.T}, N={self.N})"
             )
         return j
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view of an array: no copy, its strides kept, the array's own flags untouched."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def ratio(num, den):

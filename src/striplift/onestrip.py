@@ -192,7 +192,7 @@ class OneStripReport:
 
     def to_csv(self) -> str:
         rows = np.column_stack([self.grid.t, self.criterion])
-        return "t,criterion_residual\n" + format_rows(rows, "", ",", "criterion")
+        return "t,criterion_residual\n" + format_rows(rows, "", ",")
 
 
 def onestrip_verify(fw: Framework, tol: float = DEFAULT_TOL) -> OneStripReport:

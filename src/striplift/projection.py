@@ -16,7 +16,7 @@ from .errors import NotConjugateError, StripLiftError
 from .framework import AnalyticSurface3D, Framework
 from .geomcore import det2, norm, regularity_report
 from .lifting import SampledLifting, strip_defects
-from .numerics import DEFAULT_TOL, Grid, ratio, require_basis, require_finite
+from .numerics import DEFAULT_TOL, Grid, ratio, read_only, require_basis, require_finite
 from .statics import StressField
 
 
@@ -39,9 +39,7 @@ class ProjectedSurface:
     @cached_property
     def strip_defects(self) -> np.ndarray:
         """`strip_defects` of the surface on the projection grid, computed once, read-only."""
-        defects = strip_defects(self.surface, self.grid)
-        defects.flags.writeable = False
-        return defects
+        return read_only(strip_defects(self.surface, self.grid))
 
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:

@@ -23,7 +23,7 @@ from .framework import CoordFunction, Framework, _dump_json, parse_document
 from .framework import document_numbers, document_rows, document_values
 from .geomcore import balance_vectors, det2, norm
 from .numerics import (
-    Grid, basis_guard, cumulative_samples, fd_derivative, ratio, require_finite
+    Grid, basis_guard, cumulative_samples, fd_derivative, ratio, read_only, require_finite
 )
 
 
@@ -32,7 +32,8 @@ class StressField:
     """Sampled stress functions on a shared grid.
 
     lam has one row per curve index 0..n, mu one row per edge index -1..n;
-    row j of either corresponds to grid node t_j.
+    row j of either corresponds to grid node t_j.  Samples must be finite;
+    lam and mu are read-only views of the arrays given.
     """
 
     grid: Grid
@@ -53,8 +54,8 @@ class StressField:
             raise ValueError("stress rows must have one sample per grid node")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
             raise ValueError("stress samples must be finite")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", read_only(lam))
+        object.__setattr__(self, "mu", read_only(mu))
 
     @property
     def n(self) -> int:

@@ -902,6 +902,11 @@ class TestDocumentEntries:
             pytest.param("stress", ("lambda", 0, 3), True, "lambda", id="lambda-bool"),
             pytest.param("stress", ("mu", 0, 0), {}, "mu", id="mu-object"),
             pytest.param("lifting", ("z", 2, 7), {}, "z", id="z-object"),
+            pytest.param("lifting", ("framework",), [], "framework", id="framework-array"),
+            pytest.param("lifting", ("framework", "dimension"), 2.0, "framework.dimension",
+                         id="framework-dimension-float"),
+            pytest.param("lifting", ("framework", "curves", 1, "x", "poly", 0), True,
+                         "framework.curves[index=0].x.poly", id="framework-poly-bool"),
             pytest.param("framework", ("curves", 3, "index"), "2", "curves[3]", id="index-string"),
             pytest.param("framework", ("curves", 2, "index"), True, "curves[2]", id="index-bool"),
             pytest.param("framework", ("dimension",), 2.0, "dimension", id="dimension-float"),
@@ -1322,6 +1327,7 @@ _FUZZ_COMMANDS = {
         ["validate", "--input", "{mutant}"],
         ["solve", "--input", "{mutant}", "--lambda0", "1,1", "--output", "{out}.json"],
         ["onestrip", "--input", "{mutant}", "--output", "{out}.json"],
+        ["onestrip", "--input", "{mutant}", "--format", "csv", "--output", "{out}.csv"],
     ),
 }
 _FUZZ_VALUES = (None, True, 1e308, -1e308, 1e200, "x", [], {}, 0, -1, 1e-320, 3.5,
@@ -1330,8 +1336,31 @@ _DELETE = "<delete>"
 _NON_VALUES = re.compile(r"\b(nan|inf|None)\b")
 
 
+def _assert_finite_numbers(path):
+    """A written file holds finite numbers only: JSON read back through parse_document holds no
+    null and no non-finite float, and every field of an OBJ v/f row or a CSV row is one."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        values = [framework.parse_document(text)]
+        while values:
+            value = values.pop()
+            if isinstance(value, (dict, list)):
+                values.extend(value.values() if isinstance(value, dict) else value)
+            else:
+                assert value is not None and (type(value) is not float or np.isfinite(value)), path
+        return
+    lines = text.splitlines()
+    if path.suffix == ".obj":
+        rows = [line.split(" ")[1:] for line in lines if line[:2] in ("v ", "f ")]
+        assert len(rows) == len([line for line in lines if not line.startswith("#")]), path
+    else:
+        rows = [line.split(",") for line in lines[1:]]  # below the CSV header
+    assert np.isfinite([float(field) for row in rows for field in row]).all(), path
+
+
 def _fuzz(kind, doc, paths):
-    """Run every command reading `doc` in place of the `kind` document; judge each outcome."""
+    """Run every command reading `doc` in place of the `kind` document; judge each outcome
+    and every file it writes."""
     with tempfile.TemporaryDirectory() as tmp:
         mutant = Path(tmp) / "mutant.json"
         mutant.write_text(json.dumps(doc))
@@ -1345,6 +1374,7 @@ def _fuzz(kind, doc, paths):
             if code in (2, 3):  # exit 1 may still write its report
                 assert written == [], (argv, err)
             for f in written:
+                _assert_finite_numbers(f)
                 f.unlink()
 
 
@@ -1368,6 +1398,12 @@ class TestFuzz:
         else:
             node[key] = value
         _fuzz(kind, doc, p)
+
+    @pytest.mark.parametrize("kind", sorted(_FUZZ_COMMANDS))
+    def test_unmutated_document(self, docs, kind):
+        # every command succeeds or fails its check, so every file kind is written and judged
+        _, p = docs
+        _fuzz(kind, json.loads(p[kind].read_text()), p)
 
     @pytest.mark.parametrize("N", [2**40, 2**52, 2**63])
     @pytest.mark.parametrize("kind", sorted(_FUZZ_COMMANDS))

@@ -24,6 +24,7 @@ from striplift.framework import (
     shifted,
 )
 
+from striplift.lifting import strip_defects
 from striplift.numerics import MAX_SAMPLES
 
 from conftest import PROPERTY
@@ -279,6 +280,19 @@ class TestInterval:
             sl.Framework(1.0, 1, self.curves, sl.Grid(0.5, 16))
         # the rule of a stress on a framework: equal to 1e-12 relative
         assert sl.Framework(1.0, 1, self.curves, sl.Grid(1.0 + 1e-13, 16)).grid.N == 16
+
+    @pytest.mark.parametrize("table", ["regularity", "march", "lifting", "strip-defects"])
+    def test_every_curve_table_refuses_another_interval(self, table):
+        """A grid over [0, 0.5] would judge, march or lift only part of the curves."""
+        fw, grid = sl.builtin("circles2d", n=1), sl.Grid(0.5, 64)
+        build = {
+            "regularity": lambda: sl.regularity_report(fw, grid),
+            "march": lambda: sl.solve_stress(fw, [1.0, 1.0], 0.0, grid),
+            "lifting": lambda: sl.SampledLifting(fw, np.zeros((fw.n + 1, grid.N + 1)), grid),
+            "strip-defects": lambda: strip_defects(sl.builtin("translational3d"), grid),
+        }[table]
+        with pytest.raises(ValueError, match=r"^grid over \[0, 0.5\] does not span \[0, (6.28|1.6\])"):
+            build()
 
 
 class TestTableSize:

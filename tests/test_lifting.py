@@ -604,17 +604,35 @@ class TestRowFormatter:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writers_refuse_non_finite_heights(self, bad):
+        """No writer meets a non-finite number: each constructor of written data refuses
+        one and names it, so nothing is built and nothing can be written."""
         fw = sl.builtin("circles2d", n=0)
-        surface = SampledLifting(fw, np.zeros((1, fw.grid.N + 1)), fw.grid)
-        surface.z[0, 7] = bad  # past the constructor, which refuses non-finite stencils
-        with pytest.raises(EvaluationError, match=r"non-finite value in z \(row 0\)"):
-            save_lifting(surface)
-        with pytest.raises(EvaluationError, match=r"non-finite value in vertex \(row 0\)"):
-            export_obj(surface)
+        rows = np.zeros((2, fw.grid.N + 1))
+        rows[0, 7] = bad
+        with pytest.raises(EvaluationError, match=r"^height of curve 0 is not finite at t=0\.17"):
+            SampledLifting(fw, rows[:1], fw.grid)
+        for lam, mu in ((rows[:1], np.zeros((2, fw.grid.N + 1))), (np.zeros((1, fw.grid.N + 1)), rows)):
+            with pytest.raises(ValueError, match="^stress samples must be finite$"):
+                sl.StressField(fw.grid, lam, mu)
+        with pytest.raises(ValueError, match="^coefficient table contains non-finite entries$"):
+            sl.CoordFunction((0.0,), ((1.0, bad, 0.0),))
 
-    def test_json_refuses_a_non_finite_scalar(self):
-        with pytest.raises(EvaluationError, match="residual_max"):
-            _dump_json({"name": "x", "residual_max": float("nan")})
+    def test_shared_samples_are_read_only(self):
+        """The grid nodes, grid tables, stresses and heights that kernels and writers share
+        refuse assignment; they are views of the caller's arrays, which stay writable."""
+        fw = sl.builtin("circles2d", n=0)
+        lam, mu, z = np.ones((1, fw.grid.N + 1)), np.zeros((2, fw.grid.N + 1)), np.zeros((1, fw.grid.N + 1))
+        stress, surface = sl.StressField(fw.grid, lam, mu), SampledLifting(fw, z, fw.grid)
+        lifted = surface.grid_table()
+        shared = [fw.grid.t, *fw.grid_table(), fw.tabulate(fw.grid.t[:4], 1), stress.lam, stress.mu,
+                  surface.z, surface.z_d1, surface.z_d2, lifted.p, lifted.d1, lifted.d2]
+        for values in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                values[(0,) * values.ndim] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                values += 1.0
+        for own, view in ((lam, stress.lam), (mu, stress.mu), (z, surface.z)):
+            assert own.flags.writeable and view.base is own  # a view, not a copy
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +643,7 @@ def assert_reads_back(values):
     """Values written as one document array and one per line read back bit for bit."""
     for got in read_back(_dump_json(values)):
         assert bits(got) == bits(values)
-    lines = framework.format_rows(values.reshape(-1, 1), "", "", "x").splitlines()
+    lines = framework.format_rows(values.reshape(-1, 1), "", "").splitlines()
     assert bits([float(line) for line in lines]) == bits(values)
 
 
@@ -681,7 +699,7 @@ class TestRowKernel:
                                tens, tens - 1, -tens, [0, 2**63 - 1, -2**63]])
         for got in read_back(_dump_json(ints)):
             assert np.array_equal(np.array(got, dtype=np.int64), ints)
-        lines = framework.format_rows(ints.reshape(-1, 1), "", "", "x").splitlines()
+        lines = framework.format_rows(ints.reshape(-1, 1), "", "").splitlines()
         assert lines == ["%d" % v for v in ints.tolist()]
 
     def test_roundtrip_sized_values_read_back_bit_for_bit(self):
