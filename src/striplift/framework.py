@@ -201,12 +201,6 @@ class AnalyticCurve:
         return CurveJet(*table.reshape((4,) + t.shape + (self.dim,)))
 
 
-def _require_span(grid: Grid, T: float) -> None:
-    """Raise ValueError unless the grid is over [0, T] (`Grid.spans`)."""
-    if not grid.spans(T):
-        raise ValueError(f"grid over [0, {grid.T!r}] does not span [0, {T!r}]")
-
-
 class _IndexedCurves:
     """Shared container behavior: curves indexed -1 .. n+1 on [0, T]."""
 
@@ -222,7 +216,7 @@ class _IndexedCurves:
         self.n = int(n)
         self._curves = curves
         self.grid = grid if grid is not None else Grid(self.T, DEFAULT_PANELS)
-        _require_span(self.grid, self.T)
+        self.grid.require_span(self.T)
         self._tables = {}
 
     @cached_property
@@ -265,7 +259,7 @@ class _IndexedCurves:
         grid = grid or self.grid
         key = (grid.N, grid.T)
         if key not in self._tables:
-            _require_span(grid, self.T)
+            grid.require_span(self.T)
             self._tables[key] = CurveJet(*self.tabulate(grid.t))
         return self._tables[key]
 

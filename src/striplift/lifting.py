@@ -35,7 +35,6 @@ from .framework import (
     save_framework,
     _dump_json,
     _quoted,
-    _require_span,
     parse_document,
 )
 from .geomcore import det2, det3, norm
@@ -137,23 +136,21 @@ class SampledLifting:
     """A lifted surface: the source framework plus height samples per curve.
 
     Covers curves 0..n of the source framework; the height derivatives come
-    from the same fourth-order stencils used everywhere else.  z, z_d1 and
-    z_d2 are finite and read-only; a grid over another interval is refused.
+    from the same fourth-order stencils used everywhere else.  z is a checked
+    read-only copy of the heights given (`Grid.samples`), z_d1 and z_d2 are
+    finite and read-only; a grid over another interval is refused.
     """
 
     def __init__(self, framework: Framework, z: np.ndarray, grid: Grid, path_dependent=False):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (framework.n + 1, grid.N + 1):
-            raise ValueError(f"height samples must have shape (n+1, N+1), got {z.shape}")
-        _require_span(grid, framework.T)
+        grid.require_span(framework.T)
         self.framework = framework
-        self.z = read_only(require_finite(z, "height", grid.t))
+        self.z = grid.samples(z, framework.n + 1, "height")
         self.grid = grid
         self.T = framework.T
         self.n = framework.n
         self.path_dependent = bool(path_dependent)
         with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-            z_d1 = fd_derivative(z, grid.h)
+            z_d1 = fd_derivative(self.z, grid.h)
             self.z_d1, self.z_d2 = read_only(z_d1), read_only(fd_derivative(z_d1, grid.h))
         require_finite(np.stack([self.z_d1, self.z_d2], -1), "height derivative", grid.t)
         self._table = None
@@ -242,7 +239,7 @@ def reversed_framework(fw: Framework) -> Framework:
 
 def reversed_stress(stress: StressField) -> StressField:
     """The stress matching the reversed framework (rows flipped and negated)."""
-    return StressField(stress.grid, -stress.lam[::-1].copy(), -stress.mu[::-1].copy())
+    return StressField(stress.grid, -stress.lam[::-1], -stress.mu[::-1])
 
 
 def reversal_affine_defect(

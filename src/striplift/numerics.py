@@ -4,8 +4,11 @@ Quadrature is one prefix rule on uniform nodes (`cumulative_samples`): an
 integral over a node range is a difference of two prefix integrals.  One
 scale-free guard judges every 2x2 basis, and one division rule (`ratio`)
 normalizes every quantity by its scale.  One size rule (`require_size`)
-decides which panel counts and curve tables are valid.  Shared sampled
-arrays are read-only views (`read_only`).  statics marches classic RK4 as
+decides which panel counts and curve tables are valid.  A grid owns the
+rules for what is sampled on it: `Grid.require_span` refuses another
+interval, and `Grid.samples` keeps sampled rows a caller hands in as checked
+read-only copies; arrays the package builds and shares are read-only views
+(`read_only`).  statics marches classic RK4 as
 one scalar recurrence per curve.  The per-point RK4 march and Cramer solve
 (ode_march, solve2x2) have no caller in the package and are not exported:
 they stay for the tests' reference solver and the benchmark's tracer.
@@ -86,10 +89,25 @@ class Grid:
     def h(self) -> float:
         return self.T / self.N
 
-    def spans(self, T: float) -> bool:
-        """Whether [0, T] is the grid's interval: T is positive and finite and equals
-        the grid's end to 1e-12 relative (absolute below 1)."""
-        return 0.0 < T < math.inf and abs(self.T - T) <= 1e-12 * max(T, 1.0)
+    def require_span(self, T: float) -> None:
+        """Raise ValueError unless [0, T] is the grid's interval: T is positive and finite
+        and equals the grid's end to 1e-12 relative (absolute below 1)."""
+        if not (0.0 < T < math.inf and abs(self.T - T) <= 1e-12 * max(T, 1.0)):
+            raise ValueError(f"grid over [0, {self.T!r}] does not span [0, {T!r}]")
+
+    def samples(self, values, rows: int | None, quantity: str, first: int = 0) -> np.ndarray:
+        """A read-only float copy of `rows` rows (None: any count) of one sample per node.
+
+        Another shape raises ValueError naming the quantity and both shapes; a
+        non-finite sample EvaluationError naming the quantity, its curve (rows
+        are curves first, first + 1, ...) and t (`require_finite`).
+        """
+        values = np.array(values, dtype=float)
+        want = (len(values) if rows is None and values.ndim else rows, self.N + 1)
+        if values.shape != want:
+            raise ValueError(f"{quantity} samples must have shape {want}, got {values.shape}")
+        values.flags.writeable = False
+        return require_finite(values, quantity, self._t, first)
 
     @property
     def t(self) -> np.ndarray:
@@ -108,7 +126,9 @@ class Grid:
 
 
 def read_only(values: np.ndarray) -> np.ndarray:
-    """A read-only view of an array: no copy, its strides kept, the array's own flags untouched."""
+    """A read-only view of an array the package has just built and shares (grid nodes,
+    curve and lifted tables, strip defects): no copy, strides kept, the array's flags untouched.
+    Arrays a caller passes in are copied instead (`Grid.samples`)."""
     view = values.view()
     view.flags.writeable = False
     return view

@@ -23,7 +23,7 @@ from .framework import CoordFunction, Framework, _dump_json, parse_document
 from .framework import document_numbers, document_rows, document_values
 from .geomcore import balance_vectors, det2, norm
 from .numerics import (
-    Grid, basis_guard, cumulative_samples, fd_derivative, ratio, read_only, require_finite
+    Grid, basis_guard, cumulative_samples, fd_derivative, ratio, require_finite
 )
 
 
@@ -32,8 +32,8 @@ class StressField:
     """Sampled stress functions on a shared grid.
 
     lam has one row per curve index 0..n, mu one row per edge index -1..n;
-    row j of either corresponds to grid node t_j.  Samples must be finite;
-    lam and mu are read-only views of the arrays given.
+    sample j of a row is at grid node t_j.  lam and mu are checked read-only
+    copies of the arrays given (`Grid.samples`).
     """
 
     grid: Grid
@@ -41,21 +41,9 @@ class StressField:
     mu: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if lam.ndim != 2 or mu.ndim != 2:
-            raise ValueError("stress samples must be 2-d arrays")
-        if mu.shape[0] != lam.shape[0] + 1:
-            raise ValueError(
-                f"edge stress needs one more row than curve stress, got "
-                f"{mu.shape[0]} vs {lam.shape[0]}"
-            )
-        if lam.shape[1] != self.grid.N + 1 or mu.shape[1] != self.grid.N + 1:
-            raise ValueError("stress rows must have one sample per grid node")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
-            raise ValueError("stress samples must be finite")
-        object.__setattr__(self, "lam", read_only(lam))
-        object.__setattr__(self, "mu", read_only(mu))
+        lam = self.grid.samples(self.lam, None, "curve stress")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", self.grid.samples(self.mu, len(lam) + 1, "edge stress", first=-1))
 
     @property
     def n(self) -> int:
@@ -115,8 +103,7 @@ def _force_terms(fw: Framework, stress: StressField):
 def _check_compatible(fw: Framework, stress: StressField):
     if stress.n != fw.n:
         raise ValueError(f"stress is for n={stress.n}, framework has n={fw.n}")
-    if not stress.grid.spans(fw.T):
-        raise ValueError("stress grid does not span the framework interval")
+    stress.grid.require_span(fw.T)
 
 
 def force_vector(fw: Framework, stress: StressField, i: int, t: float) -> np.ndarray:
@@ -190,12 +177,11 @@ def force_load(fw: Framework, stress: StressField, i: int, a: float, b: float) -
     _check_compatible(fw, stress)
     grid = stress.grid
     ja, jb = _segment_nodes(grid, a, b)
-    end = force_vector(fw, stress, i, grid.t[jb])
-    start = force_vector(fw, stress, i, grid.t[ja])
-    _, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
+    lam = stress.lam_at(i)  # raises for an i outside 0..n, which would wrap a table row
+    tan, _, fwd, bwd = balance_vectors(fw.grid_table(grid))
     ruling = stress.mu_at(i)[:, None] * fwd[i] - stress.mu_at(i - 1)[:, None] * bwd[i]
     prefix = cumulative_samples(ruling.T, grid.h)
-    return end - start + (prefix[:, jb] - prefix[:, ja])
+    return lam[jb] * tan[i, jb] - lam[ja] * tan[i, ja] + (prefix[:, jb] - prefix[:, ja])
 
 
 def segment_force_scale(fw: Framework, stress: StressField, i: int, a: float, b: float) -> float:
@@ -239,12 +225,13 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     so the system is lower triangular and is marched curve by curve: classic
     RK4 on curve i, fed with mu_{i-1} at the four stage inputs of every step,
     is the scalar recurrence lam_i[j+1] = P_j lam_i[j] + Q_j, and mu_i at the
-    stage inputs feeds curve i + 1.  A lambda0 whose guard
-    1e12 * max(1, |lambda0|) overflows is a ValueError.  At the first step and
-    stage in march order where any curve fails, an input |lam| above that
-    guard raises DivergenceError, a degenerate basis at the stage time
-    DegenerateBasisError at its first curve, a non-finite derivative
-    EvaluationError.  The output includes the induced edge stress mu_n.
+    stage inputs feeds curve i + 1.  The divergence guard is 1e12 times the
+    largest input, |lambda0| or |mu_minus1| at the march's times, so scaling
+    both by 2^k changes no verdict; zero inputs march at 0 under guard 0.  At
+    the first step and stage in march order where any curve fails, an input
+    |lam| above the guard raises DivergenceError, a degenerate basis at the
+    stage time DegenerateBasisError at its first curve, a non-finite
+    derivative EvaluationError.  The output includes the induced edge stress mu_n.
     """
     grid = grid or fw.grid
     lam0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -252,10 +239,6 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
         raise ValueError(f"lambda0 must supply {fw.n + 1} values, got shape {lam0.shape}")
     if not np.all(np.isfinite(lam0)):
         raise ValueError("lambda0 must be finite")
-    guard = 1e12 * max(1.0, float(np.abs(lam0).max()))
-    if not np.isfinite(guard):
-        raise ValueError(f"lambda0 must stay below {np.finfo(float).max / 1e12:.3e} in magnitude "
-                         "so that its divergence guard 1e12 * max|lambda0| is finite")
 
     # the nodes, then the half steps by the float operations of numerics.ode_march;
     # stage s of step j reads time row rows[s, j]
@@ -276,6 +259,7 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
         alpha, beta = -det2(acc, fwd) / divisor, det2(bwd, fwd) / divisor
         gamma, delta = -det2(tan, acc) / divisor, det2(tan, bwd) / divisor
         mu_prev = _boundary_samples(mu_minus1, times)
+        guard = 1e12 * max(float(np.abs(lam0).max()), float(np.abs(mu_prev).max()))
         mu[0] = mu_prev[:N + 1]
         mu_prev = mu_prev[rows]  # mu_{i-1} at the stage inputs
         for i, y in enumerate(lam0.tolist()):

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +44,19 @@ def generated_stressed(drawn):
     fw, seed = drawn
     rng = np.random.default_rng(seed)
     return fw, sl.solve_stress(fw, rng.uniform(0.5, 2.0, fw.n + 1), float(rng.uniform(-0.1, 0.1)))
+
+
+def diverging_framework():
+    """Three lines y = -1, 0, 1 traced as x = (t - c)^7 / 7, c = 1 + 1/64, on Grid(2, 32).
+
+    The tangent nearly vanishes at t = c, between nodes, and the marched curve
+    stress ~ (t - c)^-6 grows by about 8e13 there: a blow-up at any scale of
+    lambda0, which the march reports at t = 1.0625.
+    """
+    c = 1.0 + 1.0 / 64.0
+    x = sl.CoordFunction(tuple(math.comb(7, k) * (-c) ** (7 - k) / 7.0 for k in range(8)))
+    curves = [sl.AnalyticCurve((x, sl.CoordFunction((y,)))) for y in (-1.0, 0.0, 1.0)]
+    return sl.Framework(2.0, 0, curves, sl.Grid(2.0, 32))
 
 
 @st.composite

@@ -661,11 +661,12 @@ class TestNonFinite:
         assert "nan" not in out
         assert "invalid input: height derivative of curve 0 is not finite at t=0.0" in err
 
-    def test_lambda0_beyond_the_divergence_guard_exit_2(self, tmp_path, capsys):
+    def test_lambda0_that_overflows_the_march_exit_2(self, tmp_path, capsys):
+        # the guard 1e12 * 1e308 reads inf, and the first rate of the march overflows
         fw = tmp_path / "circles.json"
         fw.write_text(sl.save_framework(sl.builtin("circles2d")))
         assert main(["solve", "--input", str(fw), "--lambda0", "1e308,1"]) == 2
-        assert "invalid input: lambda0 must stay below" in capsys.readouterr().err
+        assert "invalid input: derivative is not finite at t=0.0 (stage 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_mu_spec_names_the_flag(self, docs, capsys, value):

@@ -294,6 +294,16 @@ class TestInterval:
         with pytest.raises(ValueError, match=r"^grid over \[0, 0.5\] does not span \[0, (6.28|1.6\])"):
             build()
 
+    def test_a_stress_a_grid_table_and_a_lifting_read_one_message(self):
+        fw, grid = sl.builtin("circles2d", n=1), sl.Grid(3.0, 64)
+        stress = sl.StressField(grid, np.ones((2, 65)), np.zeros((3, 65)))
+        refused = [lambda: sl.residual_report(fw, stress), lambda: fw.grid_table(grid),
+                   lambda: sl.SampledLifting(fw, np.zeros((2, 65)), grid)]
+        for build in refused:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"grid over [0, 3.0] does not span [0, {fw.T!r}]"
+
 
 class TestTableSize:
     """Every curve table passes the size rule before any jet is evaluated."""

@@ -378,8 +378,8 @@ def test_height_kernels_refuse_a_stress_of_another_framework(name):
     other_n = sl.solve_stress(sl.builtin("circles2d", n=2), np.ones(3), 0.0)
     other_T = sl.StressField(sl.Grid(3.0, stress.grid.N), stress.lam, stress.mu)
     for wrong, message in ((other_n, "stress is for n=2, framework has n=1"),
-                           (other_T, "stress grid does not span the framework interval")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+                           (other_T, f"grid over [0, 3.0] does not span [0, {fw.T!r}]")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HEIGHT_KERNELS[name](fw, wrong)
 
 
@@ -611,15 +611,17 @@ class TestRowFormatter:
         rows[0, 7] = bad
         with pytest.raises(EvaluationError, match=r"^height of curve 0 is not finite at t=0\.17"):
             SampledLifting(fw, rows[:1], fw.grid)
-        for lam, mu in ((rows[:1], np.zeros((2, fw.grid.N + 1))), (np.zeros((1, fw.grid.N + 1)), rows)):
-            with pytest.raises(ValueError, match="^stress samples must be finite$"):
-                sl.StressField(fw.grid, lam, mu)
+        with pytest.raises(EvaluationError, match=r"^curve stress of curve 0 is not finite at t=0\.17"):
+            sl.StressField(fw.grid, rows[:1], np.zeros((2, fw.grid.N + 1)))
+        with pytest.raises(EvaluationError, match=r"^edge stress of curve -1 is not finite at t=0\.17"):
+            sl.StressField(fw.grid, np.zeros((1, fw.grid.N + 1)), rows)
         with pytest.raises(ValueError, match="^coefficient table contains non-finite entries$"):
             sl.CoordFunction((0.0,), ((1.0, bad, 0.0),))
 
     def test_shared_samples_are_read_only(self):
         """The grid nodes, grid tables, stresses and heights that kernels and writers share
-        refuse assignment; they are views of the caller's arrays, which stay writable."""
+        refuse assignment; stresses and heights are copies of the caller's arrays, which
+        stay writable."""
         fw = sl.builtin("circles2d", n=0)
         lam, mu, z = np.ones((1, fw.grid.N + 1)), np.zeros((2, fw.grid.N + 1)), np.zeros((1, fw.grid.N + 1))
         stress, surface = sl.StressField(fw.grid, lam, mu), SampledLifting(fw, z, fw.grid)
@@ -631,8 +633,23 @@ class TestRowFormatter:
                 values[(0,) * values.ndim] = np.nan
             with pytest.raises(ValueError, match="read-only"):
                 values += 1.0
-        for own, view in ((lam, stress.lam), (mu, stress.mu), (z, surface.z)):
-            assert own.flags.writeable and view.base is own  # a view, not a copy
+        for own, kept in ((lam, stress.lam), (mu, stress.mu), (z, surface.z)):
+            assert own.flags.writeable and not np.shares_memory(kept, own)  # a copy, not a view
+
+    def test_writers_ignore_later_writes_into_the_callers_arrays(self):
+        """A stress or lifting keeps the samples it was given: nan written afterwards into
+        the caller's arrays changes no text a writer returns."""
+        def written(stress, surface):
+            return [sl.save_stress(stress), save_lifting(surface), export_obj(surface, reproducible=True)]
+
+        fw = sl.builtin("circles2d", n=1)
+        solved = sl.solve_stress(fw, [1.0, 1.0], 0.0)
+        lifted = sl.build_lifting(fw, solved)
+        lam, mu, z = solved.lam.copy(), solved.mu.copy(), lifted.z.copy()
+        stress, surface = sl.StressField(fw.grid, lam, mu), SampledLifting(fw, z, fw.grid)
+        for own in (lam, mu, z):
+            own[:, 3] = np.nan
+        assert written(stress, surface) == written(solved, lifted)
 
 
 # ---------------------------------------------------------------------------

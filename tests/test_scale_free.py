@@ -12,12 +12,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import striplift as sl
+from striplift.errors import StripLiftError
 from striplift.framework import AnalyticCurve, CoordFunction
 from striplift.lifting import strip_defects
 from striplift.numerics import ratio
 from striplift.statics import segment_force_scale
 
-from conftest import PROPERTY, builtin_stressed, frameworks, mu_scaled, stressed_frameworks, twisted_surface
+from conftest import (
+    PROPERTY, builtin_stressed, diverging_framework, frameworks, mu_scaled, stressed_frameworks, twisted_surface,
+)
 
 EXPONENTS = st.integers(-60, 60)
 
@@ -77,6 +80,39 @@ def test_power_of_two_scalings_change_no_normalized_value(drawn, k, m):
         # z scales by 2^(m + 2k) while x and y scale by 2^k: only m = -k scales the
         # lifted surface uniformly, so only there is its normalized defect pinned
         assert lifted_defects(big, stress.scaled(2.0**-k)) == lifted_defects(fw, stress)
+
+
+def march(fw, lambda0, mu_minus1):
+    """The stress march's rows, or the type of its failure and where it failed."""
+    try:
+        stress = sl.solve_stress(fw, lambda0, mu_minus1)
+    except StripLiftError as exc:
+        return type(exc), str(exc).rpartition(" at ")[2]
+    return stress.lam, stress.mu
+
+
+@PROPERTY
+@given(frameworks(ns=st.integers(0, 4)), EXPONENTS)
+@example((diverging_framework(), 0), -60)
+@example((diverging_framework(), 0), 500)
+@example((sl.builtin("perturbed2d", n=2, seed=1), 1), -500)
+@example((sl.builtin("perturbed2d", n=2, seed=1), 1), 500)
+def test_march_verdict_and_rows_scale_with_its_inputs(drawn, k):
+    # the stress is linear in (lambda0, mu_{-1}), and so is the divergence guard
+    fw, seed = drawn
+    rng = np.random.default_rng(seed)
+    lambda0, (m0, m1, amp, freq, phase) = rng.uniform(0.5, 2.0, fw.n + 1), rng.uniform(-0.1, 0.1, 5)
+
+    def mu_minus1(c):
+        return CoordFunction((c * m0, c * m1), ((c * amp, 10.0 * freq, phase),))
+
+    base, scaled = march(fw, lambda0, mu_minus1(1.0)), march(fw, 2.0**k * lambda0, mu_minus1(2.0**k))
+    assert isinstance(scaled[0], type) == isinstance(base[0], type)  # the same verdict
+    if isinstance(base[0], type):
+        assert scaled == base
+    else:
+        assert scaled[0].tobytes() == (2.0**k * base[0]).tobytes()
+        assert scaled[1].tobytes() == (2.0**k * base[1]).tobytes()
 
 
 # liftable with coupling -1 and equilibrium 1.084e-10; at 2^-80 the floor read coupling 1
