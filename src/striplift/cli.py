@@ -136,7 +136,7 @@ def cmd_solve(args) -> int:
     print(res.summary())
     if args.output:
         _write(Path(args.output), save_stress(stress))
-    return EXIT_OK
+    return EXIT_OK if res.max_normalized < args.tol else EXIT_CHECK_FAILED
 
 
 def cmd_check(args) -> int:
@@ -304,7 +304,7 @@ _STRESS_GRID = dict(help="the stress document's panel count N; any other value i
 _COMMANDS = (
     ("validate", cmd_validate, "schema and regularity check", ("--input", "--grid"), {}),
     ("solve", cmd_solve, "march a stress from initial data",
-     ("--input", "--grid", "--output", "--lambda0", "--mu-minus1"), {}),
+     ("--input", "--grid", "--tol", "--output", "--lambda0", "--mu-minus1"), {}),
     ("check", cmd_check, "equilibrium residual and path-independence spread",
      ("--input", "--stress", "--grid", "--tol", "--seed", "--output"), {"--grid": _STRESS_GRID}),
     ("lift", cmd_lift, "build the lifted surface of a self-stress",

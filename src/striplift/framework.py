@@ -135,7 +135,10 @@ class _Coefficients:
                 for k, acc_k in enumerate(acc):  # s is free: the product buffer
                     acc_k += np.multiply(scale[k, ..., m, :], c if k % 2 else even, out=s)
             s = c = even = None  # freed before the (order, curve, time, coord) copy
-        return np.ascontiguousarray(acc.transpose(0, 1, 3, 2))
+        table = np.empty((order + 1, curves, t.size, dim))
+        for c in range(dim):  # one strided write per coordinate, not a copy over 2 or 3 of them
+            table[..., c] = acc[:, :, c]
+        return table
 
 
 def combine(cf1: CoordFunction, s1: float, cf2: CoordFunction, s2: float) -> CoordFunction:
@@ -167,7 +170,8 @@ class CurveJet:
     """Position and first three exact derivatives at one parameter value.
 
     Each field has shape (dim,) for scalar t or (len(t), dim) for array t.
-    A lifted surface's table has no d3 (None).
+    A grid table holds d3 only when it was asked for order 3; otherwise, and
+    in a lifted surface's table, d3 is None.
     """
 
     p: np.ndarray
@@ -240,9 +244,12 @@ class _IndexedCurves:
         """Values and first `order` derivatives of every curve at every time.
 
         Read-only, shape (order+1, n+3, len(times), dim): derivative order,
-        curve (row i+1 holds curve i), time, coordinate.  Too many samples for
-        the size rule raise ValueError before any jet is evaluated;
-        EvaluationError names the first curve and time of a non-finite entry.
+        curve (row i+1 holds curve i), time, coordinate.  Each order costs a
+        plane of the table, so callers ask for the orders they read: the
+        balance reads 2, only the one-strip criterion 3 (`grid_table`).  Too
+        many samples for the size rule raise ValueError before any jet is
+        evaluated; EvaluationError names the first curve and time of a
+        non-finite entry.
         """
         times = np.asarray(times, dtype=float)
         require_size(None, len(self._curves), len(times))
@@ -250,23 +257,30 @@ class _IndexedCurves:
         require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
         return read_only(table)
 
-    def grid_table(self, grid: Grid | None = None) -> CurveJet:
-        """Jets of every curve at the grid nodes, cached per grid, read-only.
+    def grid_table(self, grid: Grid | None = None, order: int = 2) -> CurveJet:
+        """Jets of every curve at the grid nodes up to `order` (2 or 3), cached per grid, read-only.
 
-        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.  A grid
-        over another interval than [0, T] raises ValueError.
+        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.  The
+        cached table is tabulated again only for more orders than it holds,
+        and serves every call for as many or fewer: d3 is None unless some
+        call asked for order 3.  A grid over another interval than [0, T]
+        raises ValueError.
         """
+        if order not in (2, 3):
+            raise ValueError(f"grid tables hold order 2 or 3, got {order}")
         grid = grid or self.grid
         key = (grid.N, grid.T)
-        if key not in self._tables:
+        table = self._tables.get(key)
+        if table is None or (order == 3 and table.d3 is None):
             grid.require_span(self.T)
-            self._tables[key] = CurveJet(*self.tabulate(grid.t))
-        return self._tables[key]
+            jets = self.tabulate(grid.t, order)
+            table = self._tables[key] = CurveJet(*jets[:3], jets[3] if order == 3 else None)
+        return table
 
     def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
-        """Jets of curve i at all grid nodes: row i+1 of grid_table."""
+        """Jets of curve i at all grid nodes: row i+1 of grid_table, d3 None where it is."""
         self.curve(i)
-        return CurveJet(*(field[i + 1] for field in self.grid_table(grid)))
+        return CurveJet(*(None if field is None else field[i + 1] for field in self.grid_table(grid)))
 
     def _check_param(self, t):
         t = np.asarray(t)
@@ -298,7 +312,8 @@ class AnalyticSurface3D(_IndexedCurves):
         grid table is the first two columns of the surface's.
         """
         fw = Framework(self.T, self.n, [AnalyticCurve(c.coords[:2]) for c in self._curves], grid)
-        fw._tables[grid.N, grid.T] = CurveJet(*(f[..., :2] for f in self.grid_table(grid)))
+        fw._tables[grid.N, grid.T] = CurveJet(*(None if f is None else f[..., :2]
+                                                for f in self.grid_table(grid)))
         return fw
 
 

@@ -168,11 +168,13 @@ def cumulative_samples(values: np.ndarray, h: float) -> np.ndarray:
     # a (1, 4) @ (4, 1) product per row runs numpy's 1-d dot kernel, so rows
     # stay bit-identical to a 1-d call
     out[..., 1] = (v[..., None, :4] @ _startup_weights(h)[:, None])[..., 0, 0]
-    odd = np.arange(3, n + 1, 2)
+    # odd j >= 3: the 3/8 rule on nodes j-3 .. j, node j - 3 + k at v[..., k : stop + k : 2]
+    stop = n - 2 if n % 2 else n - 3
     tail = (3.0 * h / 8.0) * (
-        v[..., odd - 3] + 3.0 * v[..., odd - 2] + 3.0 * v[..., odd - 1] + v[..., odd]
+        v[..., 0:stop:2] + 3.0 * v[..., 1 : stop + 1 : 2] + 3.0 * v[..., 2 : stop + 2 : 2]
+        + v[..., 3 : stop + 3 : 2]
     )
-    out[..., odd] = out[..., odd - 3] + tail
+    out[..., 3::2] = out[..., 0:stop:2] + tail
     return out
 
 

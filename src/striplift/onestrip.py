@@ -32,12 +32,14 @@ def _require_onestrip(fw: Framework):
 def _strip_data(fw: Framework, grid: Grid):
     """Brackets and norms of the strip's local data at the grid nodes.
 
-    Reads rows 1 and 2 of the grid table (curves 0 and 1).  Each bracket
+    Reads rows 1 and 2 of the grid table (curves 0 and 1), tabulated to
+    order 3: the jerk brackets are the only reader of d3, and the later
+    order-2 reads of the analysis reuse this table.  Each bracket
     [u, v] = det2(u, v) is named after its two arguments: edge = f_1 - f_0,
     and tan, acc, jerk are the first three derivatives of curve 0 or 1.
     Returns (brackets, norms), norms keyed by vector name.
     """
-    table = fw.grid_table(grid)
+    table = fw.grid_table(grid, order=3)
     (f0, f1), (tan0, tan1), (acc0, acc1), (jerk0, jerk1) = (field[1:3] for field in table)
     vectors = {
         "edge": f1 - f0, "tan0": tan0, "tan1": tan1,

@@ -361,6 +361,21 @@ class TestSolve:
             ]
         ) == 0
 
+    @pytest.mark.parametrize("tol, code", [(None, 1), ("1e-5", 0)])
+    def test_residual_gate_exit_after_the_file_is_written(self, tmp_path, capsys, tol, code):
+        """The perturbed2d demo at its N = 256 marches this boundary stress to a residual
+        of about 2e-6: exit 1 at the default tolerance, 0 under --tol 1e-5, the stress
+        written either way."""
+        assert main(["demo", "perturbed2d", "--output", str(tmp_path / "pert")]) == 0
+        out = tmp_path / "big.json"
+        argv = ["solve", "--input", str(tmp_path / "pert.framework.json"), "--lambda0", "0,0",
+                "--mu-minus1", "3e14", "--output", str(out)]
+        capsys.readouterr()
+        assert main(argv + (["--tol", tol] if tol else [])) == code
+        residual = float(capsys.readouterr().out.split("max ")[1].split()[0])
+        assert 1e-6 < residual < 1e-5
+        assert load_stress(out.read_text()).grid.N == 256
+
 
 class TestCheck:
     def test_self_stress_passes(self, docs):
@@ -719,10 +734,11 @@ class TestProject:
 
     @pytest.mark.parametrize("tol, code", [("1e-12", 1), ("1e-6", 0)])
     def test_lifting_dump_gate_reads_tol(self, perturbed_bundle, tmp_path, capsys, tol, code):
-        # the forced lifting of a marched stress has a developability defect of 7.2e-7
+        # the forced lifting of a marched stress has a developability defect of 7.2e-7; the
+        # stress fails the residual gate, so solve writes it and exits 1, and lift needs --force
         stress, lifting = tmp_path / "p.stress.json", tmp_path / "p.lifting.json"
         fw = ["--input", str(perturbed_bundle)]
-        assert main(["solve", *fw, "--lambda0", "1,1", "--output", str(stress)]) == 0
+        assert main(["solve", *fw, "--lambda0", "1,1", "--output", str(stress)]) == 1
         assert main(["lift", *fw, "--stress", str(stress), "--force", "--format", "json",
                      "--output", str(lifting)]) == 0
         capsys.readouterr()
@@ -1088,7 +1104,7 @@ def reference_parser() -> argparse.ArgumentParser:
 
     command("validate", cmd_validate, "schema and regularity check", ("input", "grid"))
 
-    p = command("solve", cmd_solve, "march a stress from initial data", ("input", "grid", "output"))
+    p = command("solve", cmd_solve, "march a stress from initial data", ("input", "grid", "tol", "output"))
     p.add_argument("--lambda0", required=True,
                    help="comma-separated curve stresses at t=0, one per curve 0..n")
     p.add_argument("--mu-minus1", default="0", dest="mu_minus1",
@@ -1213,8 +1229,8 @@ class TestParser:
         argv = ["solve", "--input", str(p["circle1"]), "--lambda0", "1",
                 "--output", str(tmp_path / "s.json")]
         assert main(argv) == 0
-        # --input --grid --output --lambda0 --mu-minus1, no positional, and -h of striplift and solve
-        assert len(calls) <= 5 + 0 + 2
+        # --input --grid --tol --output --lambda0 --mu-minus1, no positional, and -h of striplift and solve
+        assert len(calls) <= 6 + 0 + 2
 
     @pytest.mark.parametrize(
         "argv, parsers",

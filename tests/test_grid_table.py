@@ -2,10 +2,12 @@
 residual's linearity and rotation equivariance, on generated frameworks."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import striplift as sl
+from striplift import framework
 from striplift.framework import combine
 from striplift.numerics import fd_derivative
 
@@ -16,7 +18,7 @@ from conftest import PROPERTY, frameworks
 @given(frameworks())
 def test_table_rows_are_the_curve_jets(drawn):
     fw, _ = drawn
-    table = fw.grid_table()
+    table = fw.grid_table(order=3)
     for i in fw.curve_indices:
         jet = fw.curve(i).jet(fw.grid.t)
         for field in ("p", "d1", "d2", "d3"):
@@ -26,6 +28,49 @@ def test_table_rows_are_the_curve_jets(drawn):
 def random_stress(fw, rng):
     lam, mu = rng.normal(size=(fw.n + 1, fw.grid.N + 1)), rng.normal(size=(fw.n + 2, fw.grid.N + 1))
     return sl.StressField(fw.grid, lam, mu)
+
+
+@pytest.fixture
+def jet_orders(monkeypatch):
+    """The order of every call of the jet kernel, in call order."""
+    orders, jets = [], framework._Coefficients.jets
+
+    def counted(self, t, order):
+        orders.append(order)
+        return jets(self, t, order)
+
+    monkeypatch.setattr(framework._Coefficients, "jets", counted)
+    return orders
+
+
+def test_the_balance_tabulates_two_orders_once(jet_orders):
+    fw = sl.builtin("perturbed2d", n=2, seed=1)
+    sl.residual_report(fw, random_stress(fw, np.random.default_rng(0)))
+    assert fw.grid_table().d3 is None
+    assert jet_orders == [2]
+
+
+def test_order_three_tabulates_once_more_and_serves_every_later_call(jet_orders):
+    fw = sl.builtin("perturbed2d", n=2, seed=1)
+    low = fw.grid_table()
+    high = fw.grid_table(order=3)
+    assert fw.grid_table() is high and fw.grid_table(order=3) is high
+    assert fw.grid_jets(0).d3 is not None
+    assert jet_orders == [2, 3]
+    assert low.d3 is None and fw.grid_jets(0, sl.Grid(fw.T, 16)).d3 is None
+    for a, b in zip(list(low)[:3], list(high)[:3]):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="^grid tables hold order 2 or 3, got 1$"):
+        fw.grid_table(order=1)
+
+
+def test_onestrip_tabulates_once(jet_orders):
+    # a framework read from a document, as the onestrip command reads it
+    fw = sl.load_framework(sl.save_framework(sl.project(sl.builtin("cylinder-strip3d")).framework))
+    jet_orders.clear()
+    report = sl.onestrip_verify(fw)
+    assert report.verdict and report.equilibrium_max is not None  # the residual ran too
+    assert jet_orders == [3]
 
 
 @PROPERTY

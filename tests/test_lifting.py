@@ -626,7 +626,7 @@ class TestRowFormatter:
         lam, mu, z = np.ones((1, fw.grid.N + 1)), np.zeros((2, fw.grid.N + 1)), np.zeros((1, fw.grid.N + 1))
         stress, surface = sl.StressField(fw.grid, lam, mu), SampledLifting(fw, z, fw.grid)
         lifted = surface.grid_table()
-        shared = [fw.grid.t, *fw.grid_table(), fw.tabulate(fw.grid.t[:4], 1), stress.lam, stress.mu,
+        shared = [fw.grid.t, *fw.grid_table(order=3), fw.tabulate(fw.grid.t[:4], 1), stress.lam, stress.mu,
                   surface.z, surface.z_d1, surface.z_d2, lifted.p, lifted.d1, lifted.d2]
         for values in shared:
             with pytest.raises(ValueError, match="read-only"):

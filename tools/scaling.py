@@ -13,6 +13,12 @@ trigonometric CoordFunction mu_{-1}.  The kernels:
 - path_independence_spread: the exact height spread over every increasing
   path to (n, T), two prefix max/min recursions, plus the height scale (`check`)
 
+the grid table itself, at the two orders a table holds:
+
+- grid_table order 2: positions, tangents and accelerations, what the
+  balance, the heights, regularity and the strip defects read
+- grid_table order 3: plus the jerk, which only the one-strip criterion reads
+
 and the writers, timed on the same cases with the lifted surface built once:
 
 - save_stress: the stress document (`solve`, `project`)
@@ -23,10 +29,12 @@ A writer's row also gives the time per number written: every float of
 export_obj.
 
 The time is the best of 5 calls on one framework, so its grid table is cached
-after the first.  The memory is the tracemalloc peak of one call on a fresh
-framework: for solve_stress the grid table is included, as the march builds
-it; the other kernels read a table built before tracing starts, as `check`
-and `lift` share one.  Run it with PYTHONPATH pointing at another checkout's
+after the first; a grid_table row is the best of 5 fresh frameworks, the
+packing of their coefficient tables included.  The memory is the
+tracemalloc peak of one call on a fresh framework: for solve_stress and
+grid_table the grid table is included, as they build it; the other kernels
+read a table built before tracing starts, as `check` and `lift` share one.
+Run it with PYTHONPATH pointing at another checkout's
 src to compare two versions on the same host.
 """
 
@@ -78,6 +86,20 @@ def main():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             print(f"{name:<24} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
+    for order in (2, 3):
+        for n in NS:
+            best = float("inf")
+            for _ in range(5):
+                fw = framework(n)
+                start = time.perf_counter()
+                fw.grid_table(grid, order)
+                best = min(best, time.perf_counter() - start)
+            fw = framework(n)
+            tracemalloc.start()
+            fw.grid_table(grid, order)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(f"{f'grid_table order {order}':<24} {n:>3} {N:>5} {best * 1e3:>7.2f} ms {peak / 2**20:>8.1f}")
     print(f"\n{'writer':<24} {'n':>3} {'N':>5} {'best of 5':>10} {'peak MB':>8} {'ns/number':>10}")
     for name, (writer, count) in WRITERS.items():
         for n, stress in stresses.items():
