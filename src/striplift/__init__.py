@@ -14,6 +14,7 @@ from .errors import (
     EvaluationError,
     GridAlignmentError,
     NotConjugateError,
+    NotRegularError,
     NotSelfStressedError,
     SchemaError,
     StripLiftError,
@@ -22,7 +23,6 @@ from .framework import (
     AnalyticCurve,
     AnalyticSurface3D,
     CoordFunction,
-    CurveJet,
     Framework,
     builtin,
     combine,

@@ -19,6 +19,7 @@ from .errors import (
     DivergenceError,
     GridAlignmentError,
     NotConjugateError,
+    NotRegularError,
     NotSelfStressedError,
     SchemaError,
     StripLiftError,
@@ -109,6 +110,14 @@ def _stored_grid(args, grid, document):
         raise SchemaError(f"--grid {args.grid} differs from the {document}'s {grid.N}", field="N")
 
 
+def _print_residual(res, tol: float, lead: str = "") -> bool:
+    """Print the residual line with its grid, tolerance and verdict; whether it passed."""
+    passed = res.max_normalized < tol
+    print(f"{lead}{res.summary()} on N = {res.grid.N}, tolerance {tol:g}: "
+          f"{'PASS' if passed else 'FAIL'}")
+    return passed
+
+
 def _load_stressed(args):
     """The framework and stress of check and lift."""
     fw, stress = _load_planar(args), load_stress(_read(args.stress))
@@ -132,17 +141,16 @@ def cmd_solve(args) -> int:
     lambda0 = [float(v) for v in args.lambda0.split(",")]
     mu = _parse_mu_spec(args.mu_minus1)
     stress = solve_stress(fw, lambda0, mu)
-    res = residual_report(fw, stress)
-    print(res.summary())
+    passed = _print_residual(residual_report(fw, stress), args.tol)
     if args.output:
         _write(Path(args.output), save_stress(stress))
-    return EXIT_OK if res.max_normalized < args.tol else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_check(args) -> int:
     fw, stress = _load_stressed(args)
     res = residual_report(fw, stress)
-    print(res.summary())
+    passed = _print_residual(res, args.tol)
     spread, scale, paths = path_independence_spread(fw, stress)
     print(
         f"height spread over all paths to ({fw.n}, T): {spread:.6e} "
@@ -158,8 +166,7 @@ def cmd_check(args) -> int:
             "tolerance": args.tol,
         }
         _write(Path(args.output), _dump_json(doc))
-    ok = res.max_normalized < args.tol and ratio(spread, scale) < args.tol
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if passed and ratio(spread, scale) < args.tol else EXIT_CHECK_FAILED
 
 
 def cmd_lift(args) -> int:
@@ -196,12 +203,11 @@ def cmd_project(args) -> int:
         return EXIT_OK if worst < args.tol else EXIT_CHECK_FAILED
     # a refused induced stress raises before either file is written
     stress = induced_stress(proj, conjugacy_tol=args.tol)
-    res = residual_report(proj.framework, stress)
-    print("induced stress " + res.summary())
+    passed = _print_residual(residual_report(proj.framework, stress), args.tol, "induced stress ")
     if out is not None:
         _write(_with(out, ".framework.json"), save_framework(proj.framework))
         _write(_with(out, ".stress.json"), save_stress(stress))
-    return EXIT_OK if res.max_normalized < args.tol else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_onestrip(args) -> int:
@@ -243,7 +249,7 @@ def cmd_demo(args) -> int:
             "conjugacy_residual": conjugacy_residual(lifted),
         }
         _write(_with(prefix, ".report.json"), _dump_json(doc))
-        print(res.summary())
+        _print_residual(res, args.tol)
         return EXIT_OK
     if name == "circles2d":
         fw = builtin(name)
@@ -255,7 +261,7 @@ def cmd_demo(args) -> int:
             _with(prefix, ".report.json"),
             _dump_json({"name": name, "residual_max": res.max_normalized}),
         )
-        print(res.summary())
+        _print_residual(res, args.tol)
         return EXIT_OK
     if name == "perturbed2d":
         fw = builtin(name, seed=args.seed)
@@ -366,7 +372,7 @@ def main(argv=None) -> int:
     except (DegenerateBasisError, DivergenceError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (NotSelfStressedError, NotConjugateError) as exc:
+    except (NotSelfStressedError, NotConjugateError, NotRegularError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (GridAlignmentError, StripLiftError, ValueError) as exc:

@@ -62,6 +62,14 @@ class NotSelfStressedError(StripLiftError):
         self.tolerance = tolerance
 
 
+class NotRegularError(StripLiftError):
+    """A projected framework failed the regularity scan.  Carries the report."""
+
+    def __init__(self, report):
+        super().__init__(f"projection is not regular: {report.summary()}")
+        self.report = report
+
+
 class NotConjugateError(StripLiftError):
     """A surface failed the developability check.  Carries the worst defect."""
 

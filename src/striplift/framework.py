@@ -3,10 +3,12 @@
 Curves are stored as coefficient tables (polynomial part up to degree 8 plus
 up to 16 sine terms per coordinate), so positions and the first three
 derivatives are exact closed forms.  One jet kernel (`_Coefficients.jets`)
-evaluates them for one coordinate, one curve or every curve of a framework,
-with one sin and one cos per distinct frequency and time.  A framework
-holds n+3 curves indexed -1 .. n+1 over a shared parameter interval [0, T]:
-the two extra boundary curves only prescribe directions for boundary forces.
+evaluates them, with one sin and one cos per distinct frequency and time,
+into the one layout of every table of curve data: (order, curve, time,
+coord), len(table) orders, a point jet `jet(t)` of shape (4,) + t.shape +
+(dim,).  A framework holds n+3 curves indexed -1 .. n+1 over a shared
+parameter interval [0, T]: the two extra boundary curves only prescribe
+directions for boundary forces.
 
 Document format (JSON):
 
@@ -166,24 +168,6 @@ def reparametrized(cf: CoordFunction, c: float) -> CoordFunction:
 
 
 @dataclass(frozen=True)
-class CurveJet:
-    """Position and first three exact derivatives at one parameter value.
-
-    Each field has shape (dim,) for scalar t or (len(t), dim) for array t.
-    A grid table holds d3 only when it was asked for order 3; otherwise, and
-    in a lifted surface's table, d3 is None.
-    """
-
-    p: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray | None
-
-    def __iter__(self):
-        return iter((self.p, self.d1, self.d2, self.d3))
-
-
-@dataclass(frozen=True)
 class AnalyticCurve:
     """A planar or spatial curve given per coordinate by coefficient tables."""
 
@@ -199,10 +183,9 @@ class AnalyticCurve:
     def dim(self) -> int:
         return len(self.coords)
 
-    def jet(self, t) -> CurveJet:
+    def jet(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        table = _Coefficients([self.coords]).jets(t.reshape(-1), 3)
-        return CurveJet(*table.reshape((4,) + t.shape + (self.dim,)))
+        return _Coefficients([self.coords]).jets(t.reshape(-1), 3).reshape((4,) + t.shape + (self.dim,))
 
 
 class _IndexedCurves:
@@ -236,7 +219,7 @@ class _IndexedCurves:
             raise IndexError(f"curve index {i} outside -1..{self.n + 1}")
         return self._curves[i + 1]
 
-    def jet(self, i: int, t) -> CurveJet:
+    def jet(self, i: int, t) -> np.ndarray:
         self._check_param(t)
         return self.curve(i).jet(t)
 
@@ -257,30 +240,28 @@ class _IndexedCurves:
         require_finite(np.moveaxis(table, 0, -1), "jet", times, first=-1)
         return read_only(table)
 
-    def grid_table(self, grid: Grid | None = None, order: int = 2) -> CurveJet:
-        """Jets of every curve at the grid nodes up to `order` (2 or 3), cached per grid, read-only.
+    def grid_table(self, grid: Grid | None = None, order: int = 2) -> np.ndarray:
+        """`tabulate` at the grid nodes to `order` (2 or 3), cached per grid, read-only.
 
-        Each field has shape (n+3, N+1, dim); row i+1 holds curve i.  The
-        cached table is tabulated again only for more orders than it holds,
-        and serves every call for as many or fewer: d3 is None unless some
-        call asked for order 3.  A grid over another interval than [0, T]
-        raises ValueError.
+        Shape (orders, n+3, N+1, dim); row i+1 holds curve i.  The cached
+        table is tabulated again only for more orders than it holds,
+        len(table), and serves every call for as many or fewer.  A grid over
+        another interval than [0, T] raises ValueError.
         """
         if order not in (2, 3):
             raise ValueError(f"grid tables hold order 2 or 3, got {order}")
         grid = grid or self.grid
         key = (grid.N, grid.T)
         table = self._tables.get(key)
-        if table is None or (order == 3 and table.d3 is None):
+        if table is None or len(table) <= order:
             grid.require_span(self.T)
-            jets = self.tabulate(grid.t, order)
-            table = self._tables[key] = CurveJet(*jets[:3], jets[3] if order == 3 else None)
+            table = self._tables[key] = self.tabulate(grid.t, order)
         return table
 
-    def grid_jets(self, i: int, grid: Grid | None = None) -> CurveJet:
-        """Jets of curve i at all grid nodes: row i+1 of grid_table, d3 None where it is."""
+    def grid_jets(self, i: int, grid: Grid | None = None) -> np.ndarray:
+        """Jets of curve i at all grid nodes: row i+1 of grid_table, (orders, N+1, dim)."""
         self.curve(i)
-        return CurveJet(*(None if field is None else field[i + 1] for field in self.grid_table(grid)))
+        return self.grid_table(grid)[:, i + 1]
 
     def _check_param(self, t):
         t = np.asarray(t)
@@ -312,8 +293,7 @@ class AnalyticSurface3D(_IndexedCurves):
         grid table is the first two columns of the surface's.
         """
         fw = Framework(self.T, self.n, [AnalyticCurve(c.coords[:2]) for c in self._curves], grid)
-        fw._tables[grid.N, grid.T] = CurveJet(*(None if f is None else f[..., :2]
-                                                for f in self.grid_table(grid)))
+        fw._tables[grid.N, grid.T] = self.grid_table(grid)[..., :2]
         return fw
 
 

@@ -48,13 +48,12 @@ def det3(a, b, c):
 def balance_vectors(jets):
     """Tangent, acceleration, forward and backward edge of curves 0..n.
 
-    Takes a table of all curves -1..n+1, a grid table or `tabulate` output:
-    positions, then first and second derivatives (any higher ones are
-    ignored), each with the curve axis first and row i+1 holding curve i.
-    Returns the four vectors the balance at curves 0..n reads, each with one
-    row per curve 0..n.
+    Takes a table of all curves -1..n+1 in the layout of `tabulate` and
+    `grid_table`, (order, curve, ..., coord) with row i+1 holding curve i;
+    orders above 2 are ignored.  Returns the four vectors the balance at
+    curves 0..n reads, each with one row per curve 0..n.
     """
-    p, d1, d2, *_ = jets
+    p, d1, d2 = jets[:3]
     edge = p[1:] - p[:-1]  # edge[i + 1] = f_{i+1} - f_i
     return d1[1:-1], d2[1:-1], edge[1:], edge[:-1]
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSelfStressedError, SchemaError
 from .framework import (
-    CurveJet,
     Framework,
     document_numbers,
     document_rows,
@@ -44,19 +44,19 @@ from .numerics import (
 from .statics import StressField, _check_compatible, residual_report
 
 
-def _run_forms(table: CurveJet, stress: StressField):
+def _run_forms(p, stress: StressField):
     """The forms of C_i(j), (3, n+1, N+1): the integral over nodes [0, j] of the run along
     curve i, mu_{i-1} det2(f_i - f_{i-1}, P - f_{i-1}).  A run over [j0, j1] is C_i(j1) - C_i(j0)."""
-    prev, cur, mu = table.p[:-2], table.p[1:-1], stress.mu[:-1]  # curves i-1 and i, mu_{i-1}
+    prev, cur, mu = p[:-2], p[1:-1], stress.mu[:-1]  # curves i-1 and i, mu_{i-1}
     edge = cur - prev
     return cumulative_samples(
         np.stack([mu * edge[..., 0], mu * edge[..., 1], mu * det2(edge, prev)]), stress.grid.h
     )
 
 
-def _jump_forms(table: CurveJet, stress: StressField, at):
+def _jump_forms(p, d1, stress: StressField, at):
     """The jumps lam_i det2(f_i', P - f_i) as forms, at `at`, an index of (curve 0..n, node)."""
-    lam, d1, p = stress.lam[at], table.d1[1:-1][at], table.p[1:-1][at]
+    lam, d1, p = stress.lam[at], d1[1:-1][at], p[1:-1][at]
     return np.stack([lam * d1[..., 0], lam * d1[..., 1], lam * det2(d1, p)])
 
 
@@ -66,7 +66,7 @@ def _at(form, P):
 
 
 def _profile_parts(fw: Framework, stress: StressField):
-    """The grid table, the run forms of curves 0..n, the jump sums at node 0,
+    """(p, d1) of the grid table, the run forms of curves 0..n, the jump sums at node 0,
     shape (3, n+2), and the axis-path heights z at every grid node, shape (n+1, N+1).
 
     The axis path to (k, t_j) jumps over curves 0..k-1 at node 0, then runs
@@ -76,13 +76,13 @@ def _profile_parts(fw: Framework, stress: StressField):
     """
     _check_compatible(fw, stress)
     grid = stress.grid
-    table = fw.grid_table(grid)
+    p, d1 = fw.grid_table(grid)[:2]
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        runs = _run_forms(table, stress)
-        jumps = _jump_forms(table, stress, np.s_[:, 0])  # off every curve at node 0
+        runs = _run_forms(p, stress)
+        jumps = _jump_forms(p, d1, stress, np.s_[:, 0])  # off every curve at node 0
         sums = np.cumsum(np.concatenate([np.zeros((3, 1)), jumps], axis=1), axis=1)
-        z = require_finite(_at(sums[:, :-1, None] - runs, table.p[1:-1]), "height", grid.t)
-    return table, runs, sums, z
+        z = require_finite(_at(sums[:, :-1, None] - runs, p[1:-1]), "height", grid.t)
+    return (p, d1), runs, sums, z
 
 
 def _height_profiles(fw: Framework, stress: StressField) -> np.ndarray:
@@ -112,11 +112,11 @@ def path_independence_spread(fw: Framework, stress: StressField):
     sum_{i<n} g_i(j_i) - C_n(N), g_i = jump_i - C_i + C_{i+1} (one form per curve and node,
     evaluated at P); its extremes over j_0 <= ... <= j_{n-1} are prefix max/min recursions, O(n N).
     """
-    table, runs, _, z = _profile_parts(fw, stress)
+    (p, d1), runs, _, z = _profile_parts(fw, stress)
     n = fw.n
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        jumps = _jump_forms(table, stress, np.s_[:n])  # off curves 0..n-1 at every node
-        g = _at(jumps - runs[:, :n] + runs[:, 1:], table.p[n + 1, -1])
+        jumps = _jump_forms(p, d1, stress, np.s_[:n])  # off curves 0..n-1 at every node
+        g = _at(jumps - runs[:, :n] + runs[:, 1:], p[n + 1, -1])
         hi, lo = [np.zeros(stress.grid.N + 1)], [np.zeros(stress.grid.N + 1)]  # no jump yet
         for row in g:  # row i: the best path whose last jump, off curve i, is at node j
             hi.append(row + np.maximum.accumulate(hi[-1]))
@@ -153,7 +153,6 @@ class SampledLifting:
             z_d1 = fd_derivative(self.z, grid.h)
             self.z_d1, self.z_d2 = read_only(z_d1), read_only(fd_derivative(z_d1, grid.h))
         require_finite(np.stack([self.z_d1, self.z_d2], -1), "height derivative", grid.t)
-        self._table = None
 
     @property
     def curve_indices(self):
@@ -165,19 +164,19 @@ class SampledLifting:
             raise ValueError("sampled liftings only know their own grid")
         return self.grid
 
-    def grid_table(self, grid: Grid | None = None) -> CurveJet:
-        """Spatial jets of lifted curves 0..n at the grid nodes.
+    def grid_table(self, grid: Grid | None = None) -> np.ndarray:
+        """Spatial jets of lifted curves 0..n at the grid nodes, (3, n+1, N+1, 3).
 
-        p, d1 and d2 have shape (n+1, N+1, 3), row i holding curve i; d3 is
-        None, as nothing reads a third height derivative.  Built once, read-only.
+        Orders 0-2 only, as nothing reads a third height derivative; row i
+        holds curve i, its last column (z, z_d1, z_d2).  Built once, read-only.
         """
         self.own_grid(grid)
-        if self._table is None:
-            flat = self.framework.grid_table(self.grid)
-            heights = (self.z, self.z_d1, self.z_d2)
-            self._table = CurveJet(*(read_only(np.concatenate([xy[1:-1], w[..., None]], axis=-1))
-                                     for xy, w in zip(flat, heights)), d3=None)
         return self._table
+
+    @cached_property
+    def _table(self):
+        heights = np.stack([self.z, self.z_d1, self.z_d2])[..., None]
+        return read_only(np.concatenate([self.framework.grid_table(self.grid)[:3, 1:-1], heights], -1))
 
 
 def build_lifting(
@@ -218,10 +217,10 @@ def strip_defects(surface, grid: Grid | None = None) -> np.ndarray:
     """
     if len(surface.curve_indices) < 2:
         raise ValueError("strip defects need at least two curves")
-    table = surface.grid_table(grid or surface.grid)
-    a1, b1 = table.d1[:-1], table.d1[1:]
+    p, d1 = surface.grid_table(grid or surface.grid)[:2]
+    a1, b1 = d1[:-1], d1[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite below reports it
-        ruling = table.p[1:] - table.p[:-1]
+        ruling = p[1:] - p[:-1]
         defects = ratio(det3(ruling, a1, b1), norm(ruling) * norm(a1) * norm(b1))
     return require_finite(defects, "strip defect", (grid or surface.grid).t, surface.curve_indices[0])
 
@@ -254,9 +253,9 @@ def reversal_affine_defect(
     report = residual_report(fw, stress)
     if not report.max_normalized < tol:  # fails closed
         raise NotSelfStressedError(report, tol)
-    table, _, sums, z_fwd = _profile_parts(fw, stress)
+    (p, _), _, sums, z_fwd = _profile_parts(fw, stress)
     z_rev = _height_profiles(reversed_framework(fw), reversed_stress(stress))[::-1]
-    return float(np.abs(z_fwd - z_rev - _at(sums[:, -1], table.p[1:-1])).max())
+    return float(np.abs(z_fwd - z_rev - _at(sums[:, -1], p[1:-1])).max())
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +274,7 @@ def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     when reproducible is set.
     """
     N, rows = surface.grid.N, len(surface.curve_indices)
+    points, _, _ = surface.grid_table()
     lines = [
         "# lifted semi-discrete surface",
         f"# source: {_source_hash(surface)}",
@@ -287,7 +287,7 @@ def export_obj(surface: SampledLifting, reproducible: bool = False) -> str:
     a = np.arange(rows - 1)[:, None] * (N + 1) + np.arange(1, N + 1)
     quads = np.stack([a, a + N + 1, a + N + 2, a + 1], axis=-1)
     return "".join([*(line + "\n" for line in lines),
-                    format_rows(surface.grid_table().p, "v ", " "),
+                    format_rows(points, "v ", " "),
                     format_rows(quads, "f ", " ")])
 
 

@@ -33,14 +33,14 @@ def _strip_data(fw: Framework, grid: Grid):
     """Brackets and norms of the strip's local data at the grid nodes.
 
     Reads rows 1 and 2 of the grid table (curves 0 and 1), tabulated to
-    order 3: the jerk brackets are the only reader of d3, and the later
+    order 3: the jerk brackets are its only reader of order 3, and the later
     order-2 reads of the analysis reuse this table.  Each bracket
     [u, v] = det2(u, v) is named after its two arguments: edge = f_1 - f_0,
     and tan, acc, jerk are the first three derivatives of curve 0 or 1.
     Returns (brackets, norms), norms keyed by vector name.
     """
     table = fw.grid_table(grid, order=3)
-    (f0, f1), (tan0, tan1), (acc0, acc1), (jerk0, jerk1) = (field[1:3] for field in table)
+    (f0, f1), (tan0, tan1), (acc0, acc1), (jerk0, jerk1) = table[:, 1:3]
     vectors = {
         "edge": f1 - f0, "tan0": tan0, "tan1": tan1,
         "acc0": acc0, "acc1": acc1, "jerk0": jerk0, "jerk1": jerk1,
@@ -93,10 +93,10 @@ def _stresses(fw: Framework, b, grid: Grid):
     degenerates (straight strips).  Returns (lam0, lam1, mu0, coupling).
     A non-finite stress or cross-equation term raises EvaluationError.
     """
-    table = fw.grid_table(grid)
-    edge = table.p[2] - table.p[1]
-    require_basis(edge, table.d1[1], "det(edge_0, tan_0)", grid.t)
-    require_basis(edge, table.d1[2], "det(edge_0, tan_1)", grid.t)
+    (f0, f1), (tan0, tan1) = fw.grid_table(grid)[:2, 1:3]
+    edge = f1 - f0
+    require_basis(edge, tan0, "det(edge_0, tan_0)", grid.t)
+    require_basis(edge, tan1, "det(edge_0, tan_1)", grid.t)
     lam0 = np.exp(-cumulative_samples(b.edge_acc0 / b.edge_tan0, grid.h))
     lam1 = np.exp(-cumulative_samples(b.edge_acc1 / b.edge_tan1, grid.h))
     mu0 = lam0 * b.tan0_acc0 / b.edge_tan0

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotConjugateError, StripLiftError
+from .errors import NotConjugateError, NotRegularError, StripLiftError
 from .framework import AnalyticSurface3D, Framework
 from .geomcore import det2, norm, regularity_report
 from .lifting import SampledLifting, strip_defects
@@ -43,8 +43,8 @@ class ProjectedSurface:
 
 
 def project(surface, grid: Grid | None = None) -> ProjectedSurface:
-    """Split off the height coordinate; the planar part must be regular.
-    A sampled lifting keeps its own grid: another grid raises ValueError."""
+    """Split off the height coordinate; the planar part must be regular (NotRegularError
+    carries the report).  A sampled lifting keeps its own grid: another grid raises ValueError."""
     if isinstance(surface, AnalyticSurface3D):
         fw = surface.planar(grid or surface.grid)
     elif isinstance(surface, SampledLifting):
@@ -53,9 +53,7 @@ def project(surface, grid: Grid | None = None) -> ProjectedSurface:
         raise TypeError(f"cannot project {type(surface).__name__}")
     report = regularity_report(fw, grid)
     if not report.passed:
-        exc = StripLiftError(f"projection is not regular: {report.summary()}")
-        exc.report = report
-        raise exc
+        raise NotRegularError(report)
     return ProjectedSurface(fw, surface)
 
 
@@ -77,8 +75,8 @@ def _height_stress(proj: ProjectedSurface):
     """
     lo, grid = proj.z_indices[0], proj.grid
     table = proj.surface.grid_table(grid)
-    p, d1, d2 = table.p[..., :2], table.d1[..., :2], table.d2[..., :2]
-    z, z1, z2 = table.p[..., 2], table.d1[..., 2], table.d2[..., 2]
+    p, d1, d2 = table[:3, ..., :2]
+    z, z1, z2 = table[:3, ..., 2]
     edge = p[1:] - p[:-1]  # edge[k] = edge_{lo+k}
     tan, acc = d1[:-1], d2[:-1]
     # the first curve has no (edge_{i-1}, tan_i) basis: repeat its first pair
@@ -156,5 +154,5 @@ def plane_fit_distance(points: np.ndarray) -> float:
 
 def boundary_planarity(surface: SampledLifting) -> tuple:
     """Normalized plane-fit distances of the first and last lifted curves."""
-    points = surface.grid_table().p  # row i holds lifted curve i
+    points, _, _ = surface.grid_table()  # row i holds lifted curve i
     return plane_fit_distance(points[0]), plane_fit_distance(points[surface.n])

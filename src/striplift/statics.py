@@ -111,7 +111,8 @@ def force_vector(fw: Framework, stress: StressField, i: int, t: float) -> np.nda
     _check_compatible(fw, stress)
     j = stress.grid.node_index(t)
     lam = stress.lam_at(i)  # raises for an i outside 0..n, which would wrap a table row
-    return lam[j] * fw.grid_table(stress.grid).d1[i + 1, j]
+    _, d1 = fw.grid_table(stress.grid)[:2]
+    return lam[j] * d1[i + 1, j]
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def solve_stress(fw: Framework, lambda0, mu_minus1, grid: Grid | None = None) ->
     times = np.concatenate([grid.t, grid.t[:-1] + 0.5 * h])
     mids = np.arange(N + 1, 2 * N + 1)
     rows = np.stack([mids - N - 1, mids, mids, mids - N])
-    table = np.concatenate([list(fw.grid_table(grid))[:3], fw.tabulate(times[N + 1:], 2)], axis=2)
+    table = np.concatenate([fw.grid_table(grid)[:3], fw.tabulate(times[N + 1:], 2)], axis=2)
     tan, acc, fwd, bwd = balance_vectors(table)
     lam = np.empty((fw.n + 1, N + 1))
     mu = np.empty((fw.n + 2, N + 1))

@@ -111,10 +111,10 @@ def mu_minus1_fn(proj):
     def fn(t):
         cur = fw.jet(-1, t)
         nxt = fw.jet(0, t)
-        edge = nxt.p - cur.p
-        b = sl.det2(edge, cur.d1)
-        g = sl.det2(edge, cur.d2)
-        jj = sl.det2(cur.d1, cur.d2)
+        edge = nxt[0] - cur[0]
+        b = sl.det2(edge, cur[1])
+        g = sl.det2(edge, cur[2])
+        jj = sl.det2(cur[1], cur[2])
         z, z1, z2, _ = z_funcs[0].derivatives(t, order=3)
         z_next = z_funcs[1].value(t)
         return (g * z1 - b * z2 - jj * (z_next - z)) / b**2
@@ -152,15 +152,15 @@ def prefix_rule_heights(fw, stress, jumps, target=None):
     k, j = (fw.n, grid.N) if target is None else target
     jumps = np.asarray(jumps, dtype=int).reshape(len(jumps), k)
     rows = np.c_[np.zeros(len(jumps), int), jumps, np.full(len(jumps), j)]
-    point = fw.grid_jets(k, grid).p[j]
+    point = fw.grid_jets(k, grid)[0, j]
     heights = np.zeros(len(jumps))
     for i in range(k + 1):
         prev, cur = fw.grid_jets(i - 1, grid), fw.grid_jets(i, grid)
-        prefix = cumulative_samples(stress.mu_at(i - 1) * sl.det2(cur.p - prev.p, point - prev.p), grid.h)
+        prefix = cumulative_samples(stress.mu_at(i - 1) * sl.det2(cur[0] - prev[0], point - prev[0]), grid.h)
         heights -= prefix[rows[:, i + 1]] - prefix[rows[:, i]]
         if i < k:
             at = rows[:, i + 1]
-            heights += stress.lam_at(i)[at] * sl.det2(cur.d1[at], point - cur.p[at])
+            heights += stress.lam_at(i)[at] * sl.det2(cur[1, at], point - cur[0, at])
     return heights
 
 

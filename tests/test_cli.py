@@ -376,6 +376,18 @@ class TestSolve:
         assert 1e-6 < residual < 1e-5
         assert load_stress(out.read_text()).grid.N == 256
 
+    def test_residual_line_names_the_grid_tolerance_and_verdict(self, perturbed_bundle, tmp_path,
+                                                                capsys):
+        argv = ["solve", "--input", str(perturbed_bundle), "--lambda0", "0,0", "--mu-minus1", "3e14",
+                "--output", str(tmp_path / "big.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"normalized equilibrium residual max 1\.\d{6}e-06 at \(i=0, t=0\) "
+                            r"on N = 256, tolerance 1e-06: FAIL", line)
+        assert main([*argv, "--tol", "1e-5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" on N = 256, tolerance 1e-05: PASS")
+
 
 class TestCheck:
     def test_self_stress_passes(self, docs):
@@ -460,6 +472,22 @@ class TestCheck:
         framework.write_text(json.dumps(_magnify(json.loads(p["framework"].read_text()), factor)))
         assert main(["check", "--input", str(framework), "--stress", str(tmp_path / "wrong.json")]) == 1
         assert "normalized equilibrium residual max 9.900993e-03" in capsys.readouterr().out
+
+    def test_every_residual_line_names_the_grid_tolerance_and_verdict(self, docs, tmp_path, capsys):
+        _, p = docs
+        runs = [(["check", "--input", str(p["framework"]), "--stress", str(p["bad_stress"])], 1,
+                 "", "FAIL"),
+                (["project", "--input", str(p["surface"]), "--grid", "32", "--tol", "1e-2"], 0,
+                 "induced stress ", "PASS"),
+                (["demo", "circles2d", "--output", str(tmp_path / "c")], 0, "", "PASS")]
+        for argv, code, lead, verdict in runs:
+            capsys.readouterr()
+            assert main(argv) == code
+            tol = "0.01" if "--tol" in argv else "1e-06"
+            N = 32 if "--grid" in argv else 256
+            lines = [line for line in capsys.readouterr().out.splitlines() if "residual max" in line]
+            assert len(lines) == 1 and lines[0].startswith(lead + "normalized equilibrium residual max ")
+            assert lines[0].endswith(f" on N = {N}, tolerance {tol}: {verdict}")
 
     def test_zero_stress_reads_zero(self, docs, tmp_path, capsys):
         _, p = docs
@@ -757,6 +785,21 @@ class TestProject:
         above = repr(float(np.nextafter(worst, np.inf)))
         assert main(["project", "--input", str(lifting), "--tol", above]) == 0
         assert f"developability defect max {worst:.6e}" in capsys.readouterr().out
+
+
+    def test_irregular_surface_fails_exit_1_like_validate(self, tmp_path, capsys):
+        # lines along the x axis lifted off the plane: the projection is not regular
+        curves = [{"index": i, "x": {"poly": [float(i), 1.0]}, "y": {"poly": [0.0]},
+                   "z": {"poly": [0.1 * i]}} for i in range(-1, 3)]
+        path = tmp_path / "lines3.json"
+        path.write_text(json.dumps({"dimension": 3, "T": 1.0, "n": 1, "curves": curves}))
+        assert main(["validate", "--input", str(path)]) == 1
+        assert "regularity FAIL" in capsys.readouterr().out
+        assert main(["project", "--input", str(path), "--output", str(tmp_path / "p")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("check failed: projection is not regular: regularity FAIL: ")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestLiftingDump:

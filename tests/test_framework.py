@@ -211,19 +211,19 @@ class TestJets:
             1.0, 0, [make_line(offset_y=c) for c in (-1.0, 0.0, 1.0)], sl.Grid(1.0, 16)
         )
         jet = fw.jet(0, 0.3)
-        assert np.allclose(jet.p, [0.3, 0.0])
-        assert np.array_equal(jet.d1, [1.0, 0.0])
-        assert np.array_equal(jet.d2, [0.0, 0.0])
-        assert np.array_equal(jet.d3, [0.0, 0.0])
+        assert np.allclose(jet[0], [0.3, 0.0])
+        assert np.array_equal(jet[1], [1.0, 0.0])
+        assert np.array_equal(jet[2], [0.0, 0.0])
+        assert np.array_equal(jet[3], [0.0, 0.0])
 
     def test_circle_jet_at_zero(self):
         fw = sl.builtin("circles2d", n=0)
         jet = fw.jet(0, 0.0)
         r = 1.6
-        assert np.allclose(jet.p, [r, 0.0], atol=1e-15)
-        assert np.allclose(jet.d1, [0.0, r], atol=1e-15)
-        assert np.allclose(jet.d2, [-r, 0.0], atol=1e-15)
-        assert np.allclose(jet.d3, [0.0, -r], atol=1e-15)
+        assert np.allclose(jet[0], [r, 0.0], atol=1e-15)
+        assert np.allclose(jet[1], [0.0, r], atol=1e-15)
+        assert np.allclose(jet[2], [-r, 0.0], atol=1e-15)
+        assert np.allclose(jet[3], [0.0, -r], atol=1e-15)
 
     def test_against_symbolic_oracle(self, translational):
         sympy = pytest.importorskip("sympy")
@@ -237,7 +237,7 @@ class TestJets:
                 expr = sum(
                     a * t**k for k, a in enumerate(cf.poly)
                 ) + sum(a * sympy.sin(f * t + p) for a, f, p in cf.trig)
-                for order, got in enumerate((jet.p, jet.d1, jet.d2, jet.d3)):
+                for order, got in enumerate(jet):
                     want = float(sympy.diff(expr, t, order).subs(t, tv).evalf(30))
                     assert got[c] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
@@ -253,11 +253,11 @@ class TestJets:
             for i in (0, 1):
                 jet = obj.jet(i, 0.7)
                 plus, minus = obj.jet(i, 0.7 + h), obj.jet(i, 0.7 - h)
-                assert np.allclose((plus.p - minus.p) / (2 * h), jet.d1, atol=1e-8)
+                assert np.allclose((plus[0] - minus[0]) / (2 * h), jet[1], atol=1e-8)
                 assert np.allclose(
-                    (plus.p - 2 * jet.p + minus.p) / h**2, jet.d2, atol=1e-5
+                    (plus[0] - 2 * jet[0] + minus[0]) / h**2, jet[2], atol=1e-5
                 )
-                assert np.allclose((plus.d2 - minus.d2) / (2 * h), jet.d3, atol=1e-8)
+                assert np.allclose((plus[2] - minus[2]) / (2 * h), jet[3], atol=1e-8)
 
     def test_parameter_range_enforced(self, parallel_lines):
         with pytest.raises(ValueError):
@@ -377,8 +377,8 @@ class TestDocuments:
             i = int(rng.integers(-1, fw.n + 2))
             t = float(rng.uniform(0.0, fw.T))
             a, b = fw.jet(i, t), again.jet(i, t)
-            assert np.array_equal(a.p, b.p)
-            assert np.array_equal(a.d3, b.d3)
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[3], b[3])
 
     def test_malformed_coefficient_names_field(self):
         doc = {
@@ -529,10 +529,10 @@ class TestCoefficientHelpers:
         )
         for i in (0, 3):
             a, b = fw.jet(i, 0.6), moved.jet(i, 0.6)
-            assert np.allclose(b.p - a.p, shift, atol=1e-15)
-            assert np.array_equal(a.d1, b.d1)
-            assert np.array_equal(a.d2, b.d2)
-            assert np.array_equal(a.d3, b.d3)
+            assert np.allclose(b[0] - a[0], shift, atol=1e-15)
+            assert np.array_equal(a[1], b[1])
+            assert np.array_equal(a[2], b[2])
+            assert np.array_equal(a[3], b[3])
 
     def test_combine_evaluates_linearly(self):
         f = CoordFunction((1.0, 2.0), ((0.5, 1.5, 0.2),))

@@ -160,23 +160,23 @@ class TestRegularity:
 def brackets(fw, i, t):
     """The local brackets [u, v] = det2(u, v) at (i, t), from the point jets of curves i-1..i+1."""
     prev, cur, nxt = fw.jet(i - 1, t), fw.jet(i, t), fw.jet(i + 1, t)
-    edge, edge_prev = nxt.p - cur.p, cur.p - prev.p
+    edge, edge_prev = nxt[0] - cur[0], cur[0] - prev[0]
     return {
         "edge_prev_edge": det2(edge_prev, edge),
-        "edge_tan": det2(edge, cur.d1),
-        "edge_tan_prev": det2(edge, prev.d1),
-        "edge_acc": det2(edge, cur.d2),
-        "edge_prev_tan": det2(edge_prev, cur.d1),
-        "edge_prev_tan_prev": det2(edge_prev, prev.d1),
-        "edge_prev_tan_next": det2(edge_prev, nxt.d1),
-        "edge_prev_acc": det2(edge_prev, cur.d2),
-        "edge_prev_acc_prev": det2(edge_prev, prev.d2),
-        "tan_tan_next": det2(cur.d1, nxt.d1),
-        "tan_prev_tan": det2(prev.d1, cur.d1),
-        "tan_acc": det2(cur.d1, cur.d2),
-        "tan_prev_acc": det2(prev.d1, cur.d2),
-        "tan_prev_acc_prev": det2(prev.d1, prev.d2),
-        "acc_prev_tan": det2(prev.d2, cur.d1),
+        "edge_tan": det2(edge, cur[1]),
+        "edge_tan_prev": det2(edge, prev[1]),
+        "edge_acc": det2(edge, cur[2]),
+        "edge_prev_tan": det2(edge_prev, cur[1]),
+        "edge_prev_tan_prev": det2(edge_prev, prev[1]),
+        "edge_prev_tan_next": det2(edge_prev, nxt[1]),
+        "edge_prev_acc": det2(edge_prev, cur[2]),
+        "edge_prev_acc_prev": det2(edge_prev, prev[2]),
+        "tan_tan_next": det2(cur[1], nxt[1]),
+        "tan_prev_tan": det2(prev[1], cur[1]),
+        "tan_acc": det2(cur[1], cur[2]),
+        "tan_prev_acc": det2(prev[1], cur[2]),
+        "tan_prev_acc_prev": det2(prev[1], prev[2]),
+        "acc_prev_tan": det2(prev[2], cur[1]),
     }
 
 
@@ -201,7 +201,7 @@ class TestBracketSet:
         _, proj, _ = translational
         fw = proj.framework
         table = fw.grid_table()
-        det, _, _ = basis_guard(table.d1[2, 37], table.p[3, 37] - table.p[2, 37])
+        det, _, _ = basis_guard(table[1, 2, 37], table[0, 3, 37] - table[0, 2, 37])
         assert brackets(fw, 1, fw.grid.t[37])["edge_tan"] == pytest.approx(-det, rel=1e-14)
 
     def test_index_out_of_range(self, parallel_lines):

@@ -21,8 +21,46 @@ def test_table_rows_are_the_curve_jets(drawn):
     table = fw.grid_table(order=3)
     for i in fw.curve_indices:
         jet = fw.curve(i).jet(fw.grid.t)
-        for field in ("p", "d1", "d2", "d3"):
-            assert np.array_equal(getattr(table, field)[i + 1], getattr(jet, field))
+        assert np.array_equal(table[:, i + 1], jet)
+
+
+def test_grid_table_is_the_tabulated_array():
+    fw = sl.builtin("perturbed2d", n=2, seed=1)
+    table = fw.grid_table()
+    assert type(table) is np.ndarray and table.shape == (3, fw.n + 3, fw.grid.N + 1, 2)
+    assert not table.flags.writeable
+    assert np.array_equal(table, fw.tabulate(fw.grid.t, 2))
+    assert len(fw.grid_table(order=3)) == 4 and len(fw.grid_table()) == 4
+    assert np.array_equal(fw.grid_table()[:3], table)
+
+
+def test_point_jets_are_columns_of_the_order_three_table():
+    fw = sl.builtin("perturbed2d", n=2, seed=1)
+    table = fw.grid_table(order=3)
+    for i in fw.curve_indices:
+        for j in (0, 37, fw.grid.N):
+            jet = fw.jet(i, fw.grid.t[j])
+            assert type(jet) is np.ndarray and jet.shape == (4, 2)
+            # equal bit for bit unless the host's vector sin differs from its scalar sin
+            assert np.abs(jet - table[:, i + 1, j]).max() <= 1e-13 * np.abs(table[:, i + 1, j]).max()
+        assert np.array_equal(fw.grid_jets(i), fw.grid_table()[:, i + 1])
+
+
+def test_projected_table_is_a_view_of_the_surface_table():
+    surface = sl.builtin("translational3d")
+    proj = sl.project(surface)
+    plane, space = proj.framework.grid_table(), surface.grid_table(proj.grid)
+    assert np.array_equal(plane, space[..., :2]) and np.shares_memory(plane, space)
+
+
+def test_lifted_table_is_one_read_only_array():
+    proj = sl.project(sl.builtin("translational3d"))
+    surface = sl.build_lifting(proj.framework, sl.induced_stress(proj))
+    table = surface.grid_table()
+    assert type(table) is np.ndarray and table.shape == (3, surface.n + 1, surface.grid.N + 1, 3)
+    assert not table.flags.writeable and surface.grid_table() is table
+    assert np.array_equal(table[..., 2], [surface.z, surface.z_d1, surface.z_d2])
+    assert np.array_equal(table[..., :2], proj.framework.grid_table()[:3, 1:-1])
 
 
 def random_stress(fw, rng):
@@ -46,7 +84,7 @@ def jet_orders(monkeypatch):
 def test_the_balance_tabulates_two_orders_once(jet_orders):
     fw = sl.builtin("perturbed2d", n=2, seed=1)
     sl.residual_report(fw, random_stress(fw, np.random.default_rng(0)))
-    assert fw.grid_table().d3 is None
+    assert len(fw.grid_table()) == 3
     assert jet_orders == [2]
 
 
@@ -55,9 +93,9 @@ def test_order_three_tabulates_once_more_and_serves_every_later_call(jet_orders)
     low = fw.grid_table()
     high = fw.grid_table(order=3)
     assert fw.grid_table() is high and fw.grid_table(order=3) is high
-    assert fw.grid_jets(0).d3 is not None
+    assert len(fw.grid_jets(0)) == 4
     assert jet_orders == [2, 3]
-    assert low.d3 is None and fw.grid_jets(0, sl.Grid(fw.T, 16)).d3 is None
+    assert len(low) == 3 and len(fw.grid_jets(0, sl.Grid(fw.T, 16))) == 3
     for a, b in zip(list(low)[:3], list(high)[:3]):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="^grid tables hold order 2 or 3, got 1$"):
@@ -87,10 +125,10 @@ def test_residual_is_the_balance_of_point_jets(drawn):
         for i in range(fw.n + 1):
             prev, cur, nxt = jets[i : i + 3]
             terms = (
-                lam_dot[i, j] * cur.d1,
-                lam[i, j] * cur.d2,
-                mu[i + 1, j] * (nxt.p - cur.p),
-                mu[i, j] * (cur.p - prev.p),
+                lam_dot[i, j] * cur[1],
+                lam[i, j] * cur[2],
+                mu[i + 1, j] * (nxt[0] - cur[0]),
+                mu[i, j] * (cur[0] - prev[0]),
             )
             balance = terms[0] + terms[1] + terms[2] - terms[3]
             scale = max(np.abs(term).max() for term in terms)

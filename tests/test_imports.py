@@ -29,6 +29,11 @@ def test_march_oracle_stays_out_of_the_exports():
     assert not hasattr(striplift.numerics, "integrate_samples")
 
 
+def test_curve_tables_have_one_layout_and_no_record_type():
+    # every table of curve data is the (order, curve, node, coord) array of `tabulate`
+    assert not hasattr(striplift, "CurveJet") and not hasattr(striplift.framework, "CurveJet")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text())

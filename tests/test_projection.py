@@ -30,13 +30,13 @@ class TestProject:
         proj = sl.project(flat_surface(0.25))
         assert isinstance(proj.framework, sl.Framework)
         table = proj.surface.grid_table(proj.grid)
-        for field, want in ((table.p, 0.25), (table.d1, 0.0), (table.d2, 0.0)):
+        for field, want in ((table[0], 0.25), (table[1], 0.0), (table[2], 0.0)):
             assert np.all(field[..., 2] == want)
 
     def test_translational_split(self, translational):
         surface, proj, _ = translational
-        plane = proj.framework.grid_table().p
-        space = proj.surface.grid_table(proj.grid).p
+        plane = proj.framework.grid_table()[0]
+        space = proj.surface.grid_table(proj.grid)[0]
         assert proj.surface is surface
         assert np.array_equal(plane, space[..., :2])
         for i in surface.curve_indices:
@@ -62,7 +62,7 @@ class TestProject:
         back = sl.project(lifted)
         assert back.surface is lifted
         assert list(back.z_indices) == [0, 1, 2, 3]
-        assert np.array_equal(back.surface.grid_table(back.grid).p[2, :, 2], lifted.z[2])
+        assert np.array_equal(back.surface.grid_table(back.grid)[0, 2, :, 2], lifted.z[2])
 
     def test_lifting_keeps_its_own_grid(self):
         # a loaded lifting carries its stress grid; its framework the default one,

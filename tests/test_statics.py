@@ -47,10 +47,10 @@ def reference_solve_stress(fw, lambda0, mu_fn, grid=None):
         mu_prev = mu_fn(t)
         for i in range(fw.n + 1):
             cur = jets[i + 1]
-            edge_fwd = jets[i + 2].p - cur.p
-            edge_bwd = cur.p - jets[i].p
-            rhs = -lam[i] * cur.d2 + mu_prev * edge_bwd
-            lam_dot[i], mu[i] = solve2x2(cur.d1, edge_fwd, rhs, location=(i, float(t)))
+            edge_fwd = jets[i + 2][0] - cur[0]
+            edge_bwd = cur[0] - jets[i][0]
+            rhs = -lam[i] * cur[2] + mu_prev * edge_bwd
+            lam_dot[i], mu[i] = solve2x2(cur[1], edge_fwd, rhs, location=(i, float(t)))
             mu_prev = mu[i]
         return lam_dot, mu
 
@@ -134,7 +134,7 @@ class TestForceVector:
         j = 100
         t = stress.grid.t[j]
         v = sl.force_vector(fw, stress, 2, t)
-        assert np.allclose(v, stress.lam[2, j] * fw.jet(2, t).d1, rtol=1e-15)
+        assert np.allclose(v, stress.lam[2, j] * fw.jet(2, t)[1], rtol=1e-15)
 
     def test_off_grid_rejected(self, translational):
         _, proj, stress = translational
@@ -419,7 +419,7 @@ def reference_force_vector(fw, stress, i, t):
     """force_vector from the point jet of curve i."""
     statics._check_compatible(fw, stress)
     j = stress.grid.node_index(t)
-    return stress.lam_at(i)[j] * fw.jet(i, stress.grid.t[j]).d1
+    return stress.lam_at(i)[j] * fw.jet(i, stress.grid.t[j])[1]
 
 
 def reference_force_load(fw, stress, i, a, b):
