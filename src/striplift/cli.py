@@ -9,6 +9,9 @@ in one line without a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -352,7 +355,17 @@ def _parser(argv) -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Raise glibc's mmap and trim thresholds: reuse freed heap pages, not fault in new ones."""
+    with contextlib.suppress(OSError, TypeError, AttributeError):  # not glibc: no C library or mallopt
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's maximum
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parser(argv).parse_args(argv)

@@ -1326,6 +1326,48 @@ class TestInternalError:
             main(["validate", "--input", str(p["framework"])])
 
 
+class TestAllocator:
+    """`main` raises glibc's heap thresholds once per process, and goes on without them
+    where there is no glibc."""
+
+    def demo_bytes(self, directory):
+        directory.mkdir()
+        assert main(["demo", "circles2d", "--output", str(directory / "c"), "--reproducible"]) == 0
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_hook_runs_once_per_process(self, monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            def mallopt(self, option, value):
+                calls.append((option, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: calls.append(name) or Libc())
+        cli._keep_freed_heap.cache_clear()
+        for _ in range(3):
+            assert main(["demo", "nonsense", "--output", "x"]) == 2
+        assert calls == [None, (-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("missing", ["library", "mallopt"])
+    def test_no_glibc_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys, missing):
+        with_hook, out = self.demo_bytes(tmp_path / "hook"), capsys.readouterr().out
+
+        tried = []
+
+        def cdll(name):
+            tried.append(name)
+            if missing == "library":
+                raise OSError("no C library")
+            return object()  # a library without mallopt, as on macOS
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_heap.cache_clear()
+        assert self.demo_bytes(tmp_path / "none") == with_hook
+        assert tried == [None]
+        assert capsys.readouterr().out == out.replace(str(tmp_path / "hook"), str(tmp_path / "none"))
+
+
 class TestUnusablePath:
     """A path the system cannot read or write is invalid input: exit 2 in one line."""
 

@@ -34,6 +34,18 @@ def test_curve_tables_have_one_layout_and_no_record_type():
     assert not hasattr(striplift, "CurveJet") and not hasattr(striplift.framework, "CurveJet")
 
 
+def test_only_the_command_line_touches_the_allocator():
+    # `cli.main` sets glibc's heap thresholds; the library API leaves the allocator alone
+    for path in Path(striplift.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names}
+        imports |= {node.module.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        touches = "ctypes" in imports or "mallopt" in path.read_text()
+        assert touches == (path.name == "cli.py"), path.name
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text())

@@ -586,7 +586,34 @@ def test_json_rows_match_the_per_float_writer(cols, data):
         assert bits(got["v"]) == bits(want["v"]) and bits(got["s"]) == bits(want["s"])
 
 
+def two_dimensional_rows(values, lead, sep):
+    """The rows of one 2-d `_dump_json` call, its brackets and commas replaced: the writer
+    that format_rows's flat block dumps stand in for, and their byte-for-byte oracle."""
+    if not values.size:
+        return ""
+    text = _dump_json(values.reshape(-1, values.shape[-1]))  # [[a,b],[c,d]]
+    return lead + text[2:-2].replace("],[", "\n" + lead).replace(",", sep) + "\n"
+
+
 class TestRowFormatter:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    def test_writes_the_bytes_of_one_two_dimensional_dump(self, width, kind):
+        """Row counts up to three blocks and a row, every seventh value an edge case."""
+        block = framework._DUMP_ROWS
+        rng = np.random.default_rng(width)
+        edges = np.array([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308, 0.0, 1.0, -2.5, 1e22])
+        for rows in (0, 1, block + 1, 2 * block + 1, 3 * block + 1):
+            if kind == "float":
+                values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-320, 300, (rows, width))
+                values.reshape(-1)[::7] = np.resize(edges, values.reshape(-1)[::7].shape)
+            else:
+                values = rng.integers(-2**63, 2**63, size=(rows, width), dtype=np.int64)
+                values.reshape(-1)[::7] = np.resize([-2**63, 2**63 - 1, 0, -1], values.reshape(-1)[::7].shape)
+            for lead, sep in (("", ","), ("v ", " "), ("f ", " ")):
+                assert framework.format_rows(values, lead, sep) == two_dimensional_rows(values, lead, sep)
+
     def test_one_curve_obj_matches_the_per_float_writer(self):
         fw = sl.builtin("circles2d", n=0)
         surface = sl.build_lifting(fw, sl.solve_stress(fw, [1.0], 0.0))
