@@ -4,6 +4,12 @@ Subcommands: validate, solve, check, lift, project, onestrip, demo.
 Exit codes: 0 success / check passed, 1 check failed, 2 invalid input,
 3 numerical degeneracy, 4 internal error (a fault of the program, reported
 in one line without a traceback).
+
+One table, `_COMMANDS` with the flag settings of `_FLAGS`, is read by two
+paths.  `_namespace` reads a well-formed command line straight off it and
+builds no parser.  Any other argv (help, an abbreviation, "--flag=value",
+an error) goes to argparse through `_parser`, built from the same table, so
+usage, help and error text and their exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -72,9 +78,12 @@ def _read(path: str) -> str:
     if not p.is_file():
         raise SchemaError(f"{'not a file' if p.exists() else 'no such file'}: {path}")
     try:
-        return p.read_text()
+        return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise _os_error("read", path, exc) from None
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise SchemaError(f"cannot read {path}: {reason}") from None
 
 
 def _with(prefix: Path, ext: str) -> Path:
@@ -330,6 +339,62 @@ _COMMANDS = (
 )
 
 
+def _settings(flag, overrides) -> dict:
+    """The add_argument settings of `flag` in a command with `overrides`."""
+    return {**_FLAGS[flag], **overrides.get(flag, {})}
+
+
+def _namespace(argv):
+    """The namespace argparse gives a well-formed `argv`, read off the command table; None
+    for any other argv.
+
+    Well-formed is a subset on which argparse cannot differ: `argv[0]` names a
+    command; every later token is an exact long flag of that command, at most
+    once, or demo's one positional; a value flag takes the next token, which does
+    not start with "-"; the flag's type converts it, and its choices hold it.
+    """
+    command = next((c for c in _COMMANDS if argv and argv[0] == c[0]), None)
+    if command is None:
+        return None
+    name, fn, _, flags, overrides = command
+    settings = {flag: _settings(flag, overrides) for flag in flags}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):  # a positional
+            flag = next((f for f in flags if f[0] != "-" and f not in given), None)
+            if flag is None:
+                return None
+            given[flag] = token
+        elif token in settings and token not in given:
+            if settings[token].get("action") == "store_true":
+                given[token] = True
+            else:
+                given[token] = next(tokens, "-")  # a missing value reads as one starting with "-"
+                if given[token].startswith("-"):
+                    return None
+        else:
+            return None
+    args = argparse.Namespace(command=name, fn=fn)
+    for flag, spec in settings.items():
+        switch = spec.get("action") == "store_true"
+        if flag in given:
+            value = given[flag]
+            if not switch:
+                try:
+                    value = spec.get("type", str)(value)
+                except (TypeError, ValueError):
+                    return None
+                if "choices" in spec and value not in spec["choices"]:
+                    return None
+        elif spec.get("required", flag[0] != "-"):  # a positional is required
+            return None
+        else:
+            value = spec.get("default", False if switch else None)
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def _invoked_parser(invoked=False, **kwargs):
     """The parser_class of the subcommands: a parser for the invoked command, None for the rest."""
     return argparse.ArgumentParser(**kwargs) if invoked else None
@@ -351,7 +416,7 @@ def _parser(argv) -> argparse.ArgumentParser:
         if p is not None:
             p.set_defaults(fn=fn)
             for flag in flags:
-                p.add_argument(flag, **{**_FLAGS[flag], **overrides.get(flag, {})})
+                p.add_argument(flag, **_settings(flag, overrides))
     return top
 
 
@@ -367,10 +432,12 @@ def _keep_freed_heap() -> None:
 def main(argv=None) -> int:
     _keep_freed_heap()
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _parser(argv).parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
-        return exc.code
+    args = _namespace(argv)
+    if args is None:
+        try:
+            args = _parser(argv).parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
+            return exc.code
     if not 0 < getattr(args, "tol", DEFAULT_TOL) < float("inf"):  # refuses nan too
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -393,6 +393,7 @@ def document_rows(doc: dict, key: str, rows: int, N: int) -> np.ndarray:
 MAX_NESTING = 64  # levels of arrays and objects a document may nest; the schema uses 7
 _NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 _DEPTH_STEP = bytes.maketrans(b'[{]}"', b"\x01\x01\xff\xff\x00")  # +1, -1 and 0 as int8
+_COUNTED_BYTES = 16384  # up to here counting every byte costs less than a `find` per bracket
 _DUMP_ROWS = 4096  # rows per flat dump in format_rows: a few hundred KB of text
 
 
@@ -400,15 +401,19 @@ def _nests_too_deep(data: bytes) -> bool:
     """Whether the arrays and objects of JSON text nest deeper than MAX_NESTING.
 
     Brackets inside strings do not count.  A text with no more opening brackets
-    than the limit (a stress document has one per row) passes after a few `find`
-    calls, which skip the numbers between them; any other text is cut down to
-    its brackets and quotes, and its depth is a cumulative sum.
+    than the limit passes at once: a short text (a framework document) on two
+    counts, a long one (a stress document has one bracket per row) after a few
+    `find` calls, which skip the numbers between them.  Any other text is cut
+    down to its brackets and quotes, and its depth is a cumulative sum.
     """
-    opens = 0
-    for bracket in b"[{":
-        at = data.find(bracket)
-        while at >= 0 and opens <= MAX_NESTING:
-            opens, at = opens + 1, data.find(bracket, at + 1)
+    if len(data) <= _COUNTED_BYTES:
+        opens = data.count(b"[") + data.count(b"{")
+    else:
+        opens = 0
+        for bracket in b"[{":
+            at = data.find(bracket)
+            while at >= 0 and opens <= MAX_NESTING:
+                opens, at = opens + 1, data.find(bracket, at + 1)
     if opens <= MAX_NESTING:
         return False
     if b"\\" in data:  # drop escaped backslashes, then escaped quotes: every quote left delimits a string

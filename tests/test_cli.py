@@ -10,10 +10,11 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import striplift as sl
@@ -1188,6 +1189,74 @@ def _outcome(argv):
 
 _COMMAND_NAMES = ("validate", "solve", "check", "lift", "project", "onestrip", "demo")
 
+_WELL_FORMED = [
+    ["validate", "--input", "a", "--grid", "64"],
+    ["solve", "--input", "a", "--lambda0", "1,2", "--mu-minus1", "0.5", "--output", "o"],
+    ["solve", "--input", "a", "--lambda0", "1"],
+    ["check", "--input", "a", "--stress", "s", "--seed", "3", "--tol", "1e-3"],
+    ["lift", "--input", "a", "--stress", "s", "--output", "o", "--format", "json", "--force"],
+    ["lift", "--input", "a", "--stress", "s", "--output", "o", "--reproducible"],
+    ["project", "--input", "a", "--output", "o"],
+    ["onestrip", "--input", "a", "--format", "csv"],
+    ["demo", "circles2d", "--reproducible", "--seed", "2"],
+    ["demo", "solve"],
+]
+
+# values that name no file and no demo; those starting with "-" are never read off the table
+_ODD_VALUES = ("csv", "obj", "x y", "-1", "-0.5", "-1,2", "-", "", *_COMMAND_NAMES)
+_ARG_VALUES = ("a", "o", "64", "4", "1e-3", "0.5", "1,2", "json", *_ODD_VALUES)
+
+
+def _fields(args):
+    """A namespace as comparable text: its attributes by name, each value's type shown."""
+    return repr(sorted(vars(args).items()))
+
+
+@st.composite
+def _command_lines(draw):
+    """Command lines of the table's flags, in any order and some left out, with up to two
+    changes: a flag abbreviated or written "--flag=value", a value left out or swapped for
+    one that may start with "-", be empty or name a command, or a piece added ("--", "-h",
+    a repeated or foreign flag, an extra positional)."""
+    name, _, _, flags, overrides = draw(st.sampled_from(cli._COMMANDS))
+    values = st.sampled_from(_ARG_VALUES)
+    pieces = []
+    for flag in flags:
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        spec = {**cli._FLAGS[flag], **overrides.get(flag, {})}
+        if flag[0] != "-":
+            pieces.append([draw(values)])
+        elif spec.get("action") == "store_true":
+            pieces.append([flag])
+        else:
+            typical = spec.get("choices") or {int: ("64",), float: ("1e-3",)}.get(spec.get("type"), ("a",))
+            pieces.append([flag, draw(st.sampled_from(typical))])
+    noise = st.one_of(
+        st.sampled_from(("--", "-h", "--he", "")).map(lambda t: [t]),
+        st.tuples(st.sampled_from(sorted(cli._FLAGS)), values).map(list),
+        values.map(lambda v: [v]),
+    )
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        named = [k for k, piece in enumerate(pieces) if piece[0][:2] == "--"]
+        change = draw(st.integers(0, 4))
+        if not named or change == 4:
+            pieces.append(draw(noise))
+            continue
+        k = draw(st.sampled_from(named))
+        flag = pieces[k][0]
+        if change == 0:  # the shortest abbreviation, ambiguous for some flags, or the longest
+            pieces[k] = [flag[:draw(st.sampled_from((3, len(flag) - 1)))], *pieces[k][1:]]
+        elif len(pieces[k]) == 1:  # a switch, given twice
+            pieces.append([flag])
+        elif change == 1:
+            pieces[k] = ["=".join(pieces[k])]
+        elif change == 2:
+            pieces[k] = [flag]  # its value left out
+        else:
+            pieces[k] = [flag, draw(st.sampled_from(_ODD_VALUES))]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
 
 
 class TestDevelopabilityPasses:
@@ -1215,7 +1284,8 @@ class TestDevelopabilityPasses:
         assert calls == judged
 
 class TestParser:
-    """One command's flags per call, with the usage, help and errors of the full parser."""
+    """A well-formed line read off the command table, any other by a parser with one
+    command's flags, with the namespace, usage, help and errors of the full parser."""
 
     @pytest.fixture(autouse=True)
     def columns(self, monkeypatch):
@@ -1240,24 +1310,55 @@ class TestParser:
         monkeypatch.setattr(cli, "_parser", lambda argv: reference_parser())
         assert ours == _outcome(argv)
 
+    @pytest.mark.parametrize("argv", _WELL_FORMED, ids=" ".join)
+    def test_namespace_matches_the_full_parser(self, argv):
+        assert cli._parser(argv).parse_args(argv) == reference_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", _WELL_FORMED, ids=" ".join)
+    def test_well_formed_line_is_read_off_the_table(self, argv):
+        assert _fields(cli._namespace(argv)) == _fields(reference_parser().parse_args(argv))
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["validate", "--input", "a", "--grid", "64"],
-            ["solve", "--input", "a", "--lambda0", "1,2", "--mu-minus1", "0.5", "--output", "o"],
-            ["solve", "--input", "a", "--lambda0", "1"],
-            ["check", "--input", "a", "--stress", "s", "--seed", "3", "--tol", "1e-3"],
-            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--format", "json", "--force"],
-            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--reproducible"],
-            ["project", "--input", "a", "--output", "o"],
-            ["onestrip", "--input", "a", "--format", "csv"],
-            ["demo", "circles2d", "--reproducible", "--seed", "2"],
-            ["demo", "solve"],
+            ["validate", "--inp", "a"],  # an abbreviation
+            ["validate", "--input=a"],
+            ["validate", "--input", "a", "--input", "b"],  # a flag given twice
+            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--force", "--force"],
+            ["check", "--input", "a", "--stress", "s", "--seed", "-1"],  # a value starting with "-"
+            ["validate", "--input", "-"],
+            ["validate", "--input"], ["validate", "--grid", "--input", "a"],  # a value left out
+            ["validate", "--input", "a", "--grid", "1e3"],  # a value its type refuses
+            ["lift", "--input", "a", "--stress", "s", "--output", "o", "--format", "csv"],
+            ["solve", "--input", "a"], ["demo"],  # a required flag or the positional left out
+            ["demo", "a", "b"], ["validate", "--input", "a", "b"],  # an extra positional
+            ["validate", "--input", "a", "--"], ["validate", "--input", "a", "-h"],
+            ["validate", "--input", "a", "--force"],  # another command's flag
+            ["bogus"], [], ["-h", "validate"], ["--", "validate", "--input", "a"],
         ],
-        ids=" ".join,
+        ids=lambda argv: " ".join(argv) or "no argv",
     )
-    def test_namespace_matches_the_full_parser(self, argv):
-        assert cli._parser(argv).parse_args(argv) == reference_parser().parse_args(argv)
+    def test_other_lines_go_to_argparse(self, argv):
+        assert cli._namespace(argv) is None
+
+    @given(argv=_command_lines())
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # COLUMNS is set once
+    def test_table_reader_is_argparse_or_none(self, argv):
+        ours = cli._namespace(argv)
+        if ours is not None:
+            assert _fields(ours) == _fields(reference_parser().parse_args(argv))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # no value names a file: every command stops before it writes
+            try:
+                outcome = _outcome(argv)
+                with mock.patch.object(cli, "_namespace", lambda argv: None), \
+                        mock.patch.object(cli, "_parser", lambda argv: reference_parser()):
+                    assert outcome == _outcome(argv)
+                assert os.listdir(tmp) == []
+            finally:
+                os.chdir(cwd)
 
     def test_only_the_invoked_command_gets_flags(self, docs, tmp_path, monkeypatch):
         _, p = docs
@@ -1269,8 +1370,9 @@ class TestParser:
             return add(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        # "--output=PATH" sends the line to argparse; a well-formed one builds no parser
         argv = ["solve", "--input", str(p["circle1"]), "--lambda0", "1",
-                "--output", str(tmp_path / "s.json")]
+                f"--output={tmp_path / 's.json'}"]
         assert main(argv) == 0
         # --input --grid --tol --output --lambda0 --mu-minus1, no positional, and -h of striplift and solve
         assert len(calls) <= 6 + 0 + 2
@@ -1279,14 +1381,16 @@ class TestParser:
         "argv, parsers",
         [
             *(([name, "-h"], 2) for name in _COMMAND_NAMES),
-            (["check", "--input", "{framework}", "--stress", "{stress}"], 2),
-            (["demo", "circles2d", "--output", "{out}"], 2),
+            # a well-formed line is read off the command table; any other goes to argparse
+            (["check", "--input", "{framework}", "--stress", "{stress}"], 0),
+            (["demo", "circles2d", "--output", "{out}"], 0),
+            (["check", "--input={framework}", "--stress", "{stress}"], 2),
             (["-h"], 1), (["bogus"], 1), ([], 1),
         ],
         ids=lambda v: (" ".join(v) or "no argv") if isinstance(v, list) else f"{v} parsers",
     )
     def test_one_parser_per_invoked_command(self, docs, tmp_path, monkeypatch, capsys, argv, parsers):
-        # the top-level parser, plus the parser of the command argparse dispatches to
+        # for argparse: the top-level parser, plus the parser of the command it dispatches to
         _, p = docs
         built = []
         init = argparse.ArgumentParser.__init__
@@ -1394,6 +1498,13 @@ class TestUnusablePath:
         (tmp_path / "f").write_text("")
         argv = ["demo", "circles2d", "--output", str(tmp_path / "f" / "c")]
         self._refused(capsys, argv, tmp_path / "f" / "c.framework.json")
+
+    def test_non_utf8_input_names_its_file(self, docs, tmp_path, capsys):
+        _, p = docs
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe" + p["stress"].read_bytes())
+        self._refused(capsys, ["check", "--input", str(p["framework"]), "--stress", str(bad)],
+                      bad, "read")
 
     def test_unreadable_input(self, docs, monkeypatch, capsys):
         _, p = docs
