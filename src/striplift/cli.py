@@ -8,8 +8,10 @@ in one line without a traceback).
 One table, `_COMMANDS` with the flag settings of `_FLAGS`, is read by two
 paths.  `_namespace` reads a well-formed command line straight off it and
 builds no parser.  Any other argv (help, an abbreviation, "--flag=value",
-an error) goes to argparse through `_parser`, built from the same table, so
-usage, help and error text and their exit codes are argparse's own.
+an error) goes to argparse through `_parser`, which builds every command
+with its flags from the same table, so usage, help and error text and their
+exit codes are argparse's own.  A command refuses its input by raising; the
+error map of `main` turns each refusal into its one-line message and exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import (
     DegenerateBasisError,
     DivergenceError,
-    GridAlignmentError,
     NotConjugateError,
     NotRegularError,
     NotSelfStressedError,
@@ -148,8 +149,7 @@ def cmd_solve(args) -> int:
     fw = _load_planar(args)
     report = regularity_report(fw)
     if not report.passed:
-        print(report.summary())
-        return EXIT_CHECK_FAILED
+        raise NotRegularError(report)
     lambda0 = [float(v) for v in args.lambda0.split(",")]
     mu = _parse_mu_spec(args.mu_minus1)
     stress = solve_stress(fw, lambda0, mu)
@@ -395,28 +395,18 @@ def _namespace(argv):
     return args
 
 
-def _invoked_parser(invoked=False, **kwargs):
-    """The parser_class of the subcommands: a parser for the invoked command, None for the rest."""
-    return argparse.ArgumentParser(**kwargs) if invoked else None
-
-
-def _parser(argv) -> argparse.ArgumentParser:
-    """The parser of `argv`.  It lists every command, so help, usage and errors
-    read as with every parser built; only the command argparse dispatches to,
-    the first token of `argv` that names one, gets a parser with its flags."""
+def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command and its flags, built from the command table."""
     top = argparse.ArgumentParser(
         prog="striplift",
         description="Self-stresses, liftings, and projections of semi-discrete planar frameworks",
     )
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_invoked_parser)
-    names = [command[0] for command in _COMMANDS]
-    invoked = next((token for token in argv if token in names), None)
+    sub = top.add_subparsers(dest="command", required=True)
     for name, fn, help, flags, overrides in _COMMANDS:
-        p = sub.add_parser(name, help=help, invoked=name == invoked)
-        if p is not None:
-            p.set_defaults(fn=fn)
-            for flag in flags:
-                p.add_argument(flag, **_settings(flag, overrides))
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **_settings(flag, overrides))
     return top
 
 
@@ -435,7 +425,7 @@ def main(argv=None) -> int:
     args = _namespace(argv)
     if args is None:
         try:
-            args = _parser(argv).parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse has printed the usage error (code 2) or the help (0)
             return exc.code
     if not 0 < getattr(args, "tol", DEFAULT_TOL) < float("inf"):  # refuses nan too
@@ -446,16 +436,13 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (DegenerateBasisError, DivergenceError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (NotSelfStressedError, NotConjugateError, NotRegularError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (GridAlignmentError, StripLiftError, ValueError) as exc:
+    except (StripLiftError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # a fault of the program, not of its input

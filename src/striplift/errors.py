@@ -63,10 +63,10 @@ class NotSelfStressedError(StripLiftError):
 
 
 class NotRegularError(StripLiftError):
-    """A projected framework failed the regularity scan.  Carries the report."""
+    """A planar framework, given or projected, failed the regularity scan.  Carries the report."""
 
     def __init__(self, report):
-        super().__init__(f"projection is not regular: {report.summary()}")
+        super().__init__(f"framework is not regular: {report.summary()}")
         self.report = report
 
 

@@ -96,12 +96,13 @@ class TestStresses:
             sl.onestrip_verify(proj.framework)
 
     def test_degenerate_strip_rejected(self):
-        # det(edge_0, tan_1) = -t^2 - 3t: the tangent of curve 1 runs along the edge at t = 0
+        # det(edge_0, tan_1) = -t^2 - 3t: the tangent of curve 1 runs along the edge at t = 0;
+        # the strip sits off the origin, so f0 != 0 there
         curves = [
-            AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((-1.0,)))),
-            AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((0.0,)))),
-            AnalyticCurve((CoordFunction((0.0, 0.0, 1.0)), CoordFunction((1.0, 1.0)))),
-            AnalyticCurve((CoordFunction((0.0, 1.0)), CoordFunction((2.0,)))),
+            AnalyticCurve((CoordFunction((3.0, 1.0)), CoordFunction((4.0,)))),
+            AnalyticCurve((CoordFunction((3.0, 1.0)), CoordFunction((5.0,)))),
+            AnalyticCurve((CoordFunction((3.0, 0.0, 1.0)), CoordFunction((6.0, 1.0)))),
+            AnalyticCurve((CoordFunction((3.0, 1.0)), CoordFunction((7.0,)))),
         ]
         fw = sl.Framework(2.0, 1, curves, sl.Grid(2.0, 16))
         with pytest.raises(DegenerateBasisError) as err:

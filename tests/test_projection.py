@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import striplift as sl
-from striplift.errors import DegenerateBasisError, NotConjugateError, StripLiftError
+from striplift.errors import DegenerateBasisError, EvaluationError, NotConjugateError, StripLiftError
 from striplift.framework import AnalyticCurve, AnalyticSurface3D, CoordFunction, combine, shifted
 from striplift.lifting import strip_defects
-from striplift.projection import recovered_interior_stress
+from striplift.projection import ProjectedSurface, recovered_interior_stress
 
 from conftest import twisted_surface
 
@@ -257,6 +257,51 @@ class TestInducedStress:
         with pytest.raises(DegenerateBasisError) as err:
             sl.induced_stress(sl.project(surface))
         assert err.value.location == ("det(edge_-1, tan_-1)", 0.75)
+
+    @staticmethod
+    def lines(points, velocities, heights, scale=1.0):
+        """The surface of straight curves p_k + t v_k at heights z_k(t), curves -1..2."""
+        curves = [
+            AnalyticCurve((CoordFunction((scale * p[0], scale * v[0])),
+                           CoordFunction((scale * p[1], scale * v[1])), CoordFunction(z)))
+            for p, v, z in zip(points, velocities, heights)
+        ]
+        return AnalyticSurface3D(1.0, 1, curves, sl.Grid(1.0, 16))
+
+    def test_degenerate_backward_basis_is_named(self):
+        # tan_0 = (1, 0) runs along edge_{-1} = (1 + t, -t) at t = 0, while
+        # edge_0 = (0, 1) stays across it: the backward basis of curve 0 fails
+        # first.  Regularity refuses such a projection, so it is built directly.
+        surface = self.lines([(0, 0), (1, 0), (1, 1), (1, 2)], [(0, 1), (1, 0), (1, 0), (1, 0)],
+                             [(0.0,)] * 4)
+        proj = ProjectedSurface(surface.planar(surface.grid), surface)
+        with pytest.raises(DegenerateBasisError) as err:
+            recovered_interior_stress(proj)
+        assert err.value.location == ("det(edge_-1, tan_0)", 0.0)
+
+    def test_overflowing_denominator_names_its_curve(self):
+        # det(edge_i, tan_i) reads -1e150 (1 + t), 1e153 on curves 0 and 1, so
+        # its square is finite, while det(edge_0, tan_1) = 1e150 (1e6 - t) makes
+        # the product of curve 1 overflow
+        surface = self.lines(
+            [(0, -1), (0, 0), (1e6, 1), (1e6 + 1e3, 1)], [(1, 0), (1, 0), (0, 1), (0, 1)],
+            [(0.0,)] * 4, scale=1e75,
+        )
+        with pytest.raises(EvaluationError) as err:
+            recovered_interior_stress(sl.project(surface))
+        assert str(err.value) == (
+            "det(edge_i, tan_i) * det(edge_{i-1}, tan_i) of curve 1 is not finite at t=0.0"
+        )
+
+    def test_overflowing_lambda_names_its_curve(self):
+        # translates at heights 1e308 t: det(edge_{i-1}, edge_i) z_i' reads 1e308
+        # on curve 0 and -2e308 on curve 1, with every denominator 1 and mu 0
+        surface = self.lines(
+            [(0, 0), (1, 0), (2, 1), (3, 0)], [(0, 1)] * 4, [(0.0, 1e308)] * 4,
+        )
+        with pytest.raises(EvaluationError) as err:
+            recovered_interior_stress(sl.project(surface))
+        assert str(err.value) == "induced lambda of curve 1 is not finite at t=0.0"
 
 
 class TestPlanarBoundaries:

@@ -481,6 +481,13 @@ class TestSolveStress:
         assert np.all(out.lam == 0.0)
         assert np.all(out.mu == 0.0)
 
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_wrong_lambda0_count_names_the_count(self, values):
+        fw = sl.builtin("perturbed2d", n=2, seed=4)
+        with pytest.raises(ValueError) as err:
+            sl.solve_stress(fw, values, 0.0)
+        assert str(err.value) == f"lambda0 must supply 3 values, got shape ({len(values)},)"
+
     def test_one_curve_circle(self):
         fw = sl.builtin("circles2d", n=0)
         out = sl.solve_stress(fw, [1.0], 0.0)
